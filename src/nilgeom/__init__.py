@@ -25,10 +25,9 @@ from .algebra import (
 )
 from .exterior import Multivector, g_norm, lift_tangent, project_degree, wedge
 from .manifold import (
-    DilatedChart,
     ParamMap,
     PointAnalysis,
-    TranslatedChart,
+    TransformedChart,
     alpha_profile,
     blowup_rates,
     classify_point,
@@ -38,7 +37,6 @@ from .manifold import (
     parse_parametrization,
     pointwise_degree,
     q_n_max_degree,
-    reparametrized,
 )
 from .mc import Estimate
 from .measure import (
@@ -76,14 +74,13 @@ __all__ = [
     "Multivector",
     "ParamMap",
     "PointAnalysis",
-    "TranslatedChart",
+    "TransformedChart",
     "Estimate",
     "AreaReport",
     "FactorOptions",
     "HomogeneousDistance",
     "NumericPolicy",
     "DEFAULT_POLICY",
-    "DilatedChart",
     "abelian",
     "alpha_profile",
     "area_check",
@@ -118,7 +115,6 @@ __all__ = [
     "pointwise_degree",
     "project_degree",
     "q_n_max_degree",
-    "reparametrized",
     "section_area",
     "section_concavity_check",
     "spherical_factor",

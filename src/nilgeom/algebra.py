@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import factorial
 from typing import Iterable, Sequence
 
@@ -85,7 +85,7 @@ def _iter_splits(block_weights: tuple[int, ...]):
 # GradedGroup
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GradedGroup:
     """Immutable graded nilpotent group in exponential coordinates."""
 
@@ -195,23 +195,34 @@ class GradedGroup:
     # -- left-invariant frame --------------------------------------------------
 
     def frame(self, x) -> np.ndarray:
-        """Matrix A(x) whose column i is X_i(x) = d/dt (x . t e_i) at t = 0.
+        """Matrices A(x), shape (..., q, q), whose column i is
+        X_i(x) = d/dt (x . t e_i) at t = 0.
 
         A(0) = Id and A(x) - Id is strictly lower triangular in degree order.
         """
         x = np.asarray(x, dtype=float)
         self._check_dim(x)
+        zero = np.zeros(self.q)
         basis = np.eye(self.q)
-        cols = self.product_derivative_y(x, np.zeros(self.q), basis)
-        return cols.T
+        # one column per call keeps the BCH words free of (..., q, q) temporaries
+        cols = [self.product_derivative_y(x, zero, basis[i]) for i in range(self.q)]
+        return np.stack(cols, axis=-1)
 
     def frame_coefficients(self, x, v) -> np.ndarray:
-        """Solve A(x) c = v by forward substitution on the unipotent structure."""
+        """Solve A(x) c = v by forward substitution on the unipotent structure.
+
+        ``v`` holds one vector (..., q) or n columns (..., q, n) per point of
+        ``x``; ``c`` has the shape of ``v``.
+        """
+        x = np.asarray(x, dtype=float)
         a = self.frame(x)
         c = np.array(v, dtype=float, copy=True)
+        vector = c.ndim == x.ndim
+        if vector:
+            c = c[..., None]
         for l in range(1, self.q):
-            c[..., l] -= c[..., :l] @ a[l, :l]
-        return c
+            c[..., l, :] -= np.einsum("...i,...in->...n", a[..., l, :l], c[..., :l, :])
+        return c[..., 0] if vector else c
 
     def commutator(self, x, y) -> np.ndarray:
         """Group commutator x y x^-1 y^-1."""
@@ -227,8 +238,23 @@ class GradedGroup:
         """Canonical sparse table {(i, j): dense vector} with i < j (0-based)."""
         return {k: v.copy() for k, v in self._table.items()}
 
-    def __hash__(self):  # content identity is enough for caching purposes
-        return hash((self.name, self.layers))
+    @cached_property
+    def _content_key(self) -> tuple:
+        """Layers plus the sorted sparse table: equal for equal structures."""
+        entries = sorted(
+            (i, j, int(k), float(vec[k]))
+            for (i, j), vec in self._table.items()
+            for k in np.nonzero(vec)[0]
+        )
+        return self.layers, tuple(entries)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, GradedGroup):
+            return NotImplemented
+        return self._content_key == other._content_key
+
+    def __hash__(self):
+        return hash(self._content_key)
 
 
 def _degrees(layers: tuple[int, ...]) -> np.ndarray:

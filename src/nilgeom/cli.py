@@ -15,6 +15,7 @@ import hashlib
 import json
 import sys
 import time
+import traceback
 from pathlib import Path
 
 import numpy as np
@@ -138,6 +139,23 @@ def _subspace(ctx: RunContext, basis) -> Subspace:
     return Subspace(ctx.group, np.asarray(basis, dtype=float))
 
 
+def _write_csv(path: Path, header: list, rows) -> str:
+    """Write one CSV output; floats get 12 significant digits."""
+    with path.open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([f"{v:.12g}" if isinstance(v, float) else v for v in row])
+    return path.name
+
+
+def _radius_trace(trace) -> tuple[list, list]:
+    """Header and rows of a Federer radius trace."""
+    return ["radius", "ratio", "stderr", "hits"], [
+        (t.radius, t.ratio, t.stderr, t.hits) for t in trace
+    ]
+
+
 # ---------------------------------------------------------------------------
 # Task implementations; each returns (record dict, ok flag)
 # ---------------------------------------------------------------------------
@@ -198,18 +216,17 @@ def task_analyze_point(ctx: RunContext, opts: dict):
 def task_degree_map(ctx: RunContext, opts: dict):
     grid = opts.get("grid", 9)
     result = degree_map(ctx.chart, grid, ctx.policy)
-    csv_path = ctx.out_dir / "degree_map.csv"
-    with csv_path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"y{i+1}" for i in range(ctx.chart.n)] + ["degree", "classification"])
-        for a in result.points:
-            writer.writerow([f"{v:.12g}" for v in a.y] + [a.degree, a.classification])
+    csv_name = _write_csv(
+        ctx.out_dir / "degree_map.csv",
+        [f"y{i+1}" for i in range(ctx.chart.n)] + ["degree", "classification"],
+        [list(a.y) + [a.degree, a.classification] for a in result.points],
+    )
     record = {
         "max_degree": result.max_degree,
         "low_degree_fraction": result.low_degree_fraction,
         "cells": len(result.points),
         "failures": len(result.failures),
-        "csv": csv_path.name,
+        "csv": csv_name,
     }
     return record, True
 
@@ -241,13 +258,8 @@ def task_federer_density(ctx: RunContext, opts: dict):
         seed=ctx.seed,
         policy=ctx.policy,
     )
-    csv_path = ctx.out_dir / "federer_trace.csv"
-    with csv_path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["radius", "ratio", "stderr", "hits"])
-        for t in trace:
-            writer.writerow([f"{t.radius:.12g}", f"{t.ratio:.12g}", f"{t.stderr:.12g}", t.hits])
-    return {"theta": est.as_dict(), "trace_csv": csv_path.name}, True
+    csv_name = _write_csv(ctx.out_dir / "federer_trace.csv", *_radius_trace(trace))
+    return {"theta": est.as_dict(), "trace_csv": csv_name}, True
 
 
 def task_area_check(ctx: RunContext, opts: dict):
@@ -263,19 +275,8 @@ def task_area_check(ctx: RunContext, opts: dict):
         policy=ctx.policy,
     )
     for key, trace in report.traces.items():
-        csv_path = ctx.out_dir / f"area_{key}_trace.csv"
-        with csv_path.open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            if key == "covering":
-                writer.writerow(["delta", "value"])
-                for delta, value in trace:
-                    writer.writerow([f"{delta:.12g}", f"{value:.12g}"])
-            else:
-                writer.writerow(["radius", "ratio", "stderr", "hits"])
-                for t in trace:
-                    writer.writerow(
-                        [f"{t.radius:.12g}", f"{t.ratio:.12g}", f"{t.stderr:.12g}", t.hits]
-                    )
+        table = (["delta", "value"], trace) if key == "covering" else _radius_trace(trace)
+        _write_csv(ctx.out_dir / f"area_{key}_trace.csv", *table)
     return report.as_dict(), report.passed
 
 
@@ -419,7 +420,6 @@ def group_property_residuals(group: GradedGroup, samples: int, seed: int) -> dic
     """Max residuals of associativity, inverses, dilation automorphism and
     frame homogeneity over a random sample."""
     from .mc import stream
-    from .measure import frame_batch
 
     rng = stream(seed, f"props:{group.name}")
     q = group.q
@@ -433,8 +433,8 @@ def group_property_residuals(group: GradedGroup, samples: int, seed: int) -> dic
         np.max(np.abs(group.dilate(r, group.product(x, y)) - group.product(group.dilate(r, x), group.dilate(r, y))))
     )
     count = min(samples, 2000)
-    frames = frame_batch(group, x[:count])
-    frames_dil = frame_batch(group, group.dilate(r, x[:count]))
+    frames = group.frame(x[:count])
+    frames_dil = group.frame(group.dilate(r, x[:count]))
     deg = group.degrees
     power = deg[:, None] - deg[None, :]
     frame_res = float(np.max(np.abs(frames_dil - frames * r**power[None, :, :])))
@@ -529,7 +529,12 @@ def run(
         try:
             record, ok = TASKS[name](ctx, opts)
             status = "pass" if ok else "fail"
-        except NilgeomError as err:
+        except Exception as err:
+            # every task failure becomes an error record and the run goes on;
+            # an error outside the package's hierarchy is a bug or unchecked
+            # input, so its traceback goes to stderr as well
+            if not isinstance(err, NilgeomError):
+                traceback.print_exc()
             record = {"error": type(err).__name__, "message": str(err)}
             ok, status = False, "error"
         elapsed = time.monotonic() - started

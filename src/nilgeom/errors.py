@@ -68,10 +68,6 @@ class InconsistentDegree(NilgeomError):
     pass
 
 
-class CaseNotCovered(NilgeomError):
-    """Raised only when a blow-up check is forced; normally reported as advisory."""
-
-
 # -- metrics and measure -----------------------------------------------------
 
 class EmptySection(NilgeomError):

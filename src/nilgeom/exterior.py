@@ -1,4 +1,9 @@
-"""Sparse exterior algebra over the left-invariant frame.
+"""Sparse exterior algebra over the left-invariant frame: the cross-check oracle.
+
+Production code reads degrees, homogeneous tangents and densities off the
+minors of the frame-coefficient matrix (``manifold.tangent_minors``); this
+module computes the same n-vectors independently, by wedging, for the tests
+to compare against.
 
 A ``Multivector`` stores a k-vector as a map from strictly increasing index
 tuples ``I = (i_1 < ... < i_k)`` to real coefficients ``c_I``, representing
@@ -55,7 +60,7 @@ class Multivector:
     # -- basic algebra --------------------------------------------------------
 
     def __add__(self, other: "Multivector") -> "Multivector":
-        if other.group is not self.group or other.k != self.k:
+        if other.group != self.group or other.k != self.k:
             raise ValueError("grade/group mismatch in multivector sum")
         out = dict(self.terms)
         for key, c in other.terms.items():
@@ -104,7 +109,7 @@ def from_vector(group: GradedGroup, v) -> Multivector:
 
 def wedge(a: Multivector, b: Multivector) -> Multivector:
     """Exterior product; antisymmetric, associative, shuffle signs."""
-    if a.group is not b.group:
+    if a.group != b.group:
         raise ValueError("wedge of multivectors over different groups")
     k = a.k + b.k
     if k > a.group.q:
@@ -152,5 +157,5 @@ def lift_tangent(group: GradedGroup, p, tangent_basis) -> Multivector:
     n = basis.shape[1]
     if DEFAULT_POLICY.rank(basis) < n:
         raise DegenerateTangent(f"tangent basis has rank < {n}")
-    coeffs = group.frame_coefficients(p, basis.T)  # rows are coefficient vectors
-    return wedge_all([from_vector(group, coeffs[i]) for i in range(n)])
+    coeffs = group.frame_coefficients(p, basis)
+    return wedge_all([from_vector(group, coeffs[:, i]) for i in range(n)])

@@ -1,24 +1,25 @@
 """Parametrized C^1 submanifolds and their pointwise algebraic structure.
 
 A submanifold is given by a parsed parametrization ``Psi: U -> G`` in graded
-coordinates.  At a parameter point we lift the tangent n-vector to the
-left-invariant frame, read off the pointwise degree from its degree-graded
-projections, compute the homogeneous tangent space as a wedge-kernel, and
-classify the point (horizontal / transversal / low degree / irregular).
-The alpha profile is recovered independently by degree-ordered echelon
-reduction of the frame-coefficient matrix and cross-checked against the
-degree identity.
+coordinates.  At a parameter point the tangent n-vector lifted to the
+left-invariant frame has, on X_I, the n x n minor of the frame-coefficient
+matrix on the rows I; the pointwise degree is read off its degree-graded
+projections, the homogeneous tangent space is the kernel of the wedge map
+with its top-degree part, and the point is classified (horizontal /
+transversal / low degree / irregular).  The alpha profile is recovered
+independently by degree-ordered echelon reduction of the frame-coefficient
+matrix and cross-checked against the degree identity.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
+from typing import NamedTuple
 
 import numpy as np
 
 from .algebra import GradedGroup, Subspace, classify_subspace
 from .errors import (
-    CaseNotCovered,
     DegenerateTangent,
     DomainViolation,
     InconsistentDegree,
@@ -26,7 +27,6 @@ from .errors import (
     NonSimpleProjection,
 )
 from .exprparse import Node, parse_expression_list
-from .exterior import Multivector, g_norm, lift_tangent, project_degree, wedge
 from .policy import DEFAULT_POLICY, NumericPolicy
 
 # ---------------------------------------------------------------------------
@@ -93,122 +93,87 @@ def parse_parametrization(src: str, n: int, domain, group: GradedGroup) -> Param
     return ParamMap(group=group, n=n, exprs=tuple(exprs), derivs=derivs, domain=dom, src=src)
 
 
-class TranslatedChart:
-    """Chart of the left-translated submanifold p . Sigma (same interface)."""
+class TransformedChart:
+    """Chart of p . delta_r(Sigma) in parameters u with y = shift + mat @ u.
 
-    def __init__(self, base: ParamMap, p):
+    Wraps any chart (a ``ParamMap`` or another ``TransformedChart``) with an
+    optional left translation by ``translate``, dilation by ``dilate`` and
+    affine reparametrization ``mat``, ``shift``; a part left unset is the
+    identity.  Under a reparametrization the domain is the axis-aligned box
+    inscribed in the preimage of the base domain around its center.
+    """
+
+    def __init__(self, base, translate=None, dilate=None, mat=None, shift=None):
         self.base = base
-        self.p = np.asarray(p, dtype=float)
         self.group = base.group
         self.n = base.n
-        self.domain = base.domain
         self._cache: dict = {}
-
-    def contains(self, y, tol: float = 1e-12) -> bool:
-        return self.base.contains(y, tol)
-
-    def check_domain(self, y) -> None:
-        self.base.check_domain(y)
-
-    def value(self, y) -> np.ndarray:
-        return self.group.product(self.p, self.base.value(y))
-
-    def jacobian(self, y) -> np.ndarray:
-        x = self.base.value(y)
-        j = self.base.jacobian(y)
-        cols = self.group.product_derivative_y(self.p, x, j.T)  # rows: dL_p(x) j_i
-        return cols.T
-
-    def jacobian_batch(self, ys) -> np.ndarray:
-        ys = np.asarray(ys, dtype=float)
-        return np.stack([self.jacobian(y) for y in ys.reshape(-1, self.n)]).reshape(
-            ys.shape[:-1] + (self.group.q, self.n)
-        )
-
-
-class DilatedChart:
-    """Chart of the dilated submanifold delta_r(Sigma)."""
-
-    def __init__(self, base: ParamMap, r: float):
-        self.base = base
-        self.r = float(r)
-        self.group = base.group
-        self.n = base.n
+        self.p = None if translate is None else np.asarray(translate, dtype=float)
+        self.weights = None if dilate is None else float(dilate) ** self.group.degrees
+        self.mat = None
         self.domain = base.domain
-        self._cache: dict = {}
-        self._weights = self.r ** base.group.degrees
+        if mat is not None or shift is not None:
+            self.mat = np.eye(self.n) if mat is None else np.asarray(mat, dtype=float)
+            self.shift = np.zeros(self.n) if shift is None else np.asarray(shift, dtype=float)
+            base_center = base.domain.mean(axis=1)
+            center = np.linalg.inv(self.mat) @ (base_center - self.shift)
+            half = base.domain[:, 1] - base_center
+            rho = float(np.min(half / np.sum(np.abs(self.mat), axis=1)))
+            self.domain = np.stack([center - rho, center + rho], axis=1)
 
-    def contains(self, y, tol: float = 1e-12) -> bool:
-        return self.base.contains(y, tol)
+    def _params(self, u) -> np.ndarray:
+        u = np.asarray(u, dtype=float)
+        return u if self.mat is None else self.shift + u @ self.mat.T
 
-    def check_domain(self, y) -> None:
-        self.base.check_domain(y)
+    def contains(self, u, tol: float = 1e-12) -> bool:
+        return self.base.contains(self._params(u), tol)
 
-    def value(self, y) -> np.ndarray:
-        return self.base.value(y) * self._weights
+    def check_domain(self, u) -> None:
+        self.base.check_domain(self._params(u))
 
-    def jacobian(self, y) -> np.ndarray:
-        return self.base.jacobian(y) * self._weights[:, None]
+    def _dilated(self, x) -> np.ndarray:
+        return x if self.weights is None else x * self.weights
 
-    def jacobian_batch(self, ys) -> np.ndarray:
-        return self.base.jacobian_batch(ys) * self._weights[None, :, None]
+    def value(self, u) -> np.ndarray:
+        x = self._dilated(self.base.value(self._params(u)))
+        return x if self.p is None else self.group.product(self.p, x)
+
+    def jacobian(self, u) -> np.ndarray:
+        return self.jacobian_batch(np.asarray(u, dtype=float)[None, :])[0]
+
+    def jacobian_batch(self, us) -> np.ndarray:
+        ys = self._params(us)
+        jac = self.base.jacobian_batch(ys)
+        if self.mat is not None:
+            jac = jac @ self.mat
+        if self.weights is not None:
+            jac = jac * self.weights[:, None]
+        if self.p is not None:
+            # columns dL_p(x) j_i, one row per column
+            x = self._dilated(self.base.value(ys))
+            cols = self.group.product_derivative_y(self.p, x[..., None, :], np.swapaxes(jac, -1, -2))
+            jac = np.swapaxes(cols, -1, -2)
+        return jac
 
 
 def horizontal_tangency(chart, y, policy: NumericPolicy = DEFAULT_POLICY) -> bool:
     """Frame tangency test: the tangent space lies in the horizontal fiber iff
     every frame coefficient of the Jacobian columns above layer 1 vanishes."""
     group = chart.group
-    coeffs = group.frame_coefficients(chart.value(y), chart.jacobian(y).T).T
+    coeffs = group.frame_coefficients(chart.value(y), chart.jacobian(y))
     m = group.layers[0]
     scale = float(np.max(np.abs(coeffs), initial=0.0)) or 1.0
     return bool(np.max(np.abs(coeffs[m:, :]), initial=0.0) <= policy.rtol * scale)
 
 
-def reparametrized(base: ParamMap, mat, shift=None, domain=None) -> "AffineChart":
-    """Chart composed with the affine parameter change y = shift + mat @ u."""
-    return AffineChart(base, np.asarray(mat, dtype=float), shift, domain)
-
-
-class AffineChart:
-    """Composition of a chart with an affine change of parameters."""
-
-    def __init__(self, base: ParamMap, mat: np.ndarray, shift=None, domain=None):
-        self.base = base
-        self.mat = mat
-        self.shift = np.zeros(base.n) if shift is None else np.asarray(shift, dtype=float)
-        self.group = base.group
-        self.n = base.n
-        self._cache: dict = {}
-        if domain is not None:
-            self.domain = np.asarray(domain, dtype=float).reshape(self.n, 2)
-        else:
-            # inscribed axis-aligned box around the preimage of the base center
-            inv = np.linalg.inv(mat)
-            base_center = self.base.domain.mean(axis=1)
-            center = inv @ (base_center - self.shift)
-            half = self.base.domain[:, 1] - base_center
-            rho = float(np.min(half / np.sum(np.abs(mat), axis=1)))
-            reach = np.full(self.n, rho)
-            self.domain = np.stack([center - reach, center + reach], axis=1)
-
-    def contains(self, y, tol: float = 1e-12) -> bool:
-        return self.base.contains(self._map(y), tol)
-
-    def check_domain(self, y) -> None:
-        self.base.check_domain(self._map(y))
-
-    def _map(self, u) -> np.ndarray:
-        u = np.asarray(u, dtype=float)
-        return self.shift + u @ self.mat.T
-
-    def value(self, u) -> np.ndarray:
-        return self.base.value(self._map(u))
-
-    def jacobian(self, u) -> np.ndarray:
-        return self.base.jacobian(self._map(u)) @ self.mat
-
-    def jacobian_batch(self, us) -> np.ndarray:
-        return self.base.jacobian_batch(self._map(us)) @ self.mat
+def cell_centers(box, counts) -> np.ndarray:
+    """Centers of the cells of a counts[0] x ... grid on an (n, 2) box, (N, n)."""
+    box = np.asarray(box, dtype=float)
+    axes = [
+        box[i, 0] + (np.arange(c) + 0.5) * (box[i, 1] - box[i, 0]) / c
+        for i, c in enumerate(counts)
+    ]
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(counts))
 
 
 # ---------------------------------------------------------------------------
@@ -229,61 +194,125 @@ class PointAnalysis:
     notes: tuple[str, ...] = ()
 
 
-def tangent_lift(chart, y) -> Multivector:
+def tangent_minors(group: GradedGroup, coeffs, degree: int | None = None):
+    """The lifted tangent n-vector c_1 ^ ... ^ c_n of frame coefficients.
+
+    ``coeffs`` is a (..., q, n) batch of frame-coefficient columns; the
+    coefficient of the n-vector on X_I is the n x n minor on the rows I.
+    Returns the degrees of the increasing n-tuples I (only those of degree
+    ``degree`` when it is given) and the minors, shape (..., len(tuples)).
+    """
+    coeffs = np.asarray(coeffs, dtype=float)
+    q, n = coeffs.shape[-2:]
+    deg = group.degrees
+    tuples = [
+        rows
+        for rows in combinations(range(q), n)
+        if degree is None or int(deg[list(rows)].sum()) == degree
+    ]
+    minors = np.empty(coeffs.shape[:-2] + (len(tuples),))
+    for t, rows in enumerate(tuples):
+        minors[..., t] = np.linalg.det(coeffs[..., list(rows), :])
+    tuple_degrees = np.array([int(deg[list(rows)].sum()) for rows in tuples], dtype=int)
+    return tuple_degrees, minors
+
+
+def lifted_degree(group: GradedGroup, coeffs, policy: NumericPolicy = DEFAULT_POLICY):
+    """Pointwise degree and top-degree part of the lifted tangent n-vector.
+
+    The degree is the largest M whose degree-M projection has a g-norm above
+    ``policy.rtol`` times the norm of the whole n-vector (0 where it
+    vanishes).  Returns the degrees (...,) and the top-degree coefficients
+    (..., T) over all increasing n-tuples, zero off the top degree.
+    """
+    tuple_degrees, minors = tangent_minors(group, coeffs)
+    squares = minors * minors
+    total = np.sqrt(np.sum(squares, axis=-1))
+    degree = np.zeros(total.shape, dtype=int)
+    for m in np.unique(tuple_degrees):
+        norm = np.sqrt(np.sum(squares[..., tuple_degrees == m], axis=-1))
+        degree = np.where(norm > policy.rtol * total, m, degree)
+    top = np.where(tuple_degrees == degree[..., None], minors, 0.0)
+    return degree, top
+
+
+class _Tangents(NamedTuple):
+    """Tangent data of a chart at a (B, n) batch of parameter points."""
+
+    p: np.ndarray       # (B, q) image points
+    coeffs: np.ndarray  # (B, q, n) frame coefficients of the Jacobian columns
+    full: np.ndarray    # (B,) the Jacobian has rank n under the policy
+    degree: np.ndarray  # (B,) pointwise degrees
+    top: np.ndarray     # (B, T) top-degree coefficients over the n-tuples
+
+
+def _tangents(chart, ys, policy: NumericPolicy) -> _Tangents:
+    p = chart.value(ys)
+    jac = chart.jacobian_batch(ys)
+    s = np.linalg.svd(jac, compute_uv=False)
+    full = np.all(s > policy.rtol * s[..., :1], axis=-1)
+    coeffs = chart.group.frame_coefficients(p, jac)
+    degree, top = lifted_degree(chart.group, coeffs, policy)
+    return _Tangents(p, coeffs, full, degree, top)
+
+
+def _require_full(t: _Tangents, b: int) -> None:
+    if not t.full[b]:
+        raise DegenerateTangent("Jacobian is rank deficient at this point")
+
+
+def _tangent_at(chart, y, policy: NumericPolicy) -> _Tangents:
+    y = np.asarray(y, dtype=float)
     chart.check_domain(y)
-    return lift_tangent(chart.group, chart.value(y), chart.jacobian(y))
+    t = _tangents(chart, y[None, :], policy)
+    _require_full(t, 0)
+    return t
 
 
 def pointwise_degree(chart, y, policy: NumericPolicy = DEFAULT_POLICY) -> int:
     """Largest M with a nonzero degree-M projection of the lifted tangent."""
-    return tangent_lift(chart, y).max_degree(policy.rtol)
+    return int(_tangent_at(chart, y, policy).degree[0])
 
 
 def homogeneous_tangent(
     chart, y, policy: NumericPolicy = DEFAULT_POLICY
 ) -> tuple[Subspace, bool]:
     """Lie h-tangent space A = {X : X ^ pi_N(xi) = 0} and its regularity flag."""
-    xi = tangent_lift(chart, y)
-    return _htangent_from_lift(chart.group, xi, chart.n, policy)
+    t = _tangent_at(chart, y, policy)
+    return _htangent_from_top(chart.group, t.top[0], chart.n, policy)
 
 
-def _htangent_from_lift(
-    group: GradedGroup, xi: Multivector, n: int, policy: NumericPolicy
+def _htangent_from_top(
+    group: GradedGroup, top, n: int, policy: NumericPolicy
 ) -> tuple[Subspace, bool]:
-    top = project_degree(xi, xi.max_degree(policy.rtol))
-    keys = sorted(_wedge_keys(group, top)) if top.terms else []
-    if not keys:
+    """Kernel of the wedge map X -> X ^ xi_top, from the dense top-degree
+    coefficients of xi over the increasing n-tuples."""
+    q = group.q
+    top = np.asarray(top, dtype=float)
+    cut = policy.rtol * float(np.max(np.abs(top), initial=0.0))
+    row_of = {key: r for r, key in enumerate(combinations(range(q), n + 1))}
+    mat = np.zeros((len(row_of), q))
+    for key, c in zip(combinations(range(q), n), top):
+        if abs(c) <= cut:
+            continue
+        for i in range(q):
+            if i not in key:
+                sign = -1.0 if sum(k < i for k in key) % 2 else 1.0
+                mat[row_of[tuple(sorted(key + (i,)))], i] = sign * c
+    mat = mat[np.any(mat != 0.0, axis=1)]
+    if mat.size == 0:
         raise NonSimpleProjection("top-degree projection is zero")
-    key_index = {k: i for i, k in enumerate(keys)}
-    mat = np.zeros((len(keys), group.q))
-    for i in range(group.q):
-        w = wedge(Multivector(group, 1, {(i,): 1.0}), top)
-        for key, c in w.terms.items():
-            mat[key_index[key], i] = c
     u, s, vt = np.linalg.svd(mat)
-    if s.size == 0 or s[0] == 0.0:
-        raise NonSimpleProjection("degenerate wedge map")
-    kernel_dim = int(np.sum(s <= policy.rtol * s[0])) + max(group.q - len(s), 0)
+    kernel_dim = int(np.sum(s <= policy.rtol * s[0])) + max(q - len(s), 0)
     if kernel_dim != n:
         raise NonSimpleProjection(
             f"wedge kernel has dimension {kernel_dim}, expected {n}: "
             "top-degree projection is not simple"
         )
-    basis = vt[group.q - kernel_dim :].T
+    basis = vt[q - kernel_dim :].T
     space = Subspace(group, basis)
     regular = classify_subspace(group, space, tol=max(policy.rtol, 1e-8)).subalgebra
     return space, regular
-
-
-def _wedge_keys(group: GradedGroup, top: Multivector):
-    out = set()
-    for i in range(group.q):
-        for key in top.terms:
-            if i in key:
-                continue
-            merged = tuple(sorted(key + (i,)))
-            out.add(merged)
-    return out
 
 
 def q_n_max_degree(group: GradedGroup, n: int) -> int:
@@ -360,11 +389,9 @@ def degree_echelon(group: GradedGroup, coeffs: np.ndarray, policy: NumericPolicy
 def alpha_profile(chart, y, policy: NumericPolicy = DEFAULT_POLICY) -> tuple[int, ...]:
     """Layer profile alpha_1..alpha_iota with sum alpha_j = n and
     sum j*alpha_j = pointwise degree (cross-checked)."""
-    group = chart.group
-    chart.check_domain(y)
-    coeffs = group.frame_coefficients(chart.value(y), chart.jacobian(y).T).T
-    ech = degree_echelon(group, coeffs, policy)
-    degree = pointwise_degree(chart, y, policy)
+    t = _tangent_at(chart, y, policy)
+    ech = degree_echelon(chart.group, t.coeffs[0], policy)
+    degree = int(t.degree[0])
     implied = sum((j + 1) * a for j, a in enumerate(ech.alpha))
     if implied != degree:
         raise InconsistentDegree(
@@ -378,49 +405,70 @@ def alpha_profile(chart, y, policy: NumericPolicy = DEFAULT_POLICY) -> tuple[int
 # Point classification
 # ---------------------------------------------------------------------------
 
-def sigma_max_degree(chart, policy: NumericPolicy = DEFAULT_POLICY, per_axis: int | None = None) -> int:
-    """Degree of the submanifold over a sampled parameter grid (cached)."""
-    key = ("max_degree", policy.rtol, per_axis)
+def sampled_max_degree(
+    chart,
+    region=None,
+    per_axis: int | None = None,
+    policy: NumericPolicy = DEFAULT_POLICY,
+    strict: bool = False,
+) -> int:
+    """Largest pointwise degree over the cell centers of a grid on ``region``
+    (the chart domain by default) with ``per_axis`` cells per axis (default 7
+    up to n = 3, else 5).  Cached on the chart.
+
+    Cells with a degenerate tangent are skipped.  A lenient sample also skips
+    cells outside the chart domain or with non-finite values and returns 0
+    when no cell has a degree; a strict one lets those errors through and
+    raises ``DegenerateTangent`` instead of returning 0.
+    """
+    region = np.asarray(chart.domain if region is None else region, dtype=float)
+    counts = per_axis or (7 if chart.n <= 3 else 5)
+    key = ("max_degree", region.tobytes(), counts, policy.rtol, strict)
     if key in chart._cache:
         return chart._cache[key]
-    n = chart.n
-    counts = per_axis or (7 if n <= 3 else 5)
-    axes = [
-        chart.domain[i, 0]
-        + (np.arange(counts) + 0.5) * (chart.domain[i, 1] - chart.domain[i, 0]) / counts
-        for i in range(n)
-    ]
-    best = 0
-    for y in np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n):
+    ys = cell_centers(region, [counts] * chart.n)
+    degrees = None
+    if chart.contains(ys):
         try:
-            best = max(best, pointwise_degree(chart, y, policy))
-        except (DegenerateTangent, NonFinite, DomainViolation):
-            continue
+            t = _tangents(chart, ys, policy)
+            degrees = list(t.degree[t.full])
+        except NonFinite:
+            pass  # the batch fails as a whole; judge the cells one by one
+    if degrees is None:
+        skip = (DegenerateTangent,) if strict else (DegenerateTangent, NonFinite, DomainViolation)
+        degrees = []
+        for y in ys:
+            try:
+                degrees.append(pointwise_degree(chart, y, policy))
+            except skip:
+                continue
+    best = int(max(degrees, default=0))
+    if strict and best == 0:
+        raise DegenerateTangent("no sample point in the region has a nondegenerate tangent")
     chart._cache[key] = best
     return best
 
 
 def classify_point(chart, y, policy: NumericPolicy = DEFAULT_POLICY) -> PointAnalysis:
-    group = chart.group
     y = np.asarray(y, dtype=float)
     chart.check_domain(y)
-    p = chart.value(y)
-    jac = chart.jacobian(y)
-    if DEFAULT_POLICY.rank(jac) < chart.n:
-        raise DegenerateTangent("Jacobian is rank deficient at this point")
+    return _analyse(chart, y, _tangents(chart, y[None, :], policy), 0, policy)
 
-    xi = lift_tangent(group, p, jac)
-    degree = xi.max_degree(policy.rtol)
+
+def _analyse(chart, y, t: _Tangents, b: int, policy: NumericPolicy) -> PointAnalysis:
+    """Classify row ``b`` of a tangent batch at parameter point ``y``."""
+    group = chart.group
+    _require_full(t, b)
+    p, coeffs, degree = t.p[b], t.coeffs[b], int(t.degree[b])
     qn = q_n_max_degree(group, chart.n)
 
     notes: list[str] = []
     try:
-        space, regular = _htangent_from_lift(group, xi, chart.n, policy)
+        space, regular = _htangent_from_top(group, t.top[b], chart.n, policy)
     except NonSimpleProjection as err:
         space, regular = None, False
         notes.append(f"non_simple_projection: {err}")
 
-    coeffs = group.frame_coefficients(p, jac.T).T
     ech = degree_echelon(group, coeffs, policy)
     implied = sum((j + 1) * a for j, a in enumerate(ech.alpha))
     if implied != degree:
@@ -440,7 +488,7 @@ def classify_point(chart, y, policy: NumericPolicy = DEFAULT_POLICY) -> PointAna
     cls = None
     if not regular:
         cls = "irregular"
-    elif degree < sigma_max_degree(chart, policy):
+    elif degree < sampled_max_degree(chart, policy=policy):
         # the point sits in the characteristic set of the submanifold; its
         # own h-tangent structure is still reported via the other fields
         cls = "low_degree"
@@ -538,7 +586,7 @@ def blowup_rates(
     advisory = case == "not_covered"
 
     p = chart.value(y0)
-    coeffs = group.frame_coefficients(p, chart.jacobian(y0).T).T
+    coeffs = group.frame_coefficients(p, chart.jacobian(y0))
 
     # per-layer rotation sending the h-tangent layer components to the leading
     # basis vectors of each layer
@@ -638,16 +686,19 @@ def degree_map(chart, grid_counts, policy: NumericPolicy = DEFAULT_POLICY) -> De
     counts = [int(c) for c in np.atleast_1d(grid_counts)]
     if len(counts) == 1:
         counts = counts * chart.n
-    axes = [
-        chart.domain[i, 0]
-        + (np.arange(counts[i]) + 0.5) * (chart.domain[i, 1] - chart.domain[i, 0]) / counts[i]
-        for i in range(chart.n)
-    ]
+    ys = cell_centers(chart.domain, counts)
+    try:
+        t = _tangents(chart, ys, policy)
+    except NonFinite:
+        t = None  # the batch fails as a whole; classify the cells one by one
     analyses = []
     failures = []
-    for y in np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, chart.n):
+    for b, y in enumerate(ys):
         try:
-            analyses.append(classify_point(chart, y, policy))
+            if t is None:
+                analyses.append(classify_point(chart, y, policy))
+            else:
+                analyses.append(_analyse(chart, y, t, b, policy))
         except (DegenerateTangent, NonFinite, InconsistentDegree) as err:
             failures.append((tuple(float(v) for v in y), type(err).__name__))
     if not analyses:

@@ -32,10 +32,6 @@ class Estimate:
         if self.stderr < 0:
             raise ValueError("stderr must be nonnegative")
 
-    def agrees_with(self, other: float, sigmas: float = 3.0, extra_stderr: float = 0.0) -> bool:
-        band = sigmas * float(np.hypot(self.stderr, extra_stderr))
-        return abs(self.value - other) <= band
-
     def as_dict(self) -> dict:
         d = {
             "value": self.value,

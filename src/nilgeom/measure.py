@@ -13,7 +13,6 @@ the Riemannian volume the Lebesgue measure.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
 from math import gamma, pi
 
 import numpy as np
@@ -29,7 +28,14 @@ from .errors import (
     RadiusTooSmall,
 )
 from .exprparse import parse_expression
-from .manifold import classify_point, degree_echelon, parse_parametrization, pointwise_degree
+from .manifold import (
+    cell_centers,
+    classify_point,
+    degree_echelon,
+    parse_parametrization,
+    sampled_max_degree,
+    tangent_minors,
+)
 from .mc import Estimate, blocks, hit_fraction_estimate, stream, uniform_ball, uniform_box
 from .metrics import HomogeneousDistance, ball_bounding_radius
 from .optimize import nelder_mead
@@ -41,71 +47,21 @@ from .policy import DEFAULT_POLICY, NumericPolicy
 
 def frame_batch(group: GradedGroup, xs: np.ndarray) -> np.ndarray:
     """Frames A(x) for a batch of points, shape (B, q, q)."""
-    xs = np.asarray(xs, dtype=float)
-    zero = np.zeros(group.q)
-    cols = [
-        group.product_derivative_y(xs, zero, np.eye(group.q)[i]) for i in range(group.q)
-    ]
-    return np.stack(cols, axis=-1)
+    return group.frame(xs)
 
 
-def frame_coefficients_batch(group: GradedGroup, xs: np.ndarray, tangents: np.ndarray) -> np.ndarray:
-    """Solve A(x) c = v for batches: xs (B, q), tangents (B, q, n) -> (B, q, n)."""
-    a = frame_batch(group, xs)
-    c = np.array(tangents, dtype=float, copy=True)
-    for l in range(1, group.q):
-        c[:, l, :] -= np.einsum("bi,bin->bn", a[:, l, :l], c[:, :l, :])
-    return c
-
-
-def degree_tuples(group: GradedGroup, n: int, target: int) -> list[tuple[int, ...]]:
-    deg = group.degrees
-    return [
-        c for c in combinations(range(group.q), n) if int(sum(deg[list(c)])) == target
-    ]
-
-
-def projected_wedge_norms(
-    group: GradedGroup, coeffs: np.ndarray, n: int, target: int
-) -> np.ndarray:
-    """|| pi_target( c_1 ^ ... ^ c_n ) ||_g for a (B, q, n) coefficient batch.
-
-    The wedge coefficient on X_I is the n x n minor of the coefficient matrix
-    on the rows I, so the norm is a sum of squared batched determinants.
-    """
-    tuples = degree_tuples(group, n, target)
-    if not tuples:
-        return np.zeros(coeffs.shape[0])
-    acc = np.zeros(coeffs.shape[0])
-    for rows in tuples:
-        minors = np.linalg.det(coeffs[:, rows, :])
-        acc += minors * minors
-    return np.sqrt(acc)
+def projected_wedge_norms(group: GradedGroup, coeffs: np.ndarray, target: int) -> np.ndarray:
+    """|| pi_target( c_1 ^ ... ^ c_n ) ||_g for a (..., q, n) coefficient batch,
+    forming only the minors of the target degree."""
+    _, minors = tangent_minors(group, coeffs, target)
+    return np.sqrt(np.sum(minors * minors, axis=-1))
 
 
 def intrinsic_density(chart, ys: np.ndarray, target_degree: int) -> np.ndarray:
     """Density of the intrinsic measure in the chart at parameter samples."""
     ys = np.atleast_2d(np.asarray(ys, dtype=float))
-    pts = chart.value(ys)
-    jac = chart.jacobian_batch(ys)
-    coeffs = frame_coefficients_batch(chart.group, pts, jac)
-    return projected_wedge_norms(chart.group, coeffs, chart.n, target_degree)
-
-
-def region_max_degree(chart, region: np.ndarray, policy: NumericPolicy, per_axis: int = 5) -> int:
-    axes = [
-        region[i, 0] + (np.arange(per_axis) + 0.5) * (region[i, 1] - region[i, 0]) / per_axis
-        for i in range(chart.n)
-    ]
-    best = 0
-    for y in np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, chart.n):
-        try:
-            best = max(best, pointwise_degree(chart, y, policy))
-        except DegenerateTangent:
-            continue
-    if best == 0:
-        raise DegenerateTangent("no sample point in the region has a nondegenerate tangent")
-    return best
+    coeffs = chart.group.frame_coefficients(chart.value(ys), chart.jacobian_batch(ys))
+    return projected_wedge_norms(chart.group, coeffs, target_degree)
 
 
 def unit_ball_volume(n: int, radius: float = 1.0) -> float:
@@ -265,7 +221,9 @@ def intrinsic_measure(
     """
     region = np.asarray(region if region is not None else chart.domain, dtype=float)
     n = chart.n
-    target = degree if degree is not None else region_max_degree(chart, region, policy)
+    target = degree
+    if target is None:
+        target = sampled_max_degree(chart, region, 5, policy, strict=True)
     widths = region[:, 1] - region[:, 0]
     volume = float(np.prod(widths))
 
@@ -295,10 +253,7 @@ def intrinsic_measure(
         raise ValueError(f"unknown quadrature kind {quadrature!r}")
 
     def midpoint(res: int) -> float:
-        axes = [
-            region[i, 0] + (np.arange(res) + 0.5) * widths[i] / res for i in range(n)
-        ]
-        ys = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n)
+        ys = cell_centers(region, [res] * n)
         cell = volume / res**n
         total = 0.0
         for lo in range(0, len(ys), 1 << 14):
@@ -394,7 +349,7 @@ def federer_density(
     p = analysis.p
     group = chart.group
 
-    coeffs = group.frame_coefficients(p, chart.jacobian(y0).T).T
+    coeffs = group.frame_coefficients(p, chart.jacobian(y0))
     ech = degree_echelon(group, coeffs, policy)
     exponents = np.array([group.degrees[r] for r in ech.pivots], dtype=float)
 
@@ -652,10 +607,8 @@ def area_check(
         # unit-tangent projection norm, recorded as a diagnostic; the blow-up
         # theorem gives theta = beta for the intrinsic measure (factor 1)
         jac = chart.jacobian(y)
-        coeffs = chart.group.frame_coefficients(analysis.p, jac.T).T
-        raw = projected_wedge_norms(
-            chart.group, coeffs[None, :, :], chart.n, analysis.degree
-        )[0]
+        coeffs = chart.group.frame_coefficients(analysis.p, jac)
+        raw = projected_wedge_norms(chart.group, coeffs, analysis.degree)
         gram = float(np.sqrt(np.linalg.det(jac.T @ jac)))
         factor = 1.0
         target = beta.value * factor
@@ -681,7 +634,7 @@ def area_check(
 
     covering = None
     if covering_delta is not None and beta_values:
-        n_sigma = float(region_max_degree(chart, region, policy))
+        n_sigma = float(sampled_max_degree(chart, region, 5, policy, strict=True))
 
         def covered(delta: float, base_cloud: int) -> Estimate:
             # the consistency band tolerates auto-growing the sample cloud;
@@ -1035,10 +988,8 @@ def hypersurface_density_multivector(chart, y) -> float:
     group = chart.group
     p = chart.value(y)
     jac = chart.jacobian(y)
-    coeffs = group.frame_coefficients(p, jac.T).T
-    raw = projected_wedge_norms(
-        group, coeffs[None, :, :], chart.n, group.hom_dimension - 1
-    )[0]
+    coeffs = group.frame_coefficients(p, jac)
+    raw = projected_wedge_norms(group, coeffs, group.hom_dimension - 1)
     gram = float(np.sqrt(max(np.linalg.det(jac.T @ jac), 0.0)))
     if gram == 0.0:
         raise DegenerateTangent("tangent map is rank deficient")
@@ -1097,7 +1048,7 @@ def coarea_check(
     grad_nodes = [g_in_x.diff(i) for i in range(q)]
 
     def lhs_integrand(xs: np.ndarray) -> np.ndarray:
-        frames = frame_batch(group, xs)
+        frames = group.frame(xs)
         grad = np.zeros_like(xs)
         for i in range(q):
             grad[:, i] = -np.broadcast_to(grad_nodes[i].eval(xs), xs.shape[:-1])
@@ -1127,9 +1078,8 @@ def coarea_check(
 
         def integrand(ys: np.ndarray) -> np.ndarray:
             pts = chart.value(ys)
-            jac = chart.jacobian_batch(ys)
-            coeffs = frame_coefficients_batch(group, pts, jac)
-            dens = projected_wedge_norms(group, coeffs, n, group.hom_dimension - 1)
+            coeffs = group.frame_coefficients(pts, chart.jacobian_batch(ys))
+            dens = projected_wedge_norms(group, coeffs, group.hom_dimension - 1)
             inside = (pts[:, j0] >= domain[j0, 0] - 1e-12) & (
                 pts[:, j0] <= domain[j0, 1] + 1e-12
             )
@@ -1151,10 +1101,7 @@ def _substitute_vars(g_expr: str, q: int, others: list[int]) -> str:
 
 
 def _box_midpoint(fn, box: np.ndarray, per_axis: int) -> float:
-    n = box.shape[0]
-    res = max(2, per_axis)
-    axes = [box[i, 0] + (np.arange(res) + 0.5) * (box[i, 1] - box[i, 0]) / res for i in range(n)]
-    ys = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n)
+    ys = cell_centers(box, [max(2, per_axis)] * box.shape[0])
     vol = float(np.prod(box[:, 1] - box[:, 0]))
     total = 0.0
     for lo in range(0, len(ys), 1 << 14):

@@ -1,4 +1,4 @@
-"""Derivative-free helpers: Nelder-Mead simplex and scalar bisection."""
+"""Derivative-free helpers: Nelder-Mead simplex and monotone bisection."""
 from __future__ import annotations
 
 from typing import Callable
@@ -56,29 +56,6 @@ def nelder_mead(
                 values = [values[0]] + [f(p) for p in simplex[1:]]
     i = int(np.argmin(values))
     return simplex[i], values[i]
-
-
-def bisect_root(
-    f: Callable[[float], float], lo: float, hi: float, iters: int = 80
-) -> float:
-    """Root of a scalar function with f(lo), f(hi) of opposite sign."""
-    flo, fhi = f(lo), f(hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if flo * fhi > 0:
-        raise ValueError("bisection endpoints do not bracket a root")
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        fm = f(mid)
-        if fm == 0.0:
-            return mid
-        if flo * fm < 0:
-            hi, fhi = mid, fm
-        else:
-            lo, flo = mid, fm
-    return 0.5 * (lo + hi)
 
 
 def bisect_largest_passing(

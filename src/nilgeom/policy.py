@@ -23,13 +23,6 @@ class NumericPolicy:
     def threshold(self, scale: float) -> float:
         return self.rtol * max(abs(scale), 1.0e-300)
 
-    def is_zero(self, value, scale: float | None = None) -> bool:
-        a = np.asarray(value, dtype=float)
-        if scale is None:
-            scale = float(np.max(np.abs(a))) if a.size else 0.0
-            return scale == 0.0
-        return bool(np.max(np.abs(a), initial=0.0) <= self.threshold(scale))
-
     def rank(self, matrix) -> int:
         """Rank via singular values, thresholded relative to the largest one."""
         m = np.atleast_2d(np.asarray(matrix, dtype=float))

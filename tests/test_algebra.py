@@ -14,6 +14,7 @@ from nilgeom.algebra import (
     load_group,
 )
 from nilgeom.errors import BadDimensions, GradingViolation, JacobiViolation, NonPositiveScale
+from nilgeom.exterior import basis_vector, wedge
 from nilgeom.mc import stream
 
 ALL_CATALOG = ["abelian(3)", "heisenberg(1)", "heisenberg(2)", "h_type", "engel", "free2(3)"]
@@ -38,6 +39,14 @@ def test_heisenberg_group_law_matches_coordinates():
     y = np.array([-0.5, 0.4, 2.0])
     expect = np.array([x[0] + y[0], x[1] + y[1], x[2] + y[2] + x[0] * y[1] - x[1] * y[0]])
     assert np.allclose(g.product(x, y), expect, atol=1e-15)
+
+
+def test_group_equality_is_structural():
+    a, b = heisenberg(1), heisenberg(1)
+    assert a == b and hash(a) == hash(b)
+    other = load_group({"layers": [2, 1], "brackets": [[1, 2, 3, 1.0]]})
+    assert a != other
+    assert wedge(basis_vector(a, 0), basis_vector(b, 1)).terms == {(0, 1): 1.0}
 
 
 def test_grading_violation_rejected():

@@ -114,3 +114,24 @@ def test_cli_main_entry(tmp_path, capsys):
 
 def test_missing_config_is_error(tmp_path):
     assert main(["run", "--config", str(tmp_path / "missing.json")]) == 2
+
+
+@pytest.mark.parametrize(
+    "bad_task",
+    [
+        {"task": "covering-estimate", "opts": {"exponent": 3, "delta": 0}},
+        {"task": "coarea-check", "opts": {"g": "0"}},
+        {"task": "intrinsic-measure", "opts": {"quadrature": "simpson"}},
+    ],
+    ids=["covering-delta-zero", "coarea-no-domain", "unknown-quadrature"],
+)
+def test_unexpected_task_error_is_recorded(tmp_path, bad_task):
+    cfg = {**BASE, "tasks": [bad_task, {"task": "validate-group"}]}
+    path = write_config(tmp_path, cfg)
+    status = run(path, out_dir=tmp_path / "out", quiet=True)
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    bad, good = report["tasks"]
+    assert bad["status"] == "error"
+    assert set(bad["result"]) == {"error", "message"}
+    assert good["status"] == "pass"
+    assert status == 1

@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 
@@ -8,11 +10,9 @@ from nilgeom.errors import (
     NonSimpleProjection,
     ParseError,
 )
-from nilgeom.exterior import Multivector
 from nilgeom.manifold import (
-    DilatedChart,
-    TranslatedChart,
-    _htangent_from_lift,
+    TransformedChart,
+    _htangent_from_top,
     alpha_profile,
     blowup_rates,
     classify_point,
@@ -23,10 +23,9 @@ from nilgeom.manifold import (
     pointwise_degree,
     q_n_bruteforce,
     q_n_max_degree,
-    reparametrized,
 )
 from nilgeom.mc import stream
-from nilgeom.policy import DEFAULT_POLICY
+from nilgeom.policy import DEFAULT_POLICY, NumericPolicy
 
 H1 = heisenberg(1)
 
@@ -121,9 +120,10 @@ def test_homogeneous_tangent_plane(plane):
 
 def test_non_simple_projection_reported():
     g = catalog_group("free2(3)")
-    fake = Multivector(g, 2, {(0, 3): 1.0, (1, 4): 1.0})  # degree 3, not simple
+    fake = {(0, 3): 1.0, (1, 4): 1.0}  # degree 3, not simple
+    top = np.array([fake.get(key, 0.0) for key in combinations(range(g.q), 2)])
     with pytest.raises(NonSimpleProjection):
-        _htangent_from_lift(g, fake, 2, DEFAULT_POLICY)
+        _htangent_from_top(g, top, 2, DEFAULT_POLICY)
 
 
 # ---------------------------------------------------------------------------
@@ -180,6 +180,16 @@ def test_classify_low_degree_regular_point():
     assert a1.degree == 2 and a1.classification == "transversal"
 
 
+def test_classify_rank_check_follows_policy():
+    chart = parse_parametrization("y1; 1e-10*y2; 0", 2, [[-1, 1], [-1, 1]], H1)
+    a = classify_point(chart, [0.1, 0.2], NumericPolicy(rtol=1e-12))
+    assert a.degree == 3
+    assert a.alpha == (1, 1)
+    assert a.classification == "transversal"
+    with pytest.raises(DegenerateTangent):
+        classify_point(chart, [0.1, 0.2])
+
+
 def test_alpha_profile_examples(paraboloid, plane, helix):
     assert alpha_profile(paraboloid, [0.0, 0.0]) == (2, 0)
     assert alpha_profile(plane, [0.1, 0.9]) == (1, 1)
@@ -213,7 +223,7 @@ def test_translation_invariance(paraboloid):
     rng = stream(4, "translation")
     for _ in range(5):
         p = rng.uniform(-1, 1, 3)
-        translated = TranslatedChart(paraboloid, p)
+        translated = TransformedChart(paraboloid, translate=p)
         for y in ([0.0, 0.0], [0.4, 0.3]):
             a = classify_point(paraboloid, y)
             b = classify_point(translated, y)
@@ -230,7 +240,7 @@ def test_reparametrization_invariance(plane):
         if np.linalg.det(mat) < 0:
             mat[:, 0] *= -1.0
         mat += np.eye(2) * (0.5 + abs(np.linalg.det(mat)))
-        chart = reparametrized(plane, mat)
+        chart = TransformedChart(plane, mat=mat)
         a = classify_point(plane, [0.0, 0.0])
         b = classify_point(chart, [0.0, 0.0])
         assert a.degree == b.degree
@@ -308,6 +318,14 @@ def test_degree_map_paraboloid_low_degree_near_origin(paraboloid):
         assert np.linalg.norm(a.y) < 0.5
 
 
+def test_degree_map_records_non_finite_cells():
+    chart = parse_parametrization("1 / y1; 0; y2", 2, [[-1, 1], [-1, 1]], H1)
+    result = degree_map(chart, 9)
+    assert len(result.points) == 72
+    assert [kind for _, kind in result.failures] == ["NonFinite"] * 9
+    assert result.max_degree == 3
+
+
 def test_degree_map_abelian_everywhere_n():
     g = abelian(3)
     chart = parse_parametrization("y1; y2; y1*y2", 2, [[-1, 1], [-1, 1]], g)
@@ -318,7 +336,7 @@ def test_degree_map_abelian_everywhere_n():
 
 def test_dilated_chart_consistency(plane):
     # delta_r(Sigma) has the same classification with scaled coordinates
-    chart = DilatedChart(plane, 2.0)
+    chart = TransformedChart(plane, dilate=2.0)
     a = classify_point(chart, [0.2, 0.3])
     assert a.degree == 3
     assert np.allclose(a.p, H1.dilate(2.0, plane.value([0.2, 0.3])))

@@ -3,7 +3,7 @@ import pytest
 
 from nilgeom.algebra import Subspace, abelian, free2, heisenberg
 from nilgeom.errors import LevelSetNotGraph, NotVertical, RadiusTooSmall
-from nilgeom.manifold import DilatedChart, parse_parametrization
+from nilgeom.manifold import TransformedChart, parse_parametrization
 from nilgeom.measure import (
     FactorOptions,
     area_check,
@@ -112,11 +112,11 @@ def test_intrinsic_measure_dilation_scaling():
     plane = parse_parametrization("y1; 0; y2", 2, [[0, 1], [0, 1]], H1)
     base = intrinsic_measure(plane, resolution=16)
     for r in (0.5, 2.0):
-        scaled = intrinsic_measure(DilatedChart(plane, r), resolution=16)
+        scaled = intrinsic_measure(TransformedChart(plane, dilate=r), resolution=16)
         assert scaled.value == pytest.approx(r**3 * base.value, rel=1e-10)
     helix = parse_parametrization("cos(y1); sin(y1); y1", 1, [[0, 1]], H1)
     base_h = intrinsic_measure(helix, resolution=256)
-    scaled_h = intrinsic_measure(DilatedChart(helix, 2.0), resolution=256)
+    scaled_h = intrinsic_measure(TransformedChart(helix, dilate=2.0), resolution=256)
     assert scaled_h.value == pytest.approx(2.0 * base_h.value, rel=1e-8)
 
 

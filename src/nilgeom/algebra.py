@@ -9,12 +9,23 @@ truncation exact.
 Points live in graded exponential coordinates and are plain numpy arrays of
 length ``q``; all operations broadcast over leading axes, so ``(N, q)``
 batches are first-class.
+
+The group law is compiled once per group and step, and ``bracket``,
+``product``, ``product_derivative_y`` and ``frame`` all run on it: a sparse
+bracket kernel over the nonzero structure constants, a schedule that builds
+each distinct right-nested Dynkin suffix once per call and drops it after its
+last use, and evaluation in blocks of ``BLOCK_ROWS`` rows laid out
+coordinate-first ``(q, rows)``.  It does the multiplications and additions
+of the word-by-word evaluator ``GradedGroup._nested`` (the test oracle) in
+the same order, so results are bit-identical to it; no matmul, einsum or
+expanded polynomial may enter this path, since each would reorder the sums.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from itertools import combinations
 from math import factorial
 from typing import Iterable, Sequence
 
@@ -81,6 +92,81 @@ def _iter_splits(block_weights: tuple[int, ...]):
             yield ((r, t - r),) + rest
 
 
+V = 2  # the direction letter of product_derivative_y
+BLOCK_ROWS = 2048  # rows per block of the compiled evaluator
+
+
+@lru_cache(maxsize=None)
+def _derivative_terms(step: int, y_is_zero: bool) -> tuple[tuple[float, tuple[int, ...]], ...]:
+    """Terms of d/dt (x . (y + t v)): each word of ``bch_plan(step)`` with
+    one Y replaced by V, per position.  At y = 0 only words with one Y remain."""
+    terms = []
+    for coeff, word in bch_plan(step):
+        ny = word.count(Y)
+        if ny == 0 or (y_is_zero and ny > 1):
+            continue
+        terms.extend((coeff, word[:pos] + (V,) + word[pos + 1 :]) for pos, s in enumerate(word) if s == Y)
+    return tuple(terms)
+
+
+@lru_cache(maxsize=None)
+def _schedule(terms: tuple) -> tuple:
+    """Evaluation steps for ``sum coeff * [w0, [w1, ... wk]]`` over ``terms``.
+
+    One step per term, in order: ``(coeff, word, builds, drops)``.  ``builds``
+    lists the right-nested suffixes first needed by this term, shortest first,
+    so each distinct suffix is bracketed once; ``drops`` lists those that no
+    later step reads.
+    """
+    seen: set = set()
+    last_use: dict = {}
+    steps = []
+    for t, (coeff, word) in enumerate(terms):
+        builds = []
+        for k in range(len(word) - 2, -1, -1):
+            s = word[k:]
+            if s not in seen:
+                seen.add(s)
+                builds.append(s)
+                if len(s) > 2:
+                    last_use[s[1:]] = t
+        last_use[word] = t
+        steps.append((coeff, word, tuple(builds)))
+    drops = [[] for _ in steps]
+    for s, t in last_use.items():
+        drops[t].append(s)
+    return tuple((c, w, b, tuple(d)) for (c, w, b), d in zip(steps, drops))
+
+
+def _blocked(out: np.ndarray, kernel, letters: tuple) -> np.ndarray:
+    """Overwrite ``out`` (..., q) with ``kernel`` evaluated block by block.
+
+    Blocks of about ``BLOCK_ROWS`` rows run along the first axis.  ``kernel``
+    gets the block of ``out`` and then each letter's block, coordinate-first
+    as contiguous ``(q, rows)`` arrays (``None`` for a letter ``None``), and
+    returns the new block of ``out``.  Letters broadcast to ``out`` as
+    views, so only a block of each is ever copied.
+    """
+    view = out[None] if out.ndim == 1 else out
+    if view.size == 0:
+        return out
+    lead = view.shape[:-1]
+    step = max(1, BLOCK_ROWS // max(1, int(np.prod(lead[1:]))))
+    full = [None if a is None else np.broadcast_to(a, view.shape) for a in letters]
+    for start in range(0, lead[0], step):
+        rows = slice(start, start + step)
+        target = np.moveaxis(view[rows], -1, 0)
+        blocks = [None if a is None else _coordinate_first(a[rows]) for a in full]
+        target[...] = kernel(_coordinate_first(view[rows]), *blocks).reshape(target.shape)
+    return out
+
+
+def _coordinate_first(a: np.ndarray) -> np.ndarray:
+    """An ``(..., q)`` block as a contiguous ``(q, rows)`` array (a copy
+    unless the block already has that layout)."""
+    return np.ascontiguousarray(np.moveaxis(a, -1, 0).reshape(a.shape[-1], -1))
+
+
 # ---------------------------------------------------------------------------
 # GradedGroup
 # ---------------------------------------------------------------------------
@@ -118,19 +204,57 @@ class GradedGroup:
 
     # -- bracket and BCH -----------------------------------------------------
 
+    @cached_property
+    def _bracket_kernel(self) -> tuple:
+        """``(i, j, ((k, c), ...))`` per table pair, in table order."""
+        return tuple(
+            (i, j, tuple((int(k), float(vec[k])) for k in np.nonzero(vec)[0]))
+            for (i, j), vec in self._table.items()
+        )
+
+    def _bracket_rows(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """Bracket of coordinate-first blocks ``(q, rows)``.
+
+        Does the arithmetic of the dense table loop, pair by pair: ``w = u_i
+        v_j - u_j v_i``, then ``out_k += w c`` from ``out = +0.0``; the zero
+        entries it skips only ever added a signed zero to a sum that cannot be
+        -0.0.  ``w * 1.0`` is ``w`` and ``out + w * -1.0`` is ``out - w``
+        exactly, so those multiplications are left out.
+        """
+        out = np.zeros(v.shape)
+        for i, j, entries in self._bracket_kernel:
+            w = u[i] * v[j] - u[j] * v[i]
+            for k, c in entries:
+                if c == 1.0:
+                    out[k] += w
+                elif c == -1.0:
+                    out[k] -= w
+                else:
+                    out[k] += w * c
+        return out
+
+    def _sum_terms(self, schedule: tuple, acc: np.ndarray, letters: tuple) -> np.ndarray:
+        """``acc + coeff * [w0, [w1, ... wk]]`` term by term, blocks ``(q, rows)``."""
+        values = {}
+        for coeff, word, builds, drops in schedule:
+            for s in builds:
+                inner = values[s[1:]] if len(s) > 2 else letters[s[1]]
+                values[s] = self._bracket_rows(letters[s[0]], inner)
+            acc = acc + coeff * values[word]
+            for s in drops:
+                del values[s]
+        return acc
+
     def bracket(self, u, v) -> np.ndarray:
         """Lie bracket of coordinate vectors; broadcasts over leading axes."""
         u = np.asarray(u, dtype=float)
         v = np.asarray(v, dtype=float)
-        u, v = np.broadcast_arrays(u, v)
-        out = np.zeros_like(u)
-        for (i, j), ck in self._table.items():
-            w = u[..., i] * v[..., j] - u[..., j] * v[..., i]
-            out += w[..., None] * ck
-        return out
+        out = np.zeros(np.broadcast_shapes(u.shape, v.shape))
+        return _blocked(out, lambda _, ub, vb: self._bracket_rows(ub, vb), (u, v))
 
-    def _nested(self, word: Sequence[int], xv: np.ndarray, yv: np.ndarray) -> np.ndarray:
-        letters = (xv, yv)
+    def _nested(self, word: Sequence[int], *letters: np.ndarray) -> np.ndarray:
+        """Right-nested bracket ``[w0, [w1, ... wk]]`` word by word: the test
+        oracle of the compiled evaluator.  ``letters[s]`` is letter ``s``."""
         acc = letters[word[-1]]
         for s in word[-2::-1]:
             acc = self.bracket(letters[s], acc)
@@ -142,11 +266,8 @@ class GradedGroup:
         y = np.asarray(y, dtype=float)
         self._check_dim(x)
         self._check_dim(y)
-        x, y = np.broadcast_arrays(x, y)
-        out = x + y
-        for coeff, word in bch_plan(self.step):
-            out = out + coeff * self._nested(word, x, y)
-        return out
+        schedule = _schedule(bch_plan(self.step))
+        return _blocked(x + y, lambda acc, *xy: self._sum_terms(schedule, acc, xy), (x, y))
 
     def inverse(self, x) -> np.ndarray:
         """Group inverse; equals -x in exponential coordinates."""
@@ -169,28 +290,14 @@ class GradedGroup:
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
         v = np.asarray(v, dtype=float)
-        out = np.broadcast_to(v, np.broadcast_shapes(v.shape, x.shape)).copy()
         y_is_zero = not np.any(y)
-        for coeff, word in bch_plan(self.step):
-            ny = sum(1 for s in word if s == Y)
-            if ny == 0 or (y_is_zero and ny > 1):
-                continue
-            for pos, s in enumerate(word):
-                if s != Y:
-                    continue
-                out = out + coeff * self._nested_replaced(word, x, y, pos, v)
-        return out
-
-    def _nested_replaced(self, word, xv, yv, pos, v) -> np.ndarray:
-        letters = (xv, yv)
-
-        def at(i):
-            return v if i == pos else letters[word[i]]
-
-        acc = at(len(word) - 1)
-        for i in range(len(word) - 2, -1, -1):
-            acc = self.bracket(at(i), acc)
-        return acc
+        terms = _derivative_terms(self.step, y_is_zero)
+        used_y = any(Y in word for _, word in terms)
+        shape = np.broadcast_shapes(v.shape, x.shape, *([y.shape] if used_y else []))
+        out = np.broadcast_to(v, shape).copy()
+        letters = (x, y if used_y else None, v)
+        schedule = _schedule(terms)
+        return _blocked(out, lambda acc, *xyv: self._sum_terms(schedule, acc, xyv), letters)
 
     # -- left-invariant frame --------------------------------------------------
 
@@ -202,11 +309,8 @@ class GradedGroup:
         """
         x = np.asarray(x, dtype=float)
         self._check_dim(x)
-        zero = np.zeros(self.q)
-        basis = np.eye(self.q)
-        # one column per call keeps the BCH words free of (..., q, q) temporaries
-        cols = [self.product_derivative_y(x, zero, basis[i]) for i in range(self.q)]
-        return np.stack(cols, axis=-1)
+        columns = self.product_derivative_y(x[..., None, :], 0.0, np.eye(self.q))
+        return np.ascontiguousarray(np.swapaxes(columns, -1, -2))
 
     def frame_coefficients(self, x, v) -> np.ndarray:
         """Solve A(x) c = v by forward substitution on the unipotent structure.
@@ -313,21 +417,16 @@ def load_group(spec: dict, policy: NumericPolicy = DEFAULT_POLICY) -> GradedGrou
 
 
 def _check_jacobi(group: GradedGroup, tol: float = 1e-12) -> None:
-    q = group.q
-    basis = np.eye(q)
+    triples = np.array(list(combinations(range(group.q), 3)), dtype=int).reshape(-1, 3)
+    basis = np.eye(group.q)
+    a, b, c = basis[triples[:, 0]], basis[triples[:, 1]], basis[triples[:, 2]]
+    br = group.bracket
+    res = br(a, br(b, c)) + br(b, br(c, a)) + br(c, br(a, b))
     scale = max((float(np.max(np.abs(v))) for v in group._table.values()), default=1.0)
-    for i in range(q):
-        for j in range(i + 1, q):
-            for k in range(j + 1, q):
-                res = (
-                    group.bracket(basis[i], group.bracket(basis[j], basis[k]))
-                    + group.bracket(basis[j], group.bracket(basis[k], basis[i]))
-                    + group.bracket(basis[k], group.bracket(basis[i], basis[j]))
-                )
-                if np.max(np.abs(res)) > tol * max(scale * scale, 1.0):
-                    raise JacobiViolation(
-                        f"Jacobi identity fails on basis triple ({i+1},{j+1},{k+1})"
-                    )
+    bad = np.nonzero(np.max(np.abs(res), axis=-1, initial=0.0) > tol * max(scale * scale, 1.0))[0]
+    if bad.size:
+        i, j, k = triples[bad[0]] + 1
+        raise JacobiViolation(f"Jacobi identity fails on basis triple ({i},{j},{k})")
 
 
 # ---------------------------------------------------------------------------

@@ -966,15 +966,17 @@ def beta_constancy_check(
 # Hypersurface density, two routes
 # ---------------------------------------------------------------------------
 
-def hypersurface_density(chart, y) -> float:
+def hypersurface_density(chart, y, policy: NumericPolicy = DEFAULT_POLICY) -> float:
     """Spherical-measure density of a hypersurface from its Euclidean unit
-    normal: sqrt(sum over first-layer j of <n, X_j(p)>^2)."""
+    normal: sqrt(sum over first-layer j of <n, X_j(p)>^2).  The tangent map
+    is rank deficient when its smallest singular value is at or below
+    ``policy.rtol`` of the largest."""
     group = chart.group
     if chart.n != group.q - 1:
         raise DegenerateTangent("hypersurface density requires codimension 1")
     jac = chart.jacobian(y)
     u, s, _ = np.linalg.svd(jac, full_matrices=True)
-    if s[-1] <= DEFAULT_POLICY.rtol * s[0]:
+    if s[-1] <= policy.rtol * s[0]:
         raise DegenerateTangent("tangent map is rank deficient")
     normal = u[:, -1]
     frame = group.frame(chart.value(y))

@@ -1,4 +1,6 @@
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -135,3 +137,13 @@ def test_unexpected_task_error_is_recorded(tmp_path, bad_task):
     assert set(bad["result"]) == {"error", "message"}
     assert good["status"] == "pass"
     assert status == 1
+
+
+def test_readme_demo_config_runs(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    demo = re.search(r"```json\n(.*?)```", readme, re.S).group(1)
+    path = tmp_path / "demo.json"
+    path.write_text(demo)
+    assert run(path, out_dir=tmp_path / "out", quiet=True) == 0
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["tasks"] and all(task["status"] == "pass" for task in report["tasks"])

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from nilgeom.algebra import Subspace, abelian, free2, heisenberg
-from nilgeom.errors import LevelSetNotGraph, NotVertical, RadiusTooSmall
+from nilgeom.errors import DegenerateTangent, LevelSetNotGraph, NotVertical, RadiusTooSmall
 from nilgeom.manifold import TransformedChart, parse_parametrization
 from nilgeom.measure import (
     FactorOptions,
@@ -24,6 +24,7 @@ from nilgeom.measure import (
 )
 from nilgeom.metrics import box_distance, multiradial_distance
 from nilgeom.mc import stream
+from nilgeom.policy import NumericPolicy
 
 H1 = heisenberg(1)
 BOX = box_distance(H1, [1.0, 1.0])
@@ -303,6 +304,14 @@ def test_hypersurface_density_examples():
     g3 = abelian(3)
     p3 = parse_parametrization("y1; y2; 0.5", 2, [[-1, 1], [-1, 1]], g3)
     assert hypersurface_density(p3, [0.2, 0.2]) == pytest.approx(1.0)
+
+
+def test_hypersurface_density_rank_check_follows_policy():
+    # singular values 1 and 1e-10: rank deficient at the default rtol 1e-9 only
+    thin = parse_parametrization("y1; 1e-10*y2; 0", 2, [[-1, 1], [-1, 1]], H1)
+    with pytest.raises(DegenerateTangent):
+        hypersurface_density(thin, [0.1, 0.2])
+    assert hypersurface_density(thin, [0.1, 0.2], NumericPolicy(rtol=1e-12)) == pytest.approx(0.1)
 
 
 def test_hypersurface_density_two_routes_agree():

@@ -73,7 +73,7 @@ def _htangent_or_none(compute):
         return None
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
+@settings(max_examples=300)
 @given(polynomial_charts())
 def test_minors_route_agrees_with_multivector_oracle(case):
     chart, y = case

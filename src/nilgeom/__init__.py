@@ -23,7 +23,6 @@ from .algebra import (
     heisenberg,
     load_group,
 )
-from .exterior import Multivector, g_norm, lift_tangent, project_degree, wedge
 from .manifold import (
     ParamMap,
     PointAnalysis,
@@ -41,7 +40,6 @@ from .manifold import (
 from .mc import Estimate
 from .measure import (
     AreaReport,
-    FactorOptions,
     area_check,
     beta_constancy_check,
     coarea_check,
@@ -71,13 +69,11 @@ __all__ = [
     "CATALOG",
     "GradedGroup",
     "Subspace",
-    "Multivector",
     "ParamMap",
     "PointAnalysis",
     "TransformedChart",
     "Estimate",
     "AreaReport",
-    "FactorOptions",
     "HomogeneousDistance",
     "NumericPolicy",
     "DEFAULT_POLICY",
@@ -101,24 +97,20 @@ __all__ = [
     "euclidean_ball_distance",
     "federer_density",
     "free2",
-    "g_norm",
     "h_type",
     "heisenberg",
     "homogeneous_tangent",
     "horizontal_tangency",
     "hypersurface_density",
     "intrinsic_measure",
-    "lift_tangent",
     "load_group",
     "multiradial_distance",
     "parse_parametrization",
     "pointwise_degree",
-    "project_degree",
     "q_n_max_degree",
     "section_area",
     "section_concavity_check",
     "spherical_factor",
     "verify_distance_axioms",
     "vertical_translation_check",
-    "wedge",
 ]

@@ -16,9 +16,10 @@ bracket kernel over the nonzero structure constants, a schedule that builds
 each distinct right-nested Dynkin suffix once per call and drops it after its
 last use, and evaluation in blocks of ``BLOCK_ROWS`` rows laid out
 coordinate-first ``(q, rows)``.  It does the multiplications and additions
-of the word-by-word evaluator ``GradedGroup._nested`` (the test oracle) in
-the same order, so results are bit-identical to it; no matmul, einsum or
-expanded polynomial may enter this path, since each would reorder the sums.
+of the word-by-word evaluator ``nested`` in ``tests/oracles/algebra.py``
+(the test oracle) in the same order, so results are bit-identical to it; no
+matmul, einsum or expanded polynomial may enter this path, since each would
+reorder the sums.
 """
 from __future__ import annotations
 
@@ -27,7 +28,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import combinations
 from math import factorial
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -251,14 +252,6 @@ class GradedGroup:
         v = np.asarray(v, dtype=float)
         out = np.zeros(np.broadcast_shapes(u.shape, v.shape))
         return _blocked(out, lambda _, ub, vb: self._bracket_rows(ub, vb), (u, v))
-
-    def _nested(self, word: Sequence[int], *letters: np.ndarray) -> np.ndarray:
-        """Right-nested bracket ``[w0, [w1, ... wk]]`` word by word: the test
-        oracle of the compiled evaluator.  ``letters[s]`` is letter ``s``."""
-        acc = letters[word[-1]]
-        for s in word[-2::-1]:
-            acc = self.bracket(letters[s], acc)
-        return acc
 
     def product(self, x, y) -> np.ndarray:
         """Group product x . y by the truncated BCH series."""

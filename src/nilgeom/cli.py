@@ -32,7 +32,6 @@ from .manifold import (
     q_n_max_degree,
 )
 from .measure import (
-    FactorOptions,
     area_check,
     ball_body,
     beta_constancy_check,
@@ -42,7 +41,6 @@ from .measure import (
     ellipsoid_body,
     federer_density,
     intrinsic_measure,
-    section_area,
     section_concavity_check,
     spherical_factor,
     vertical_translation_check,
@@ -237,9 +235,7 @@ def task_spherical_factor(ctx: RunContext, opts: dict):
         raise ConfigError("spherical-factor needs opts.subspace (basis rows)")
     space = _subspace(ctx, np.asarray(basis, dtype=float).T)
     est = spherical_factor(
-        ctx.distance,
-        space,
-        FactorOptions(samples=ctx.task_samples(opts, 200_000), seed=ctx.seed),
+        ctx.distance, space, samples=ctx.task_samples(opts, 200_000), seed=ctx.seed
     )
     return {"beta": est.as_dict()}, True
 

@@ -23,11 +23,7 @@ class NonPositiveScale(NilgeomError):
     pass
 
 
-# -- exterior algebra --------------------------------------------------------
-
-class GradeOverflow(NilgeomError):
-    pass
-
+# -- tangent algebra ---------------------------------------------------------
 
 class DegenerateTangent(NilgeomError):
     pass

@@ -6,9 +6,10 @@ left-invariant frame has, on X_I, the n x n minor of the frame-coefficient
 matrix on the rows I; the pointwise degree is read off its degree-graded
 projections, the homogeneous tangent space is the kernel of the wedge map
 with its top-degree part, and the point is classified (horizontal /
-transversal / low degree / irregular).  The alpha profile is recovered
-independently by degree-ordered echelon reduction of the frame-coefficient
-matrix and cross-checked against the degree identity.
+transversal / low degree / irregular).  ``degree_echelon``, the
+degree-ordered echelon reduction of the frame-coefficient matrix, is
+production code for the alpha profile, blow-up rates and Federer exponents;
+its degree identity against the minors route is a consistency check.
 """
 from __future__ import annotations
 
@@ -332,12 +333,6 @@ def q_n_max_degree(group: GradedGroup, n: int) -> int:
             return l * r + tail
         suffix += h[l - 1]
     raise AssertionError("unreachable")
-
-
-def q_n_bruteforce(group: GradedGroup, n: int) -> int:
-    """Independent oracle: max degree over all n-element index tuples."""
-    deg = group.degrees
-    return max(int(sum(deg[list(c)])) for c in combinations(range(group.q), n))
 
 
 # ---------------------------------------------------------------------------

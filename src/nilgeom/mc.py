@@ -4,6 +4,7 @@ Every stochastic result is an ``Estimate`` carrying its standard error,
 sample count and seed.  Randomness comes from Philox streams keyed by
 ``(seed, task tag, block index)``: sample blocks are indexed deterministically,
 so results do not depend on how work is partitioned across workers.
+``count_hits`` is the one hit-or-miss loop, for section and box volumes.
 """
 from __future__ import annotations
 
@@ -81,6 +82,14 @@ def uniform_box(rng: np.random.Generator, bounds: np.ndarray, count: int) -> np.
     bounds = np.asarray(bounds, dtype=float)
     lo, hi = bounds[:, 0], bounds[:, 1]
     return lo + (hi - lo) * rng.random((count, bounds.shape[0]))
+
+
+def count_hits(draw, member, samples: int, seed: int, tag: str) -> int:
+    """Number of `samples` points that `member` accepts, the points of block
+    b drawn as ``draw(stream(seed, tag, b), count)``."""
+    return sum(
+        int(np.sum(member(draw(stream(seed, tag, b), count)))) for b, count in blocks(samples)
+    )
 
 
 def hit_fraction_estimate(

@@ -12,7 +12,7 @@ the Riemannian volume the Lebesgue measure.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from math import gamma, pi
 
 import numpy as np
@@ -36,7 +36,15 @@ from .manifold import (
     sampled_max_degree,
     tangent_minors,
 )
-from .mc import Estimate, blocks, hit_fraction_estimate, stream, uniform_ball, uniform_box
+from .mc import (
+    Estimate,
+    blocks,
+    count_hits,
+    hit_fraction_estimate,
+    stream,
+    uniform_ball,
+    uniform_box,
+)
 from .metrics import HomogeneousDistance, ball_bounding_radius
 from .optimize import nelder_mead
 from .policy import DEFAULT_POLICY, NumericPolicy
@@ -92,25 +100,23 @@ def section_area(
         except EmptySection:
             return Estimate(0.0, 0.0, 0, seed, "empty-section")
     basis = space.orthonormal_basis()
-    volume = unit_ball_volume(n, radius)
-    hits = 0
-    for b, count in blocks(samples):
-        rng = stream(seed, f"{tag}:{np.round(u, 12).tobytes().hex()}", b)
-        local = uniform_ball(rng, n, count, radius)
-        pts = local @ basis.T
-        hits += int(np.sum(dist.ball_contains(u, pts)))
+    hits = count_hits(
+        lambda rng, count: uniform_ball(rng, n, count, radius) @ basis.T,
+        lambda pts: dist.ball_contains(u, pts),
+        samples,
+        seed,
+        f"{tag}:{np.round(u, 12).tobytes().hex()}",
+    )
     return hit_fraction_estimate(
-        hits, samples, volume, seed, "mc-section", {"radius": radius}
+        hits, samples, unit_ball_volume(n, radius), seed, "mc-section", {"radius": radius}
     )
 
 
-@dataclass(frozen=True)
-class FactorOptions:
-    starts: int = 4
-    refine_iters: int = 40
-    samples: int = 200_000
-    search_samples: int = 4_000
-    seed: int = 0
+# the factor search: multi-start count, simplex iterations per start, and
+# samples per objective evaluation
+FACTOR_STARTS = 4
+FACTOR_REFINE_ITERS = 40
+FACTOR_SEARCH_SAMPLES = 4_000
 
 
 def _factor_shortcut(dist: HomogeneousDistance, space: Subspace) -> str | None:
@@ -134,7 +140,8 @@ def _factor_shortcut(dist: HomogeneousDistance, space: Subspace) -> str | None:
 def spherical_factor(
     dist: HomogeneousDistance,
     space: Subspace,
-    opts: FactorOptions = FactorOptions(),
+    samples: int = 200_000,
+    seed: int = 0,
     force_search: bool = False,
 ) -> Estimate:
     """beta_d(S) = max over unit-ball centers u of H^n(B(u,1) ∩ S).
@@ -145,13 +152,13 @@ def spherical_factor(
     """
     reason = None if force_search else _factor_shortcut(dist, space)
     if reason is not None:
-        est = section_area(dist, space, np.zeros(dist.group.q), opts.samples, opts.seed, tag="beta0")
+        est = section_area(dist, space, np.zeros(dist.group.q), samples, seed, tag="beta0")
         return Estimate(
             est.value, est.stderr, est.samples, est.seed, "theorem-shortcut", {"shortcut": reason}
         )
 
     g = dist.group
-    rng = stream(opts.seed, "beta-starts")
+    rng = stream(seed, "beta-starts")
     # any section with ||u|| <= 1 sits inside the section of B(0, 2) at the
     # origin (triangle inequality), giving one search-wide bounding radius
     search_radius = ball_bounding_radius(dist, space, np.zeros(g.q), ball_radius=2.0)
@@ -167,26 +174,26 @@ def spherical_factor(
             dist,
             space,
             project(u),
-            opts.search_samples,
-            opts.seed,
+            FACTOR_SEARCH_SAMPLES,
+            seed,
             tag="beta-search",
             radius_hint=search_radius,
         ).value
         return -val
 
     candidates = [np.zeros(g.q)]
-    for _ in range(opts.starts - 1):
+    for _ in range(FACTOR_STARTS - 1):
         direction = dist.unit_normalize(rng.standard_normal(g.q))
         candidates.append(g.dilate(rng.random() ** (1.0 / g.q), direction))
 
     best_u, best_val = np.zeros(g.q), -objective(np.zeros(g.q))
     for u0 in candidates:
-        u_opt, neg = nelder_mead(objective, u0, scale=0.2, max_iter=opts.refine_iters)
+        u_opt, neg = nelder_mead(objective, u0, scale=0.2, max_iter=FACTOR_REFINE_ITERS)
         if -neg > best_val:
             best_u, best_val = project(u_opt), -neg
 
-    final = section_area(dist, space, best_u, opts.samples, opts.seed, tag="beta-final")
-    base = section_area(dist, space, np.zeros(g.q), opts.samples, opts.seed, tag="beta0")
+    final = section_area(dist, space, best_u, samples, seed, tag="beta-final")
+    base = section_area(dist, space, np.zeros(g.q), samples, seed, tag="beta0")
     if base.value >= final.value:
         final, best_u = base, np.zeros(g.q)
     return Estimate(
@@ -283,15 +290,9 @@ class RadiusTracePoint:
     ratio: float
     stderr: float
     hits: int
-    center_offset: tuple[float, ...]
 
     def as_dict(self) -> dict:
-        return {
-            "radius": self.radius,
-            "ratio": self.ratio,
-            "stderr": self.stderr,
-            "hits": self.hits,
-        }
+        return asdict(self)
 
 
 def _parameter_window(chart, y0, p, dist, radius, exponents, policy) -> np.ndarray:
@@ -396,12 +397,12 @@ def federer_density(
             ratio = mu_est / r**n_deg
             err = mu_err / r**n_deg
             if best is None or ratio > best[0]:
-                best = (ratio, err, hits, tuple(float(c) for c in (np.asarray(z) - p)))
+                best = (ratio, err, hits)
         if best[2] < 100:
             raise RadiusTooSmall(
                 f"only {best[2]} Monte-Carlo hits at radius {r}; increase samples"
             )
-        trace.append(RadiusTracePoint(r, best[0], best[1], best[2], best[3]))
+        trace.append(RadiusTracePoint(r, *best))
 
     chosen = trace[-1]
     flat_found = False
@@ -592,11 +593,7 @@ def area_check(
             )
             continue
 
-        beta = spherical_factor(
-            dist,
-            analysis.htangent,
-            FactorOptions(samples=factor_samples, seed=seed),
-        )
+        beta = spherical_factor(dist, analysis.htangent, samples=factor_samples, seed=seed)
         theta, trace = federer_density(
             chart, dist, y, samples=samples, seed=seed, policy=policy
         )
@@ -639,19 +636,15 @@ def area_check(
         def covered(delta: float, base_cloud: int) -> Estimate:
             # the consistency band tolerates auto-growing the sample cloud;
             # the standalone estimator stays strict about CloudTooSparse
-            cloud = base_cloud
-            for _ in range(6):
+            for attempt in range(7):
                 try:
                     return covering_estimate(
                         chart, dist, region, exponent=n_sigma, delta=delta,
-                        cloud_size=cloud, seed=seed,
+                        cloud_size=base_cloud << attempt, seed=seed,
                     )
                 except CloudTooSparse:
-                    cloud *= 2
-            return covering_estimate(
-                chart, dist, region, exponent=n_sigma, delta=delta,
-                cloud_size=cloud, seed=seed,
-            )
+                    if attempt == 6:
+                        raise
 
         covering = covered(covering_delta, 4000)
         half = covered(covering_delta / 2.0, 8000)
@@ -768,20 +761,18 @@ def section_concavity_check(
     min_hits = 25
 
     def psi(v: np.ndarray, tag: str) -> tuple[float, float] | None:
-        hits = 0
-        for b, count in blocks(samples):
-            rng = stream(seed, f"concavity:{tag}", b)
-            local = uniform_ball(rng, n, count, body.radius)
-            pts = v[None, :] + local @ basis.T
-            hits += int(np.sum(body.member(pts)))
+        hits = count_hits(
+            lambda rng, count: v[None, :] + uniform_ball(rng, n, count, body.radius) @ basis.T,
+            body.member,
+            samples,
+            seed,
+            f"concavity:{tag}",
+        )
         if hits < min_hits:
             return None
-        vol = unit_ball_volume(n, body.radius)
-        p = hits / samples
-        area = vol * p
-        area_err = vol * float(np.sqrt(p * (1 - p) / samples))
-        val = area ** (1.0 / n)
-        err = area_err / (n * area ** ((n - 1.0) / n))
+        area = hit_fraction_estimate(hits, samples, unit_ball_volume(n, body.radius), seed, "mc-section")
+        val = area.value ** (1.0 / n)
+        err = area.stderr / (n * area.value ** ((n - 1.0) / n))
         return val, err
 
     rng = stream(seed, "concavity-segments")
@@ -880,20 +871,11 @@ def vertical_translation_check(
     def mc_volume(target_box: np.ndarray, member) -> Estimate:
         # common random numbers across both volumes: same uniforms, scaled
         # into each box, so the p = 0 case reproduces exactly
-        vol = float(np.prod(target_box[:, 1] - target_box[:, 0]))
-        hits = 0
-        for b, count in blocks(samples):
-            r = stream(seed, "translate-mc", b)
-            zeta = uniform_box(r, target_box, count)
-            hits += int(np.sum(member(zeta)))
-        frac = hits / samples
-        return Estimate(
-            vol * frac,
-            vol * float(np.sqrt(max(frac * (1 - frac), 0.0) / samples)),
-            samples,
-            seed,
-            "mc-box",
+        hits = count_hits(
+            lambda rng, count: uniform_box(rng, target_box, count), member, samples, seed, "translate-mc"
         )
+        vol = float(np.prod(target_box[:, 1] - target_box[:, 0]))
+        return hit_fraction_estimate(hits, samples, vol, seed, "mc-box")
 
     before = mc_volume(box, in_a)
 
@@ -944,7 +926,7 @@ def beta_constancy_check(
     if len(dims) != 1:
         raise ValueError("all family members must have the same dimension")
     estimates = [
-        spherical_factor(dist, s, FactorOptions(samples=samples, seed=seed + i))
+        spherical_factor(dist, s, samples=samples, seed=seed + i)
         for i, s in enumerate(family)
     ]
     values = [e.value for e in estimates]
@@ -963,7 +945,7 @@ def beta_constancy_check(
 
 
 # ---------------------------------------------------------------------------
-# Hypersurface density, two routes
+# Hypersurface density
 # ---------------------------------------------------------------------------
 
 def hypersurface_density(chart, y, policy: NumericPolicy = DEFAULT_POLICY) -> float:
@@ -983,19 +965,6 @@ def hypersurface_density(chart, y, policy: NumericPolicy = DEFAULT_POLICY) -> fl
     m = group.layers[0]
     comps = normal @ frame[:, :m]
     return float(np.sqrt(np.sum(comps * comps)))
-
-
-def hypersurface_density_multivector(chart, y) -> float:
-    """Same density through the projected-wedge route, for cross-checking."""
-    group = chart.group
-    p = chart.value(y)
-    jac = chart.jacobian(y)
-    coeffs = group.frame_coefficients(p, jac)
-    raw = projected_wedge_norms(group, coeffs, group.hom_dimension - 1)
-    gram = float(np.sqrt(max(np.linalg.det(jac.T @ jac), 0.0)))
-    if gram == 0.0:
-        raise DegenerateTangent("tangent map is rank deficient")
-    return raw / gram
 
 
 # ---------------------------------------------------------------------------
@@ -1041,19 +1010,18 @@ def coarea_check(
     domain = np.asarray(domain, dtype=float).reshape(q, 2)
     others = [i for i in range(q) if i != j0]
 
-    xvars = [f"x{i + 1}" for i in range(q)]
-    u_node = parse_expression(u_expr, xvars)
+    u_node = parse_expression(u_expr, [f"x{i + 1}" for i in range(q)])
     g_node = parse_expression(g_expr, [f"y{k + 1}" for k in range(q - 1)])
 
     # f(x) = x_j - g(others): its Euclidean gradient in x
-    g_in_x = parse_expression(_substitute_vars(g_expr, q, others), xvars)
-    grad_nodes = [g_in_x.diff(i) for i in range(q)]
+    grad_nodes = [g_node.diff(k) for k in range(q - 1)]
 
     def lhs_integrand(xs: np.ndarray) -> np.ndarray:
         frames = group.frame(xs)
+        ys = xs[:, others]
         grad = np.zeros_like(xs)
-        for i in range(q):
-            grad[:, i] = -np.broadcast_to(grad_nodes[i].eval(xs), xs.shape[:-1])
+        for k, i in enumerate(others):
+            grad[:, i] = -np.broadcast_to(grad_nodes[k].eval(ys), xs.shape[:-1])
         grad[:, j0] += 1.0
         m = group.layers[0]
         comp = np.einsum("bi,bij->bj", grad, frames[:, :, :m])
@@ -1062,11 +1030,19 @@ def coarea_check(
 
     lhs = _box_midpoint(lhs_integrand, domain, resolution)
 
-    # RHS: level sets x_j = t + g(y); the level chart must stay in the box
-    t_lo = domain[j0, 0]
-    t_hi = domain[j0, 1]
+    # RHS: level sets x_j = t + g(y).  f takes values in
+    # [lo_j - max g, hi_j - min g]; g's extremes are taken on the vertex grid
+    # of the other coordinates, and any level that covers too much is zeroed
+    # by the in-box mask of the integrand
     sub_domain = domain[others]
     n = q - 1
+    vertices = np.stack(
+        np.meshgrid(*[np.linspace(lo, hi, resolution + 1) for lo, hi in sub_domain], indexing="ij"),
+        axis=-1,
+    ).reshape(-1, n)
+    g_vals = np.broadcast_to(g_node.eval(vertices), vertices.shape[:-1])
+    t_lo = domain[j0, 0] - float(np.max(g_vals))
+    t_hi = domain[j0, 1] - float(np.min(g_vals))
 
     def rhs_of_t(t: float) -> float:
         exprs = []
@@ -1092,14 +1068,6 @@ def coarea_check(
     ts = t_lo + (np.arange(resolution) + 0.5) * (t_hi - t_lo) / resolution
     rhs = float(np.mean([rhs_of_t(float(t)) for t in ts]) * (t_hi - t_lo))
     return CoareaReport(lhs=lhs, rhs=rhs, tolerance=tolerance)
-
-
-def _substitute_vars(g_expr: str, q: int, others: list[int]) -> str:
-    out = g_expr
-    # replace y-k names by the matching x names, longest names first
-    for k in range(len(others), 0, -1):
-        out = out.replace(f"y{k}", f"x{others[k - 1] + 1}")
-    return out
 
 
 def _box_midpoint(fn, box: np.ndarray, per_axis: int) -> float:

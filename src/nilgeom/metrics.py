@@ -70,9 +70,6 @@ class HomogeneousDistance:
         factor = 1.0 / np.where(n == 0, 1.0, n)
         return x * factor[..., None] ** self.group.degrees
 
-    def spec(self) -> dict:
-        return {"kind": self.kind, "params": list(self.params)}
-
 
 # ---------------------------------------------------------------------------
 # Constructors
@@ -378,7 +375,6 @@ def ball_bounding_radius(
     dist: HomogeneousDistance,
     space: Subspace,
     u,
-    directions: int | None = None,
     safety: float = 1.5,
     ball_radius: float = 1.0,
 ) -> float:
@@ -391,8 +387,7 @@ def ball_bounding_radius(
     basis = space.orthonormal_basis()
     n = space.dim
     rng = stream(0, "bounding-dirs")
-    count = directions or (32 + 16 * n)
-    dirs = rng.standard_normal((count, n))
+    dirs = rng.standard_normal((32 + 16 * n, n))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     dirs = np.vstack([dirs, np.eye(n), -np.eye(n)])
 

@@ -5,17 +5,19 @@ from typing import Callable
 
 import numpy as np
 
+FTOL = 1e-10
+
 
 def nelder_mead(
     f: Callable[[np.ndarray], float],
     x0: np.ndarray,
     scale: float = 0.25,
     max_iter: int = 200,
-    ftol: float = 1e-10,
 ) -> tuple[np.ndarray, float]:
     """Minimize f from x0; returns (best point, best value).
 
-    Standard reflection/expansion/contraction/shrink coefficients.
+    Standard reflection/expansion/contraction/shrink coefficients; stops
+    early once the simplex values agree to ``FTOL`` relative.
     """
     x0 = np.asarray(x0, dtype=float)
     n = x0.size
@@ -30,7 +32,7 @@ def nelder_mead(
         order = np.argsort(values)
         simplex = [simplex[i] for i in order]
         values = [values[i] for i in order]
-        if abs(values[-1] - values[0]) <= ftol * (abs(values[0]) + ftol):
+        if abs(values[-1] - values[0]) <= FTOL * (abs(values[0]) + FTOL):
             break
         centroid = np.mean(simplex[:-1], axis=0)
         worst = simplex[-1]

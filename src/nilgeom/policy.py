@@ -20,9 +20,6 @@ class NumericPolicy:
 
     rtol: float = DEFAULT_RTOL
 
-    def threshold(self, scale: float) -> float:
-        return self.rtol * max(abs(scale), 1.0e-300)
-
     def rank(self, matrix) -> int:
         """Rank via singular values, thresholded relative to the largest one."""
         m = np.atleast_2d(np.asarray(matrix, dtype=float))

@@ -1,0 +1,7 @@
+"""Independent reference implementations the tests compare nilgeom against.
+
+The library never imports these: wedge algebra over the left-invariant frame
+(``exterior``), the word-by-word BCH bracket ``nested`` (``algebra``), the
+brute-force Q_n (``manifold``) and the multivector hypersurface density
+(``measure``).
+"""

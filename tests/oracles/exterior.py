@@ -1,9 +1,9 @@
 """Sparse exterior algebra over the left-invariant frame: the cross-check oracle.
 
-Production code reads degrees, homogeneous tangents and densities off the
-minors of the frame-coefficient matrix (``manifold.tangent_minors``); this
-module computes the same n-vectors independently, by wedging, for the tests
-to compare against.
+nilgeom reads degrees, homogeneous tangents and densities off the minors of
+the frame-coefficient matrix (``manifold.tangent_minors``); this module
+computes the same n-vectors independently, by wedging, for the tests to
+compare against.  The library never imports it.
 
 A ``Multivector`` stores a k-vector as a map from strictly increasing index
 tuples ``I = (i_1 < ... < i_k)`` to real coefficients ``c_I``, representing
@@ -17,11 +17,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import GradedGroup
-from .errors import DegenerateTangent, GradeOverflow
-from .policy import DEFAULT_POLICY
+from nilgeom.algebra import GradedGroup
+from nilgeom.errors import DegenerateTangent, NilgeomError
+from nilgeom.policy import DEFAULT_POLICY
 
 Key = tuple[int, ...]
+
+
+class GradeOverflow(NilgeomError):
+    """A wedge whose grade would exceed the group dimension."""
 
 
 def _merge_sign(a: Key, b: Key) -> tuple[Key, int]:
@@ -48,7 +52,7 @@ class Multivector:
     def __post_init__(self):
         pruned = {}
         scale = max((abs(c) for c in self.terms.values()), default=0.0)
-        cut = DEFAULT_POLICY.threshold(scale) if scale else 0.0
+        cut = DEFAULT_POLICY.rtol * max(scale, 1.0e-300) if scale else 0.0
         for key, c in self.terms.items():
             key = tuple(int(i) for i in key)
             if len(key) != self.k or any(key[i] >= key[i + 1] for i in range(len(key) - 1)):

@@ -15,11 +15,9 @@ from nilgeom.manifold import (
     classify_point,
     horizontal_tangency,
     parse_parametrization,
-    q_n_bruteforce,
     q_n_max_degree,
 )
 from nilgeom.measure import (
-    FactorOptions,
     ball_body,
     beta_constancy_check,
     box_body,
@@ -27,7 +25,6 @@ from nilgeom.measure import (
     ellipsoid_body,
     federer_density,
     hypersurface_density,
-    hypersurface_density_multivector,
     section_area,
     section_concavity_check,
     spherical_factor,
@@ -35,6 +32,8 @@ from nilgeom.measure import (
 )
 from nilgeom.metrics import box_distance, cygan_koranyi_distance, multiradial_distance
 from nilgeom.mc import stream
+from oracles.manifold import q_n_bruteforce
+from oracles.measure import hypersurface_density_multivector
 
 H1 = heisenberg(1)
 BOX = box_distance(H1, [1.0, 1.0])
@@ -122,7 +121,7 @@ def test_criterion_05_upper_blowup_desk_scale(label, exprs, n, domain, probe):
     started = time.monotonic()
     chart = parse_parametrization(exprs, n, domain, H1)
     analysis = classify_point(chart, probe)
-    beta = spherical_factor(BOX, analysis.htangent, FactorOptions(samples=400_000, seed=21))
+    beta = spherical_factor(BOX, analysis.htangent, samples=400_000, seed=21)
     theta, trace = federer_density(chart, BOX, probe, samples=60_000, seed=22)
     rel = abs(theta.value - beta.value) / beta.value
     flat = theta.meta["flat_window_found"]
@@ -154,9 +153,7 @@ def test_criterion_06_convex_ball_factor_shortcut_vs_search():
     details = []
     for group, dist, space in cases:
         base = section_area(dist, space, np.zeros(group.q), samples=200_000, seed=23, tag="c6-base")
-        searched = spherical_factor(
-            dist, space, FactorOptions(samples=200_000, seed=23), force_search=True
-        )
+        searched = spherical_factor(dist, space, samples=200_000, seed=23, force_search=True)
         slack = 3.0 * float(np.hypot(base.stderr, searched.stderr))
         ok = ok and searched.value <= base.value + slack
         details.append(f"{dist.kind}/{space.dim}d: search={searched.value:.4f} base={base.value:.4f}")

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from nilgeom.algebra import engel, heisenberg
-from nilgeom.errors import DegenerateTangent, GradeOverflow
-from nilgeom.exterior import (
+from nilgeom.errors import DegenerateTangent
+from nilgeom.mc import stream
+from oracles.exterior import (
+    GradeOverflow,
     Multivector,
     basis_vector,
     from_vector,
@@ -12,7 +14,6 @@ from nilgeom.exterior import (
     project_degree,
     wedge,
 )
-from nilgeom.mc import stream
 
 
 @pytest.fixture

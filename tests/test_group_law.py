@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nilgeom.algebra import BLOCK_ROWS, V, Y, bch_plan, catalog_group, load_group
+from oracles.algebra import nested
 
 
 def filiform(step: int) -> dict:
@@ -45,7 +46,7 @@ def word_product(g, x, y):
     x, y = np.broadcast_arrays(x, y)
     out = x + y
     for coeff, word in bch_plan(g.step):
-        out = out + coeff * g._nested(word, x, y)
+        out = out + coeff * nested(g, word, x, y)
     return out
 
 
@@ -57,7 +58,7 @@ def word_derivative(g, x, y, v):
         if ny == 0 or (y_is_zero and ny > 1):
             continue
         for pos in [p for p, s in enumerate(word) if s == Y]:
-            out = out + coeff * g._nested(word[:pos] + (V,) + word[pos + 1 :], x, y, v)
+            out = out + coeff * nested(g, word[:pos] + (V,) + word[pos + 1 :], x, y, v)
     return out
 
 

@@ -21,11 +21,11 @@ from nilgeom.manifold import (
     horizontal_tangency,
     parse_parametrization,
     pointwise_degree,
-    q_n_bruteforce,
     q_n_max_degree,
 )
 from nilgeom.mc import stream
 from nilgeom.policy import DEFAULT_POLICY, NumericPolicy
+from oracles.manifold import q_n_bruteforce
 
 H1 = heisenberg(1)
 

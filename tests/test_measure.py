@@ -5,7 +5,6 @@ from nilgeom.algebra import Subspace, abelian, free2, heisenberg
 from nilgeom.errors import DegenerateTangent, LevelSetNotGraph, NotVertical, RadiusTooSmall
 from nilgeom.manifold import TransformedChart, parse_parametrization
 from nilgeom.measure import (
-    FactorOptions,
     area_check,
     ball_body,
     beta_constancy_check,
@@ -15,7 +14,6 @@ from nilgeom.measure import (
     ellipsoid_body,
     federer_density,
     hypersurface_density,
-    hypersurface_density_multivector,
     intrinsic_measure,
     section_area,
     section_concavity_check,
@@ -25,6 +23,7 @@ from nilgeom.measure import (
 from nilgeom.metrics import box_distance, multiradial_distance
 from nilgeom.mc import stream
 from nilgeom.policy import NumericPolicy
+from oracles.measure import hypersurface_density_multivector
 
 H1 = heisenberg(1)
 BOX = box_distance(H1, [1.0, 1.0])
@@ -60,11 +59,10 @@ def test_stderr_halves_when_samples_quadruple():
 
 
 def test_spherical_factor_shortcut_and_search_agree():
-    opts = FactorOptions(samples=150_000, seed=3)
-    short = spherical_factor(BOX, VERTICAL, opts)
+    short = spherical_factor(BOX, VERTICAL, samples=150_000, seed=3)
     assert short.method == "theorem-shortcut"
     assert short.value == pytest.approx(4.0, abs=3 * short.stderr)
-    searched = spherical_factor(BOX, VERTICAL, opts, force_search=True)
+    searched = spherical_factor(BOX, VERTICAL, samples=150_000, seed=3, force_search=True)
     assert searched.method == "optimized"
     # the optimized search must not beat the theorem value beyond noise
     assert searched.value <= short.value + 3 * np.hypot(short.stderr, searched.stderr)
@@ -73,7 +71,7 @@ def test_spherical_factor_shortcut_and_search_agree():
 
 def test_spherical_factor_horizontal_shortcut():
     line = Subspace(H1, np.array([[0.6], [0.8], [0.0]]))
-    est = spherical_factor(BOX, line, FactorOptions(samples=100_000, seed=4))
+    est = spherical_factor(BOX, line, samples=100_000, seed=4)
     assert est.method == "theorem-shortcut"
     assert est.value == pytest.approx(2.0, abs=3 * est.stderr)
 
@@ -152,7 +150,7 @@ def test_federer_density_legendrian_surface_in_h2():
     from nilgeom.manifold import classify_point
 
     analysis = classify_point(leg, [0.3, -0.2])
-    beta = spherical_factor(d, analysis.htangent, FactorOptions(samples=200_000, seed=42))
+    beta = spherical_factor(d, analysis.htangent, samples=200_000, seed=42)
     assert beta.method == "theorem-shortcut"
     assert beta.value == pytest.approx(np.pi, abs=3 * beta.stderr)
     theta, _ = federer_density(leg, d, [0.3, -0.2], samples=40_000, seed=43)
@@ -337,6 +335,14 @@ def test_coarea_balance_examples():
     # f = x3: level sets are horizontal-ish planes, J_{g,H} = |(-x2, x1)|
     rep3 = coarea_check(H1, 3, "0", "1", [[-1, 1], [-1, 1], [-1, 1]], resolution=32)
     assert rep3.passed
+    # g != 0: the level value t = x_j - g runs beyond [lo_j, hi_j]
+    for group, coord, g_expr, box, res in (
+        (abelian(2), 2, "0.5", [[0, 1], [0, 1]], 64),
+        (abelian(2), 2, "0.5*y1", [[0, 1], [0, 1]], 64),
+        (H1, 1, "0.3*y2", [[0, 1]] * 3, 32),
+    ):
+        rep = coarea_check(group, coord, g_expr, "1", box, resolution=res)
+        assert rep.passed, (g_expr, rep.lhs, rep.rhs)
 
 
 def test_coarea_rejects_bad_graph_coord():

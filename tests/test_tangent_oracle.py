@@ -1,7 +1,7 @@
 """The production tangent algebra against the Multivector oracle.
 
 Degrees, homogeneous tangents and densities are computed from minors of the
-frame-coefficient matrix; ``nilgeom.exterior`` computes the same n-vector by
+frame-coefficient matrix; ``oracles.exterior`` computes the same n-vector by
 wedging the lifted tangent vectors one at a time.  On random polynomial
 charts at random interior points both must agree.
 """
@@ -12,10 +12,10 @@ from hypothesis import strategies as st
 
 from nilgeom.algebra import Subspace, catalog_group, classify_subspace, load_group
 from nilgeom.errors import NonSimpleProjection
-from nilgeom.exterior import basis_vector, g_norm, lift_tangent, project_degree, wedge
 from nilgeom.manifold import homogeneous_tangent, parse_parametrization, pointwise_degree
 from nilgeom.measure import intrinsic_density
 from nilgeom.policy import DEFAULT_POLICY
+from oracles.exterior import basis_vector, g_norm, lift_tangent, project_degree, wedge
 
 FILIFORM6 = {
     "name": "filiform6",

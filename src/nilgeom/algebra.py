@@ -485,26 +485,20 @@ def classify_subspace(
     n = space.dim
 
     # dim(S ∩ H^j) via rank of the stacked bases
+    eye = np.eye(group.q)
     inter_dims = []
     for j in range(1, group.step + 1):
-        sl = group.layer_slice(j)
-        hbasis = np.zeros((group.q, sl.stop - sl.start))
-        hbasis[sl] = np.eye(sl.stop - sl.start)
-        stacked = np.hstack([b, hbasis])
-        inter = n + hbasis.shape[1] - policy.rank(stacked)
+        hbasis = eye[:, group.layer_slice(j)]
+        inter = n + hbasis.shape[1] - policy.rank(np.hstack([b, hbasis]))
         inter_dims.append(int(inter))
     homogeneous = sum(inter_dims) == n
 
-    # subalgebra: all pairwise basis brackets stay in the span
-    subalgebra = True
-    for i in range(n):
-        for j in range(i + 1, n):
-            w = group.bracket(b[:, i], b[:, j])
-            if not space.contains(w, rtol=tol):
-                subalgebra = False
-                break
-        if not subalgebra:
-            break
+    # subalgebra: the brackets of all basis pairs, in one batch, stay in the
+    # span up to a projection residual relative to each bracket's largest entry
+    pairs = np.array(list(combinations(range(n), 2)), dtype=int).reshape(-1, 2)
+    w = group.bracket(*b.T[pairs.T])
+    residual = np.abs(w - (w @ b) @ b.T).max(axis=-1, initial=0.0)
+    subalgebra = bool((residual <= tol * np.abs(w).max(axis=-1, initial=0.0)).all())
 
     horizontal = bool(np.max(np.abs(b[group.layer_slice(1).stop :, :]), initial=0.0) <= tol)
 

@@ -5,6 +5,8 @@ sample count and seed.  Randomness comes from Philox streams keyed by
 ``(seed, task tag, block index)``: sample blocks are indexed deterministically,
 so results do not depend on how work is partitioned across workers.
 ``count_hits`` is the one hit-or-miss loop, for section and box volumes.
+Common random numbers are drawn once per block by ``draw_blocks`` and shared
+by every member that ``count_hits`` tests on that block.
 """
 from __future__ import annotations
 
@@ -77,19 +79,39 @@ def uniform_ball(rng: np.random.Generator, n: int, count: int, radius: float = 1
     return g / norms * r[:, None]
 
 
+def box_points(bounds: np.ndarray, unit: np.ndarray) -> np.ndarray:
+    """Points of the unit cube ``unit`` (count, n) mapped affinely into a box
+    given as an (n, 2) array of [lo, hi] rows."""
+    bounds = np.asarray(bounds, dtype=float)
+    lo, hi = bounds[:, 0], bounds[:, 1]
+    return lo + (hi - lo) * unit
+
+
 def uniform_box(rng: np.random.Generator, bounds: np.ndarray, count: int) -> np.ndarray:
     """Uniform samples in a box given as an (n, 2) array of [lo, hi] rows."""
     bounds = np.asarray(bounds, dtype=float)
-    lo, hi = bounds[:, 0], bounds[:, 1]
-    return lo + (hi - lo) * rng.random((count, bounds.shape[0]))
+    return box_points(bounds, rng.random((count, bounds.shape[0])))
 
 
-def count_hits(draw, member, samples: int, seed: int, tag: str) -> int:
-    """Number of `samples` points that `member` accepts, the points of block
-    b drawn as ``draw(stream(seed, tag, b), count)``."""
-    return sum(
-        int(np.sum(member(draw(stream(seed, tag, b), count)))) for b, count in blocks(samples)
-    )
+def draw_blocks(draw, samples: int, seed: int, tag: str):
+    """The `samples` points block by block, lazily: block b is drawn as
+    ``draw(stream(seed, tag, b), count)`` when the consumer reaches it."""
+    return (draw(stream(seed, tag, b), count) for b, count in blocks(samples))
+
+
+def count_hits(sample_blocks, *members) -> list[int]:
+    """Number of points in `sample_blocks` that each member accepts.
+
+    Every member is tested on the same blocks (common random numbers), and
+    each block is read once, so a lazy ``draw_blocks`` keeps one block alive
+    at a time.
+    """
+    hits = [0] * len(members)
+    for pts in sample_blocks:
+        for i, member in enumerate(members):
+            hits[i] += int(np.count_nonzero(member(pts)))
+        del pts  # let a lazy block go before the next one is drawn
+    return hits
 
 
 def hit_fraction_estimate(

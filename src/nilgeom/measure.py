@@ -39,7 +39,9 @@ from .manifold import (
 from .mc import (
     Estimate,
     blocks,
+    box_points,
     count_hits,
+    draw_blocks,
     hit_fraction_estimate,
     stream,
     uniform_ball,
@@ -100,12 +102,14 @@ def section_area(
         except EmptySection:
             return Estimate(0.0, 0.0, 0, seed, "empty-section")
     basis = space.orthonormal_basis()
-    hits = count_hits(
-        lambda rng, count: uniform_ball(rng, n, count, radius) @ basis.T,
+    (hits,) = count_hits(
+        draw_blocks(
+            lambda rng, count: uniform_ball(rng, n, count, radius) @ basis.T,
+            samples,
+            seed,
+            f"{tag}:{np.round(u, 12).tobytes().hex()}",
+        ),
         lambda pts: dist.ball_contains(u, pts),
-        samples,
-        seed,
-        f"{tag}:{np.round(u, 12).tobytes().hex()}",
     )
     return hit_fraction_estimate(
         hits, samples, unit_ball_volume(n, radius), seed, "mc-section", {"radius": radius}
@@ -760,20 +764,16 @@ def section_concavity_check(
 
     min_hits = 25
 
-    def psi(v: np.ndarray, tag: str) -> tuple[float, float] | None:
-        hits = count_hits(
-            lambda rng, count: v[None, :] + uniform_ball(rng, n, count, body.radius) @ basis.T,
-            body.member,
-            samples,
-            seed,
-            f"concavity:{tag}",
-        )
+    def psi(hits: int) -> tuple[float, float] | None:
         if hits < min_hits:
             return None
         area = hit_fraction_estimate(hits, samples, unit_ball_volume(n, body.radius), seed, "mc-section")
         val = area.value ** (1.0 / n)
         err = area.stderr / (n * area.value ** ((n - 1.0) / n))
         return val, err
+
+    def shifted(v: np.ndarray):
+        return lambda pts: body.member(v[None, :] + pts)
 
     rng = stream(seed, "concavity-segments")
     checks = violations = skipped = 0
@@ -786,15 +786,24 @@ def section_concavity_check(
             break
         v = (rng.standard_normal(perp.shape[1]) * body.radius * 0.5) @ perp.T
         w = (rng.standard_normal(perp.shape[1]) * body.radius * 0.5) @ perp.T
-        # common random numbers within one segment: the independent standard
-        # errors then overestimate the error of the concavity deficit
-        tag = f"seg{attempts}"
-        ends = psi(v, tag), psi(w, tag)
+        # common random numbers within one segment, drawn once and shared by
+        # its five sections: the independent standard errors then
+        # overestimate the error of the concavity deficit
+        shared = list(
+            draw_blocks(
+                lambda rng, count: uniform_ball(rng, n, count, body.radius) @ basis.T,
+                samples,
+                seed,
+                f"concavity:seg{attempts}",
+            )
+        )
+        ends = [psi(h) for h in count_hits(shared, shifted(v), shifted(w))]
         if ends[0] is None or ends[1] is None:
             continue
         done += 1
-        for theta in (0.25, 0.5, 0.75):
-            mid = psi(theta * v + (1 - theta) * w, tag)
+        thetas = (0.25, 0.5, 0.75)
+        mids = count_hits(shared, *(shifted(theta * v + (1 - theta) * w) for theta in thetas))
+        for theta, mid in zip(thetas, map(psi, mids)):
             if mid is None:
                 skipped += 1
                 continue
@@ -868,23 +877,25 @@ def vertical_translation_check(
         margin = 0.05 * (hi - lo) + 1e-9
         image_box = np.stack([lo - margin, hi + margin], axis=1)
 
-    def mc_volume(target_box: np.ndarray, member) -> Estimate:
-        # common random numbers across both volumes: same uniforms, scaled
-        # into each box, so the p = 0 case reproduces exactly
-        hits = count_hits(
-            lambda rng, count: uniform_box(rng, target_box, count), member, samples, seed, "translate-mc"
-        )
-        vol = float(np.prod(target_box[:, 1] - target_box[:, 0]))
-        return hit_fraction_estimate(hits, samples, vol, seed, "mc-box")
-
-    before = mc_volume(box, in_a)
-
-    def in_image(zeta: np.ndarray) -> np.ndarray:
-        pts = v_part[None, :] + zeta @ basis.T
+    def in_image(unit: np.ndarray) -> np.ndarray:
+        # the image-box points are a temporary, so the product runs beside
+        # one unit block only
+        pts = v_part[None, :] + box_points(image_box, unit) @ basis.T
         back = group.product(group.inverse(p), pts)
         return in_a(back @ basis)
 
-    after = mc_volume(image_box, in_image)
+    # common random numbers across both volumes: each block of unit uniforms
+    # is drawn once and scaled into each box, so the p = 0 case reproduces
+    # exactly
+    hits = count_hits(
+        draw_blocks(lambda rng, count: rng.random((count, n)), samples, seed, "translate-mc"),
+        lambda unit: in_a(box_points(box, unit)),
+        in_image,
+    )
+    before, after = (
+        hit_fraction_estimate(h, samples, float(np.prod(b[:, 1] - b[:, 0])), seed, "mc-box")
+        for h, b in zip(hits, (box, image_box))
+    )
     passed = abs(before.value - after.value) <= 3.0 * float(
         np.hypot(before.stderr, after.stderr)
     ) + 1e-12

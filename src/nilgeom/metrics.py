@@ -56,8 +56,20 @@ class HomogeneousDistance:
         return self.phi(self.layer_magnitudes(x))
 
     def distance(self, x, y) -> np.ndarray:
-        """d(x, y) = ||x^-1 . y||; left invariant by construction."""
+        """d(x, y) = ||x^-1 . y||; left invariant by construction.
+
+        At the identity centre (every entry of x zero) and finite y the
+        product is skipped: 0^-1 . y equals y up to the signs of zeros, which
+        no norm sees.  A non-finite y takes the product, where 0 * inf
+        makes nan.
+        """
         g = self.group
+        x = np.asarray(x, dtype=float)
+        y = np.asarray(y, dtype=float)
+        if not np.any(x) and np.all(np.isfinite(y)):
+            g._check_dim(x)
+            g._check_dim(y)
+            return self.norm(np.broadcast_to(y, np.broadcast_shapes(x.shape, y.shape)))
         return self.norm(g.product(g.inverse(x), y))
 
     def ball_contains(self, center, x, radius: float = 1.0) -> np.ndarray:

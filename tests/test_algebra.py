@@ -15,7 +15,7 @@ from nilgeom.algebra import (
 )
 from nilgeom.errors import BadDimensions, GradingViolation, JacobiViolation, NonPositiveScale
 from nilgeom.mc import stream
-from oracles.algebra import nested
+from oracles.algebra import nested, subalgebra_pairwise
 from oracles.exterior import basis_vector, wedge
 
 ALL_CATALOG = ["abelian(3)", "heisenberg(1)", "heisenberg(2)", "h_type", "engel", "free2(3)"]
@@ -263,6 +263,48 @@ def test_classify_subspace_legendrian_pair_in_h2():
     basis[1, 1] = 1.0  # e2
     cls = classify_subspace(g, Subspace(g, basis))
     assert cls.horizontal and cls.subalgebra and cls.homogeneous
+
+
+def _classify_cases(g, rng):
+    """Coordinate subspaces (every one for q <= 7, 64 drawn otherwise), each
+    under a random change of basis; the span of two first-layer vectors and
+    their bracket; first-layer vectors plus all higher layers (vertical); and
+    random subspaces of every dimension."""
+    q = g.q
+    subsets = [np.nonzero([(m >> k) & 1 for k in range(q)])[0] for m in range(1, 1 << q)]
+    if q > 7:
+        subsets = [subsets[k] for k in rng.choice(len(subsets), 64, replace=False)]
+    eye = np.eye(q)
+    cases = [eye[:, idx] @ rng.standard_normal((idx.size, idx.size)) for idx in subsets]
+    m = g.layers[0]
+    upper = eye[:, m:]
+    for i in range(m):
+        cases.append(np.hstack([eye[:, [i]], upper]))
+        for j in range(i + 1, m):
+            w = g.bracket(eye[i], eye[j])
+            cases.append(np.stack([eye[i], eye[j]] + ([w] if np.any(w) else []), axis=1))
+    cases += [rng.standard_normal((q, n)) for n in range(1, q + 1) for _ in range(3)]
+    return cases
+
+
+def test_classify_subspace_batched_subalgebra_matches_pairwise_oracle():
+    filiform6 = load_group(
+        {
+            "name": "filiform6",
+            "layers": [2, 1, 1, 1, 1, 1],
+            "brackets": [[1, k, k + 1, 1.0] for k in range(2, 7)],
+        }
+    )
+    rng = np.random.default_rng(7)
+    verdicts = set()
+    for g in [catalog_group(name) for name in ALL_CATALOG + ["free2(4)"]] + [filiform6]:
+        for basis in _classify_cases(g, rng):
+            space = Subspace(g, basis)
+            for tol in (1e-9, 1e-8):
+                verdict = classify_subspace(g, space, tol=tol).subalgebra
+                assert verdict == subalgebra_pairwise(g, space, tol), (g.name, basis, tol)
+                verdicts.add(verdict)
+    assert verdicts == {True, False}
 
 
 def test_subspace_rejects_dependent_columns():

@@ -5,6 +5,7 @@ from nilgeom.algebra import Subspace, abelian, free2, heisenberg
 from nilgeom.errors import DegenerateTangent, LevelSetNotGraph, NotVertical, RadiusTooSmall
 from nilgeom.manifold import TransformedChart, parse_parametrization
 from nilgeom.measure import (
+    ConvexBody,
     area_check,
     ball_body,
     beta_constancy_check,
@@ -23,7 +24,12 @@ from nilgeom.measure import (
 from nilgeom.metrics import box_distance, multiradial_distance
 from nilgeom.mc import stream
 from nilgeom.policy import NumericPolicy
-from oracles.measure import hypersurface_density_multivector
+from oracles.measure import (
+    concavity_per_call,
+    hypersurface_density_multivector,
+    section_area_per_call,
+    translation_per_call,
+)
 
 H1 = heisenberg(1)
 BOX = box_distance(H1, [1.0, 1.0])
@@ -365,3 +371,86 @@ def test_translation_free2():
     p = rng.uniform(-1, 1, 6)
     report = vertical_translation_check(g, nspace, p, samples=60_000, seed=17)
     assert report.passed
+
+
+# ---------------------------------------------------------------------------
+# shared sample blocks against the draw-per-call oracles
+# ---------------------------------------------------------------------------
+
+F3 = free2(3)
+F3_BASIS = np.zeros((6, 4))
+F3_BASIS[0, 0] = 1.0
+F3_BASIS[3:, 1:] = np.eye(3)
+F3_VERTICAL = Subspace(F3, F3_BASIS)
+CENTRE_LINE = Subspace(H1, np.array([[0.0], [0.0], [1.0]]))
+PLANE12 = Subspace(H1, np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]))
+X_LINE = Subspace(H1, np.array([[1.0], [0.0], [0.0]]))
+# 20,000 and 40,000 samples span two and three blocks of mc.BLOCK
+MULTI_BLOCK = [20_000, 40_000]
+
+
+def _shell(pts):
+    r = np.linalg.norm(pts, axis=-1)
+    return (r >= 0.5) & (r <= 1.0)
+
+
+def _dumbbell(pts):
+    return (np.linalg.norm(pts - [0.0, 0.0, 0.7], axis=-1) <= 0.5) | (
+        np.linalg.norm(pts + [0.0, 0.0, 0.7], axis=-1) <= 0.5
+    )
+
+
+@pytest.mark.parametrize("samples", MULTI_BLOCK)
+@pytest.mark.parametrize(
+    "dist, space, u",
+    [
+        (BOX, VERTICAL, np.zeros(3)),
+        (BOX, VERTICAL, -np.zeros(3)),
+        (BOX, VERTICAL, np.array([0.2, -0.1, 0.3])),
+        (BOX, CENTRE_LINE, np.zeros(3)),
+        (BOX, X_LINE, np.array([0.0, 0.3, -0.2])),
+        (multiradial_distance(F3, "max(t1, 1.2*t2^0.5)"), F3_VERTICAL, np.zeros(6)),
+        (multiradial_distance(F3, "max(t1, 1.2*t2^0.5)"), F3_VERTICAL, np.linspace(-0.3, 0.3, 6)),
+    ],
+    ids=["h1-0", "h1-neg0", "h1-u", "h1-line-0", "h1-xline-u", "f3-0", "f3-u"],
+)
+def test_section_area_bit_identical_to_per_call_product(dist, space, u, samples):
+    got = section_area(dist, space, u, samples=samples, seed=5)
+    want = section_area_per_call(dist, space, u, samples=samples, seed=5)
+    assert got == want
+    assert got.meta == want.meta
+
+
+@pytest.mark.parametrize("samples", MULTI_BLOCK)
+@pytest.mark.parametrize(
+    "body, space",
+    [
+        (box_body([1, 1, 1]), PLANE12),
+        (ball_body(BOX), VERTICAL),
+        (ellipsoid_body(np.diag([1.0, 2.0, 1.5])), X_LINE),
+        (ConvexBody(3, 1.05, _shell, "shell"), X_LINE),
+        (ConvexBody(3, 1.3, _dumbbell, "dumbbell"), PLANE12),
+    ],
+    ids=["cube", "box-ball", "ellipsoid-line", "shell-line", "dumbbell"],
+)
+def test_concavity_bit_identical_to_per_call_draws(body, space, samples):
+    got = section_concavity_check(body, space, segments=8, samples=samples, seed=3)
+    assert got == concavity_per_call(body, space, segments=8, samples=samples, seed=3)
+    if body.label == "dumbbell":
+        # a non-convex member exercises every field of the report
+        assert got.violations > 0 and got.skipped > 0 and got.worst_deficit > 0
+
+
+@pytest.mark.parametrize("samples", MULTI_BLOCK)
+@pytest.mark.parametrize(
+    "group, space",
+    [(H1, VERTICAL), (H1, CENTRE_LINE), (F3, F3_VERTICAL)],
+    ids=["h1-plane", "h1-line", "f3"],
+)
+def test_translation_bit_identical_to_per_call_draws(group, space, samples):
+    rng = stream(19, f"translation-oracle:{group.name}:{space.dim}")
+    for p in (np.zeros(group.q), rng.uniform(-1, 1, group.q), rng.uniform(-1, 1, group.q)):
+        half = rng.uniform(0.5, 1.5, space.dim)
+        box = np.stack([-half, half], axis=1)
+        got = vertical_translation_check(group, space, p, box=box, samples=samples, seed=21)
+        assert got == translation_per_call(group, space, p, box=box, samples=samples, seed=21)

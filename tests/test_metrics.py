@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from nilgeom.algebra import Subspace, abelian, engel, h_type, heisenberg
+from nilgeom.algebra import Subspace, abelian, catalog_group, engel, h_type, heisenberg
 from nilgeom.errors import BadDimensions, EmptySection
 from nilgeom.metrics import (
     ball_bounding_radius,
@@ -180,3 +183,59 @@ def test_bounding_radius_covers_sampled_ball_points():
         norms = np.linalg.norm(pts[inside], axis=1)
         if norms.size:
             assert float(np.max(norms)) <= r + 1e-9
+
+
+# ---------------------------------------------------------------------------
+# identity centre: distance(0, y) skips the product
+# ---------------------------------------------------------------------------
+
+def _identity_cases():
+    cases = []
+    for name in ["abelian(3)", "heisenberg(1)", "heisenberg(2)", "h_type", "engel", "free2(3)", "free2(4)"]:
+        g = catalog_group(name)
+        cases.append(box_distance(g, [1.0, 0.7, 0.5][: g.step]))
+        phi = " + ".join(f"t{j}^{1.0 / j!r}" for j in range(1, g.step + 1))
+        cases.append(multiradial_distance(g, phi))
+        try:
+            cases.append(cygan_koranyi_distance(g))
+        except BadDimensions:
+            pass  # not a step-2 H-type group
+    return cases
+
+
+IDENTITY_CASES = _identity_cases()
+
+
+@settings(max_examples=300)
+@given(data=st.data())
+def test_identity_centre_is_bitwise_the_product(data):
+    d = data.draw(st.sampled_from(IDENTITY_CASES), label="distance")
+    g = d.group
+    q = g.q
+    centre = data.draw(
+        st.sampled_from([np.zeros(q), -np.zeros(q), np.zeros((2, 1, q)), -np.zeros((3, 1, q))]),
+        label="centre",
+    )
+    shape = data.draw(st.sampled_from([(q,), (1, q), (5, q), (0, q)]), label="shape")
+    y = data.draw(arrays(float, shape, elements=st.floats(-3.0, 3.0, width=64)), label="y")
+    want = d.norm(g.product(g.inverse(centre), y))
+    got = d.distance(centre, y)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert np.array_equal(d.ball_contains(centre, y), want <= 1.0 + 1e-14)
+
+    if y.size:
+        # rows holding inf or nan take the product
+        bad = y.reshape(-1, q).copy()
+        bad[0, data.draw(st.integers(0, q - 1), label="column")] = data.draw(
+            st.sampled_from([np.inf, -np.inf, np.nan]), label="value"
+        )
+        bad = bad.reshape(shape)
+        with np.errstate(invalid="ignore"):
+            want = d.norm(g.product(g.inverse(centre), bad))
+            assert np.array_equal(d.distance(centre, bad), want, equal_nan=True)
+            assert np.array_equal(d.ball_contains(centre, bad), want <= 1.0 + 1e-14)
+
+    with pytest.raises(BadDimensions):
+        d.distance(centre, np.zeros(q + 1))
+    with pytest.raises(BadDimensions):
+        d.distance(np.zeros(q + 1), y)

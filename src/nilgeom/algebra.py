@@ -15,11 +15,12 @@ The group law is compiled once per group and step, and ``bracket``,
 bracket kernel over the nonzero structure constants, a schedule that builds
 each distinct right-nested Dynkin suffix once per call and drops it after its
 last use, and evaluation in blocks of ``BLOCK_ROWS`` rows laid out
-coordinate-first ``(q, rows)``.  It does the multiplications and additions
-of the word-by-word evaluator ``nested`` in ``tests/oracles/algebra.py``
-(the test oracle) in the same order, so results are bit-identical to it; no
-matmul, einsum or expanded polynomial may enter this path, since each would
-reorder the sums.
+coordinate-first ``(q, rows)``; ``HomogeneousDistance.distance`` reduces
+each product block to its norms on the same loop.  It does the
+multiplications and additions of the word-by-word evaluator ``nested`` in
+``tests/oracles/algebra.py`` (the test oracle) in the same order, so results
+are bit-identical to it; no matmul, einsum or expanded polynomial may enter
+this path, since each would reorder the sums.
 """
 from __future__ import annotations
 
@@ -139,33 +140,39 @@ def _schedule(terms: tuple) -> tuple:
     return tuple((c, w, b, tuple(d)) for (c, w, b), d in zip(steps, drops))
 
 
-def _blocked(out: np.ndarray, kernel, letters: tuple) -> np.ndarray:
-    """Overwrite ``out`` (..., q) with ``kernel`` evaluated block by block.
+def _blocked(kernel, letters: tuple, reduce: bool = False) -> np.ndarray:
+    """Evaluate ``kernel`` block by block over the broadcast shape ``(..., q)``
+    of ``letters``.
 
-    Blocks of about ``BLOCK_ROWS`` rows run along the first axis.  ``kernel``
-    gets the block of ``out`` and then each letter's block, coordinate-first
-    as contiguous ``(q, rows)`` arrays (``None`` for a letter ``None``), and
-    returns the new block of ``out``.  Letters broadcast to ``out`` as
-    views, so only a block of each is ever copied.
+    Blocks of about ``BLOCK_ROWS`` rows run along the first axis (a single
+    point is one row).  ``kernel`` gets each letter's block coordinate-first,
+    as a contiguous ``(q, rows, ...)`` array (``None`` for a letter ``None``),
+    and returns the block's values: ``(q, rows, ...)``, or ``(rows, ...)``
+    when ``reduce`` drops the coordinate axis.  Letters broadcast as views,
+    so only a block of each is ever copied.
     """
-    view = out[None] if out.ndim == 1 else out
-    if view.size == 0:
-        return out
-    lead = view.shape[:-1]
-    step = max(1, BLOCK_ROWS // max(1, int(np.prod(lead[1:]))))
-    full = [None if a is None else np.broadcast_to(a, view.shape) for a in letters]
-    for start in range(0, lead[0], step):
-        rows = slice(start, start + step)
-        target = np.moveaxis(view[rows], -1, 0)
-        blocks = [None if a is None else _coordinate_first(a[rows]) for a in full]
-        target[...] = kernel(_coordinate_first(view[rows]), *blocks).reshape(target.shape)
-    return out
+    shape = np.broadcast_shapes(*(a.shape for a in letters if a is not None))
+    rows_shape = (shape[:-1] or (1,)) + shape[-1:]
+    out = np.empty(rows_shape[:-1] if reduce else rows_shape)
+    if out.size:
+        step = max(1, BLOCK_ROWS // max(1, int(np.prod(rows_shape[1:-1]))))
+        full = [None if a is None else np.broadcast_to(a, rows_shape) for a in letters]
+        for start in range(0, rows_shape[0], step):
+            rows = slice(start, start + step)
+            target = out[rows] if reduce else _coordinate_view(out[rows])
+            target[...] = kernel(*(None if a is None else _coordinate_first(a[rows]) for a in full))
+    return out.reshape(shape[:-1])[()] if reduce else out.reshape(shape)
+
+
+def _coordinate_view(a: np.ndarray) -> np.ndarray:
+    """An ``(..., q)`` array viewed coordinate-first, ``(q, ...)``."""
+    return a.transpose(-1, *range(a.ndim - 1))
 
 
 def _coordinate_first(a: np.ndarray) -> np.ndarray:
-    """An ``(..., q)`` block as a contiguous ``(q, rows)`` array (a copy
+    """An ``(..., q)`` block as a contiguous ``(q, ...)`` array (a copy
     unless the block already has that layout)."""
-    return np.ascontiguousarray(np.moveaxis(a, -1, 0).reshape(a.shape[-1], -1))
+    return np.ascontiguousarray(_coordinate_view(a))
 
 
 # ---------------------------------------------------------------------------
@@ -200,8 +207,13 @@ class GradedGroup:
 
     def layer_slice(self, j: int) -> slice:
         """Coordinate slice of layer j (1-based)."""
-        m = int(np.sum(self.layers[: j - 1]))
-        return slice(m, m + self.layers[j - 1])
+        return self.layer_slices[j - 1]
+
+    @cached_property
+    def layer_slices(self) -> tuple[slice, ...]:
+        """Coordinate slices of the layers, in order."""
+        ends = np.cumsum(self.layers).tolist()
+        return tuple(slice(end - h, end) for h, end in zip(self.layers, ends))
 
     # -- bracket and BCH -----------------------------------------------------
 
@@ -250,8 +262,7 @@ class GradedGroup:
         """Lie bracket of coordinate vectors; broadcasts over leading axes."""
         u = np.asarray(u, dtype=float)
         v = np.asarray(v, dtype=float)
-        out = np.zeros(np.broadcast_shapes(u.shape, v.shape))
-        return _blocked(out, lambda _, ub, vb: self._bracket_rows(ub, vb), (u, v))
+        return _blocked(self._bracket_rows, (u, v))
 
     def product(self, x, y) -> np.ndarray:
         """Group product x . y by the truncated BCH series."""
@@ -259,8 +270,15 @@ class GradedGroup:
         y = np.asarray(y, dtype=float)
         self._check_dim(x)
         self._check_dim(y)
-        schedule = _schedule(bch_plan(self.step))
-        return _blocked(x + y, lambda acc, *xy: self._sum_terms(schedule, acc, xy), (x, y))
+        return _blocked(self._product_rows, (x, y))
+
+    @cached_property
+    def _product_schedule(self) -> tuple:
+        return _schedule(bch_plan(self.step))
+
+    def _product_rows(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Group product of coordinate-first blocks ``(q, rows)``."""
+        return self._sum_terms(self._product_schedule, x + y, (x, y))
 
     def inverse(self, x) -> np.ndarray:
         """Group inverse; equals -x in exponential coordinates."""
@@ -286,11 +304,9 @@ class GradedGroup:
         y_is_zero = not np.any(y)
         terms = _derivative_terms(self.step, y_is_zero)
         used_y = any(Y in word for _, word in terms)
-        shape = np.broadcast_shapes(v.shape, x.shape, *([y.shape] if used_y else []))
-        out = np.broadcast_to(v, shape).copy()
         letters = (x, y if used_y else None, v)
         schedule = _schedule(terms)
-        return _blocked(out, lambda acc, *xyv: self._sum_terms(schedule, acc, xyv), letters)
+        return _blocked(lambda *xyv: self._sum_terms(schedule, xyv[-1], xyv), letters)
 
     # -- left-invariant frame --------------------------------------------------
 

@@ -91,7 +91,11 @@ def section_area(
     tag: str = "section",
     radius_hint: float | None = None,
 ) -> Estimate:
-    """Monte-Carlo H^n measure of {v in S : d(v, u) <= 1}."""
+    """Monte-Carlo H^n measure of {v in S : d(v, u) <= 1}.
+
+    The sample stream is keyed on u rounded to 12 digits, with -0 read as
+    +0, so equal centres draw equal samples.
+    """
     u = np.asarray(u, dtype=float)
     n = space.dim
     if radius_hint is not None:
@@ -107,7 +111,7 @@ def section_area(
             lambda rng, count: uniform_ball(rng, n, count, radius) @ basis.T,
             samples,
             seed,
-            f"{tag}:{np.round(u, 12).tobytes().hex()}",
+            f"{tag}:{(np.round(u, 12) + 0.0).tobytes().hex()}",
         ),
         lambda pts: dist.ball_contains(u, pts),
     )
@@ -463,7 +467,10 @@ def covering_estimate(
     ys = uniform_box(rng, region, cloud_size)
     cloud = chart.value(ys)
 
-    # resolution check on a subsample: nearest-neighbour spacing vs delta/4
+    # resolution check on a subsample: nearest-neighbour spacing vs delta/4.
+    # A probe leaves the scan once a neighbour lies within delta/4, so the
+    # spacing reported on failure is the exact one of a probe still open.
+    quarter = delta / 4.0
     probe = cloud[rng.choice(cloud_size, size=min(256, cloud_size), replace=False)]
     nn = np.full(len(probe), np.inf)
     for lo in range(0, cloud_size, 1 << 12):
@@ -471,9 +478,13 @@ def covering_estimate(
         d = np.asarray(dist.distance(probe[:, None, :], chunk[None, :, :]))
         d[d == 0.0] = np.inf
         nn = np.minimum(nn, d.min(axis=1))
-    if float(np.max(nn)) > delta / 4.0:
+        still_open = ~(nn <= quarter)
+        probe, nn = probe[still_open], nn[still_open]
+        if not len(nn):
+            break
+    if len(nn) and float(np.max(nn)) > quarter:
         raise CloudTooSparse(
-            f"cloud spacing {float(np.max(nn)):.3g} exceeds delta/4 = {delta / 4:.3g}"
+            f"cloud spacing {float(np.max(nn)):.3g} exceeds delta/4 = {quarter:.3g}"
         )
 
     radius = delta / 2.0

@@ -6,6 +6,14 @@ nondecreasing in each and 1-homogeneous under the intrinsic dilations.
 Homogeneity and inversion symmetry then hold by construction; the triangle
 inequality is validated by seeded sampling (necessary, not sufficient) and
 the box weights can be calibrated layer by layer on quotient groups.
+
+``phi`` takes layer-first magnitudes, an ``(iota, ...)`` array, so the box
+norm is a chain of ``np.maximum`` across layers.  ``norm`` and ``distance``
+run on the block loop of the group law: each block of at most
+``BLOCK_ROWS`` rows, coordinate-first, takes its product (for a distance)
+and then its norm, layer by layer, and only the ``(...)`` norms are written.
+Results are bit-identical to ``phi`` of the stacked ``np.linalg.norm``
+magnitudes of the whole product, the oracle in ``tests/oracles/metrics.py``.
 """
 from __future__ import annotations
 
@@ -14,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from .algebra import GradedGroup, Subspace, load_group
+from .algebra import GradedGroup, Subspace, _blocked, load_group
 from .errors import BadDimensions, CalibrationFailed, EmptySection
 from .exprparse import is_monotone_safe, parse_expression
 from .mc import stream
@@ -27,7 +35,8 @@ TRIANGLE_SLACK = 1e-12
 class HomogeneousDistance:
     """Homogeneous norm/distance on a graded group.
 
-    ``phi`` maps an (..., iota) array of layer magnitudes to norms.
+    ``phi`` maps layer-first magnitudes, an ``(iota, ...)`` array, to norms
+    ``(...)``.
     ``convex_ball``: True/False when known, None when undetermined.
     """
 
@@ -44,20 +53,41 @@ class HomogeneousDistance:
         n-vertically symmetric for every n."""
         return self.multiradial
 
-    def layer_magnitudes(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        mags = [
-            np.linalg.norm(x[..., self.group.layer_slice(j)], axis=-1)
-            for j in range(1, self.group.step + 1)
-        ]
-        return np.stack(mags, axis=-1)
+    def _norm_rows(self, rows: np.ndarray, point: bool = False) -> np.ndarray:
+        """Norms of coordinate-first points ``(q, rows, ...)``: ``phi`` of
+        their layer-first magnitudes ``(iota, rows, ...)``.  A single
+        ``point`` hands ``phi`` its magnitudes as ``(iota,)``, as a single
+        point always has: a kind that reads numpy scalars or 0-d arrays off
+        them rounds its powers as before.
+
+        Each magnitude is the square root of the sum of its layer's squared
+        coordinates, added in the order of ``np.linalg.norm(..., axis=-1)``:
+        in sequence below 8 entries, pairwise (``np.add.reduce`` over each
+        point's contiguous squares) from 8 on.
+        """
+        mags = np.empty((self.group.step,) + rows.shape[1:])
+        for j, layer in enumerate(self.group.layer_slices):
+            squares = rows[layer] * rows[layer]
+            if len(squares) < 8:
+                total = squares[0]
+                for square in squares[1:]:
+                    total = total + square
+            else:
+                total = np.add.reduce(np.ascontiguousarray(np.moveaxis(squares, 0, -1)), axis=-1)
+            np.sqrt(total, out=mags[j])
+        return self.phi(mags[:, 0] if point else mags)
 
     def norm(self, x) -> np.ndarray:
-        return self.phi(self.layer_magnitudes(x))
+        """Norms of points ``(..., q)``, evaluated in blocks."""
+        x = np.asarray(x, dtype=float)
+        self.group._check_dim(x)
+        return _blocked(lambda rows: self._norm_rows(rows, x.ndim == 1), (x,), reduce=True)
 
     def distance(self, x, y) -> np.ndarray:
         """d(x, y) = ||x^-1 . y||; left invariant by construction.
 
+        Each block of rows takes its product and its norm in turn, so
+        neither the ``(..., q)`` product nor its magnitudes are ever built.
         At the identity centre (every entry of x zero) and finite y the
         product is skipped: 0^-1 . y equals y up to the signs of zeros, which
         no norm sees.  A non-finite y takes the product, where 0 * inf
@@ -66,11 +96,17 @@ class HomogeneousDistance:
         g = self.group
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
+        g._check_dim(x)
+        g._check_dim(y)
+        point = x.ndim == y.ndim == 1
         if not np.any(x) and np.all(np.isfinite(y)):
-            g._check_dim(x)
-            g._check_dim(y)
-            return self.norm(np.broadcast_to(y, np.broadcast_shapes(x.shape, y.shape)))
-        return self.norm(g.product(g.inverse(x), y))
+            y = np.broadcast_to(y, np.broadcast_shapes(x.shape, y.shape))
+            return _blocked(lambda rows: self._norm_rows(rows, point), (y,), reduce=True)
+
+        def kernel(xb, yb):
+            return self._norm_rows(g._product_rows(xb, yb), point)
+
+        return _blocked(kernel, (g.inverse(x), y), reduce=True)
 
     def ball_contains(self, center, x, radius: float = 1.0) -> np.ndarray:
         return self.distance(center, x) <= radius * (1.0 + 1e-14)
@@ -98,7 +134,18 @@ def box_distance(group: GradedGroup, epsilons) -> HomogeneousDistance:
     powers = 1.0 / np.arange(1, group.step + 1)
 
     def phi(mags: np.ndarray) -> np.ndarray:
-        return np.max(eps * mags**powers, axis=-1)
+        # A maximum across the layers, exact in any order.  The power of
+        # layer 1 is 1.0, which is exact; the others take a full-length
+        # exponent, as the elementwise mags ** powers does.  Like np.max over
+        # the layers, a nan in layer 1 gives the canonical nan.
+        flat = mags.reshape(len(mags), -1)
+        out = eps[0] * flat[0]
+        if len(flat) > 1:
+            first_nan = np.isnan(out)
+            for e, p, m in zip(eps[1:], powers[1:], flat[1:]):
+                np.maximum(out, e * np.power(m, np.full(m.shape, p)), out=out)
+            out[first_nan] = np.nan
+        return out.reshape(mags.shape[1:])[()]
 
     return HomogeneousDistance(
         group=group, kind="box", params=tuple(float(e) for e in eps), phi=phi, convex_ball=True
@@ -115,7 +162,7 @@ def euclidean_ball_distance(group: GradedGroup, radius: float) -> HomogeneousDis
     js = np.arange(1, iota + 1, dtype=float)
 
     def phi(mags: np.ndarray) -> np.ndarray:
-        mags = np.asarray(mags, dtype=float)
+        mags = np.moveaxis(np.asarray(mags, dtype=float), 0, -1)
         flat = mags.reshape(-1, iota)
         out = np.zeros(flat.shape[0])
         active = np.any(flat > 0, axis=1)
@@ -149,7 +196,9 @@ def cygan_koranyi_distance(group: GradedGroup) -> HomogeneousDistance:
     c = 16.0 / s2
 
     def phi(mags: np.ndarray) -> np.ndarray:
-        return (mags[..., 0] ** 4 + c * mags[..., 1] ** 2) ** 0.25
+        # [0, ...] keeps a 0-d array for one point, whose ** 4 rounds like
+        # the array power; a numpy scalar's ** would round differently
+        return (mags[0, ...] ** 4 + c * mags[1, ...] ** 2) ** 0.25
 
     return HomogeneousDistance(
         group=group, kind="cygan_koranyi", params=(c,), phi=phi, convex_ball=True
@@ -201,11 +250,11 @@ def multiradial_distance(group: GradedGroup, phi_expr: str) -> HomogeneousDistan
         )
 
     def phi(mags: np.ndarray) -> np.ndarray:
-        return node.eval(np.asarray(mags, dtype=float))
+        return node.eval(np.moveaxis(np.asarray(mags, dtype=float), 0, -1))
 
     rng = stream(0, f"phi-check:{phi_expr}")
-    t = rng.random((64, group.step)) * 2.0
-    js = np.arange(1, group.step + 1, dtype=float)
+    t = (rng.random((64, group.step)) * 2.0).T
+    js = np.arange(1, group.step + 1, dtype=float)[:, None]
     for r in (0.25, 0.5, 2.0, 3.0):
         lhs = phi(t * r**js)
         rhs = r * phi(t)

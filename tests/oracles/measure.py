@@ -1,7 +1,10 @@
 """Test oracles for ``nilgeom.measure``.
 
 The projected-wedge route to the hypersurface density cross-checks
-``hypersurface_density`` (the unit-normal route).  The draw-per-call section
+``hypersurface_density`` (the unit-normal route).  The full-scan cover
+measures every probe's spacing over the whole cloud; ``covering_estimate``
+stops scanning a probe once it is close enough and must give the same
+estimate or the same error.  The draw-per-call section
 area, concavity and translation loops redraw every block for every volume
 and take the group product at every centre; the production estimators share
 each block and skip the identity product, and must agree with them bit for
@@ -11,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from nilgeom.errors import DegenerateTangent, EmptySection
+from nilgeom.errors import CloudTooSparse, DegenerateTangent, EmptySection
 from nilgeom.mc import Estimate, blocks, hit_fraction_estimate, stream, uniform_ball, uniform_box
 from nilgeom.measure import (
     ConcavityReport,
@@ -63,7 +66,7 @@ def section_area_per_call(dist, space, u, samples=200_000, seed=0, tag="section"
         lambda pts: dist.norm(g.product(g.inverse(u), pts)) <= 1.0 + 1e-14,
         samples,
         seed,
-        f"{tag}:{np.round(u, 12).tobytes().hex()}",
+        f"{tag}:{(np.round(u, 12) + 0.0).tobytes().hex()}",
     )
     return hit_fraction_estimate(
         hits, samples, unit_ball_volume(n, radius), seed, "mc-section", {"radius": radius}
@@ -161,3 +164,31 @@ def translation_per_call(group, nspace, p, box=None, samples=100_000, seed=0) ->
     after = mc_volume(image_box, in_image)
     passed = abs(before.value - after.value) <= 3.0 * float(np.hypot(before.stderr, after.stderr)) + 1e-12
     return TranslationReport(volume_before=before, volume_after=after, passed=passed)
+
+
+def covering_full_scan(chart, dist, region, exponent, delta, cloud_size=4000, seed=0) -> Estimate:
+    """``covering_estimate`` with every probe scanned over the whole cloud."""
+    region = np.asarray(region, dtype=float)
+    rng = stream(seed, "cover-cloud")
+    cloud = chart.value(uniform_box(rng, region, cloud_size))
+    probe = cloud[rng.choice(cloud_size, size=min(256, cloud_size), replace=False)]
+    nn = np.full(len(probe), np.inf)
+    for lo in range(0, cloud_size, 1 << 12):
+        d = np.asarray(dist.distance(probe[:, None, :], cloud[None, lo : lo + (1 << 12), :]))
+        d[d == 0.0] = np.inf
+        nn = np.minimum(nn, d.min(axis=1))
+    if float(np.max(nn)) > delta / 4.0:
+        raise CloudTooSparse(f"cloud spacing {float(np.max(nn)):.3g} exceeds delta/4 = {delta / 4:.3g}")
+    radius = delta / 2.0
+    dist_to_centers = np.asarray(dist.distance(cloud[0], cloud))
+    count = 1
+    while True:
+        idx = int(np.argmax(dist_to_centers))
+        if dist_to_centers[idx] <= radius:
+            break
+        count += 1
+        dist_to_centers = np.minimum(dist_to_centers, np.asarray(dist.distance(cloud[idx], cloud)))
+    return Estimate(
+        count * radius**exponent, 0.0, cloud_size, seed, "greedy-cover",
+        {"delta": delta, "balls": count, "upper_proxy": True},
+    )

@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 
 from nilgeom.algebra import Subspace, abelian, free2, heisenberg
-from nilgeom.errors import DegenerateTangent, LevelSetNotGraph, NotVertical, RadiusTooSmall
+from nilgeom.errors import (
+    CloudTooSparse,
+    DegenerateTangent,
+    LevelSetNotGraph,
+    NotVertical,
+    RadiusTooSmall,
+)
 from nilgeom.manifold import TransformedChart, parse_parametrization
 from nilgeom.measure import (
     ConvexBody,
@@ -26,6 +32,7 @@ from nilgeom.mc import stream
 from nilgeom.policy import NumericPolicy
 from oracles.measure import (
     concavity_per_call,
+    covering_full_scan,
     hypersurface_density_multivector,
     section_area_per_call,
     translation_per_call,
@@ -193,6 +200,29 @@ def test_covering_plane_patch_stability_band():
     assert 1.0 <= verdict.detail["ratio_to_mu_over_beta"] <= 4.0
 
 
+@pytest.mark.parametrize(
+    "expr, n, region, delta",
+    [
+        ("0; 0; y1", 1, [[-1, 1]], 0.2),  # passes
+        ("y1; 0; y2", 2, [[0, 1], [0, 1]], 0.4),  # passes
+        ("y1; 0; y2", 2, [[0, 1], [0, 1]], 0.2),  # too sparse
+        ("y1; y2; y1*y2", 2, [[0, 1], [0, 1]], 0.2),  # too sparse
+    ],
+)
+def test_covering_probe_early_exit_matches_full_scan(expr, n, region, delta):
+    # 9,000 points span three 4,096-row chunks of the spacing scan
+    chart = parse_parametrization(expr, n, region, H1)
+    args = (chart, BOX, region, 1.0, delta)
+    try:
+        want = covering_full_scan(*args, cloud_size=9000, seed=3)
+    except CloudTooSparse as err:
+        with pytest.raises(CloudTooSparse) as got:
+            covering_estimate(*args, cloud_size=9000, seed=3)
+        assert str(got.value) == str(err)
+    else:
+        assert covering_estimate(*args, cloud_size=9000, seed=3) == want
+
+
 def test_covering_empty_region_is_zero_balls():
     seg = parse_parametrization("y1; 0; 0", 1, [[0, 1e-9]], H1)
     est = covering_estimate(seg, BOX, [[0, 1e-9]], exponent=1.0, delta=0.5, cloud_size=64, seed=7)
@@ -275,8 +305,6 @@ def test_beta_constancy_euclidean_planes_give_omega_n():
 
 
 def test_covering_rejects_sparse_cloud():
-    from nilgeom.errors import CloudTooSparse
-
     plane = parse_parametrization("y1; 0; y2", 2, [[0, 1], [0, 1]], H1)
     with pytest.raises(CloudTooSparse):
         covering_estimate(plane, BOX, [[0, 1], [0, 1]], exponent=3.0, delta=0.05,
@@ -398,6 +426,13 @@ def _dumbbell(pts):
     return (np.linalg.norm(pts - [0.0, 0.0, 0.7], axis=-1) <= 0.5) | (
         np.linalg.norm(pts + [0.0, 0.0, 0.7], axis=-1) <= 0.5
     )
+
+
+@pytest.mark.parametrize("space", [VERTICAL, CENTRE_LINE])
+def test_section_area_same_at_plus_and_minus_zero(space):
+    plus = section_area(BOX, space, np.zeros(3), samples=20_000, seed=1)
+    minus = section_area(BOX, space, -np.zeros(3), samples=20_000, seed=1)
+    assert plus == minus
 
 
 @pytest.mark.parametrize("samples", MULTI_BLOCK)

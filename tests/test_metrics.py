@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from nilgeom.algebra import Subspace, abelian, catalog_group, engel, h_type, heisenberg
+from nilgeom.algebra import BLOCK_ROWS, Subspace, abelian, catalog_group, engel, h_type, heisenberg, load_group
 from nilgeom.errors import BadDimensions, EmptySection
 from nilgeom.metrics import (
     ball_bounding_radius,
@@ -17,6 +17,7 @@ from nilgeom.metrics import (
     verify_distance_axioms,
 )
 from nilgeom.mc import stream
+from oracles import metrics as oracle
 
 
 def test_distance_of_point_to_itself_vanishes():
@@ -239,3 +240,92 @@ def test_identity_centre_is_bitwise_the_product(data):
         d.distance(centre, np.zeros(q + 1))
     with pytest.raises(BadDimensions):
         d.distance(np.zeros(q + 1), y)
+
+
+# ---------------------------------------------------------------------------
+# the fused distance kernel against the product-then-norm oracle
+# ---------------------------------------------------------------------------
+
+FILIFORM6 = {
+    "name": "filiform6",
+    "layers": [2, 1, 1, 1, 1, 1],
+    "brackets": [[1, k, k + 1, 1.0] for k in range(2, 7)],
+}
+
+
+def _kernel_cases():
+    # heisenberg(5), free2(5) and free2(6) have layers of 8 or more entries,
+    # whose magnitudes np.linalg.norm sums pairwise
+    names = ["abelian(3)", "heisenberg(1)", "heisenberg(2)", "h_type", "engel", "free2(3)", "free2(4)"]
+    groups = [catalog_group(n) for n in names + ["heisenberg(5)", "free2(5)", "free2(6)"]]
+    groups.append(load_group(FILIFORM6))
+    cases = []
+    for g in groups:
+        cases.append(box_distance(g, [1.0, 0.7, 0.5, 0.4, 0.3, 0.2][: g.step]))
+        cases.append(multiradial_distance(g, " + ".join(f"t{j}^{1.0 / j!r}" for j in range(1, g.step + 1))))
+        cases.append(euclidean_ball_distance(g, 0.5))
+        try:
+            cases.append(cygan_koranyi_distance(g))
+        except BadDimensions:
+            pass  # not a step-2 H-type group
+    return cases
+
+
+KERNEL_CASES = _kernel_cases()
+
+
+def _points(data, rng, q):
+    """A pair of point arrays in one of four layouts, with entries of
+    several scales and some -0, +-inf and nan entries."""
+    layout = data.draw(st.sampled_from(["point", "two-blocks", "outer", "empty"]), label="layout")
+    if layout == "point":
+        shapes = (q,), (q,)
+    elif layout == "two-blocks":
+        rows = BLOCK_ROWS + data.draw(st.integers(1, BLOCK_ROWS), label="rows")
+        shapes = (rows, q), (rows, q)
+    elif layout == "outer":
+        k, m = data.draw(st.integers(1, 5), label="k"), data.draw(st.integers(1, 700), label="m")
+        shapes = (k, 1, q), (1, m, q)
+    else:
+        shapes = (0, q), (0, q)
+    x, y = (rng.uniform(-2.0, 2.0, s) * 10.0 ** rng.integers(-3, 3, s[:-1] + (1,)) for s in shapes)
+    if data.draw(st.booleans(), label="identity centre"):
+        x = np.zeros(shapes[0]) * data.draw(st.sampled_from([1.0, -1.0]), label="zero sign")
+    specials = st.tuples(
+        st.booleans(), st.integers(0, 1 << 20), st.integers(0, q - 1),
+        st.sampled_from([-0.0, np.inf, -np.inf, np.nan]),
+    )
+    for in_x, row, col, value in data.draw(st.lists(specials, max_size=4), label="specials"):
+        flat = (x if in_x else y).reshape(-1, q)
+        if len(flat):
+            flat[row % len(flat), col] = value
+    return x, y
+
+
+def _same(got, want) -> bool:
+    got, want = np.asarray(got), np.asarray(want)
+    return got.shape == want.shape and got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=250)
+@given(data=st.data())
+def test_fused_kernel_is_bitwise_the_product_then_norm_oracle(data):
+    d = data.draw(st.sampled_from(KERNEL_CASES), label="distance")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    x, y = _points(data, rng, d.group.q)
+    with np.errstate(all="ignore"):
+        assert _same(d.distance(x, y), oracle.distance(d, x, y))
+        assert _same(d.ball_contains(x, y), oracle.ball_contains(d, x, y))
+        for pts in (x, y):
+            assert _same(d.norm(pts), oracle.norm(d, pts))
+            assert _same(d.unit_normalize(pts), oracle.unit_normalize(d, pts))
+
+
+@pytest.mark.parametrize("d", KERNEL_CASES, ids=lambda d: f"{d.group.name}-{d.kind}")
+def test_single_points_are_bitwise_the_oracle(d):
+    # a single point evaluates phi on (iota,) magnitudes, where powers of
+    # numpy scalars and of arrays round differently in a few percent of cases
+    rng = stream(6, f"single:{d.group.name}:{d.kind}")
+    for x, y in rng.uniform(-2.0, 2.0, (60, 2, d.group.q)):
+        assert _same(d.distance(x, y), oracle.distance(d, x, y))
+        assert _same(d.norm(y), oracle.norm(d, y))

@@ -190,10 +190,7 @@ def task_catalog(ctx: RunContext, opts: dict):
 
 
 def task_analyze_point(ctx: RunContext, opts: dict):
-    y = opts.get("y")
-    if y is None:
-        raise ConfigError("analyze-point needs opts.y")
-    a = classify_point(ctx.chart, np.asarray(y, dtype=float), ctx.policy)
+    a = classify_point(ctx.chart, np.asarray(opts["y"], dtype=float), ctx.policy)
     record = {
         "y": [float(v) for v in a.y],
         "p": [float(v) for v in a.p],
@@ -230,10 +227,7 @@ def task_degree_map(ctx: RunContext, opts: dict):
 
 
 def task_spherical_factor(ctx: RunContext, opts: dict):
-    basis = opts.get("subspace")
-    if basis is None:
-        raise ConfigError("spherical-factor needs opts.subspace (basis rows)")
-    space = _subspace(ctx, np.asarray(basis, dtype=float).T)
+    space = _subspace(ctx, np.asarray(opts["subspace"], dtype=float).T)
     est = spherical_factor(
         ctx.distance, space, samples=ctx.task_samples(opts, 200_000), seed=ctx.seed
     )
@@ -241,13 +235,10 @@ def task_spherical_factor(ctx: RunContext, opts: dict):
 
 
 def task_federer_density(ctx: RunContext, opts: dict):
-    y0 = opts.get("y0")
-    if y0 is None:
-        raise ConfigError("federer-density needs opts.y0")
     est, trace = federer_density(
         ctx.chart,
         ctx.distance,
-        np.asarray(y0, dtype=float),
+        np.asarray(opts["y0"], dtype=float),
         radii=opts.get("radii"),
         centers_per_radius=int(opts.get("centers_per_radius", 8)),
         samples=ctx.task_samples(opts, 40_000),
@@ -290,7 +281,7 @@ def task_coarea_check(ctx: RunContext, opts: dict):
 
 
 def task_blowup_check(ctx: RunContext, opts: dict):
-    y0 = np.asarray(opts.get("y0"), dtype=float)
+    y0 = np.asarray(opts["y0"], dtype=float)
     ray = np.asarray(opts.get("ray", np.ones(ctx.chart.n)), dtype=float)
     report = blowup_rates(ctx.chart, y0, ray, scales=opts.get("scales"), policy=ctx.policy)
     record = {
@@ -463,6 +454,42 @@ TASKS = {
 }
 
 
+# opts a task cannot run without, and opts that must be (positive) numbers
+_REQUIRED_OPTS = {
+    "analyze-point": ("y",),
+    "spherical-factor": ("subspace",),
+    "federer-density": ("y0",),
+    "coarea-check": ("domain",),
+    "blowup-check": ("y0",),
+    "concavity-check": ("subspace",),
+    "translation-check": ("subspace",),
+    "beta-constancy": ("family",),
+    "covering-estimate": ("exponent", "delta"),
+}
+_NUMBER_OPTS = {"covering-estimate": ("exponent",)}
+_POSITIVE_OPTS = {"covering-estimate": ("delta",), "area-check": ("covering_delta",)}
+_QUADRATURES = ("tensor", "mc")
+
+
+def _opts_problem(name: str, opts: dict) -> str | None:
+    """Why a task cannot run on its merged opts, or None."""
+    missing = [key for key in _REQUIRED_OPTS.get(name, ()) if opts.get(key) is None]
+    if missing:
+        return f"{name} needs " + ", ".join(f"opts.{key}" for key in missing)
+    for keys, positive in ((_NUMBER_OPTS, False), (_POSITIVE_OPTS, True)):
+        for key in keys.get(name, ()):
+            value = opts.get(key)
+            if value is None:
+                continue
+            if isinstance(value, bool) or not isinstance(value, (int, float)) or not np.isfinite(value):
+                return f"{name}: opts.{key} must be a finite number, got {value!r}"
+            if positive and value <= 0:
+                return f"{name}: opts.{key} must be positive, got {value!r}"
+    if name == "intrinsic-measure" and opts.get("quadrature", "tensor") not in _QUADRATURES:
+        return f"intrinsic-measure: unknown quadrature {opts['quadrature']!r}, expected one of {list(_QUADRATURES)}"
+    return None
+
+
 # ---------------------------------------------------------------------------
 # Runner
 # ---------------------------------------------------------------------------
@@ -513,16 +540,21 @@ def run(
         if not tasks:
             tasks = [{"task": only_task, "opts": cli_opts or {}}]
 
+    # every task's opts (the file's, then the command line's) are checked
+    # before any task runs
+    jobs = []
+    for task in tasks:
+        opts = {**task.get("opts", {}), **(cli_opts or {})}
+        jobs.append((task["task"], opts, _opts_problem(task["task"], opts)))
+
     records = []
     timings = {}
     overall_ok = True
-    for index, task in enumerate(tasks):
-        name = task["task"]
-        opts = dict(task.get("opts", {}))
-        if cli_opts:
-            opts.update(cli_opts)
+    for index, (name, opts, problem) in enumerate(jobs):
         started = time.monotonic()
         try:
+            if problem is not None:
+                raise ConfigError(problem)
             record, ok = TASKS[name](ctx, opts)
             status = "pass" if ok else "fail"
         except Exception as err:

@@ -13,11 +13,12 @@ the Riemannian volume the Lebesgue measure.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from math import gamma, pi
+from itertools import accumulate
+from math import floor, gamma, nextafter, pi, sqrt
 
 import numpy as np
 
-from .algebra import GradedGroup, Subspace, classify_subspace
+from .algebra import X, Y, GradedGroup, Subspace, bch_plan, classify_subspace
 from .errors import (
     BoundaryTooClose,
     CloudTooSparse,
@@ -234,6 +235,8 @@ def intrinsic_measure(
     at half resolution, reporting the Richardson-extrapolated value with the
     extrapolation delta in ``meta``; "mc" integrates by uniform sampling.
     """
+    if quadrature not in ("tensor", "mc"):
+        raise ValueError(f"unknown quadrature kind {quadrature!r}")
     region = np.asarray(region if region is not None else chart.domain, dtype=float)
     n = chart.n
     target = degree
@@ -263,9 +266,6 @@ def intrinsic_measure(
             "mc",
             {"degree": target},
         )
-
-    if quadrature != "tensor":
-        raise ValueError(f"unknown quadrature kind {quadrature!r}")
 
     def midpoint(res: int) -> float:
         ys = cell_centers(region, [res] * n)
@@ -459,44 +459,69 @@ def covering_estimate(
 
     This is an upper proxy for the Caratheodory premeasure (a greedy net is
     not the infimum); used for consistency bands only.
+
+    The loop is Gonzalez's farthest-point clustering: the next centre is the
+    point farthest from every centre so far (``argmax``, lowest index on
+    ties), until that distance is at most delta/2.  A new centre c at
+    distance D can only lower the points x with ``d(c, x) < D``, and each of
+    those lies in a coordinate box around c: with ``z = c^-1 . x``, the
+    magnitudes are ``|z_j| <= rho_j D^j`` (``dist.layer_radii``), and the
+    BCH series ``x - c = z + sum_w coeff_w [w(c, z)]`` bounds layer j of
+    ``x - c`` by ``r_j = rho_j D^j + sum_w |coeff_w| L^(len w - 1)
+    C^#X Y^#Y`` (see ``_coordinate_reach``).  The cloud is indexed once
+    (``_CoverIndex``), and each centre evaluates the distance only on the
+    points of its box, so the centres, the ball count and every nearest
+    centre distance are bit for bit those of the full scan
+    (``tests/oracles/measure.py::covering_full_scan``).
+
+    The spacing check asks of 256 probe points that each have a neighbour
+    within delta/4; a probe closes as soon as a point of its box at
+    D = delta/4 lies in (0, delta/4].  Only the probes still open are
+    scanned over the whole cloud, so the spacing reported by
+    ``CloudTooSparse`` is the exact nearest-neighbour distance.
     """
-    if delta <= 0:
+    if not delta > 0:
         raise ValueError("delta must be positive")
     region = np.asarray(region, dtype=float)
     rng = stream(seed, "cover-cloud")
     ys = uniform_box(rng, region, cloud_size)
     cloud = chart.value(ys)
+    radius = delta / 2.0
+    reach = _coordinate_reach(dist, float(np.max(np.linalg.norm(cloud, axis=1))))
+    index = _CoverIndex(cloud, dist.group, float(dist.layer_radii[0]) * radius)
 
-    # resolution check on a subsample: nearest-neighbour spacing vs delta/4.
-    # A probe leaves the scan once a neighbour lies within delta/4, so the
-    # spacing reported on failure is the exact one of a probe still open.
     quarter = delta / 4.0
-    probe = cloud[rng.choice(cloud_size, size=min(256, cloud_size), replace=False)]
-    nn = np.full(len(probe), np.inf)
-    for lo in range(0, cloud_size, 1 << 12):
-        chunk = cloud[lo : lo + (1 << 12)]
-        d = np.asarray(dist.distance(probe[:, None, :], chunk[None, :, :]))
-        d[d == 0.0] = np.inf
-        nn = np.minimum(nn, d.min(axis=1))
-        still_open = ~(nn <= quarter)
-        probe, nn = probe[still_open], nn[still_open]
-        if not len(nn):
-            break
-    if len(nn) and float(np.max(nn)) > quarter:
+    probes = rng.choice(cloud_size, size=min(256, cloud_size), replace=False)
+    boxes = [index.near(cloud[p], reach(quarter, cloud[p])) for p in probes]
+    pairs = np.repeat(probes, [len(pos) for pos in boxes])
+    d = np.asarray(dist.distance(cloud[pairs], index.points[np.concatenate(boxes)]))
+    close = np.zeros(cloud_size, dtype=bool)
+    close[pairs[(d > 0.0) & (d <= quarter)]] = True
+    still_open = probes[~close[probes]]
+    if len(still_open):
+        probe = cloud[still_open]
+        nn = np.full(len(probe), np.inf)
+        for lo in range(0, cloud_size, 1 << 12):
+            d = np.asarray(dist.distance(probe[:, None, :], cloud[None, lo : lo + (1 << 12), :]))
+            d[d == 0.0] = np.inf
+            nn = np.minimum(nn, d.min(axis=1))
         raise CloudTooSparse(
             f"cloud spacing {float(np.max(nn)):.3g} exceeds delta/4 = {quarter:.3g}"
         )
 
-    radius = delta / 2.0
     dist_to_centers = np.asarray(dist.distance(cloud[0], cloud))
     count = 1
     while True:
         idx = int(np.argmax(dist_to_centers))
-        if dist_to_centers[idx] <= radius:
+        farthest = float(dist_to_centers[idx])
+        if farthest <= radius:
             break
         count += 1
-        dist_to_centers = np.minimum(
-            dist_to_centers, np.asarray(dist.distance(cloud[idx], cloud))
+        center = cloud[idx]
+        pos = index.near(center, reach(farthest, center))
+        near = index.order[pos]
+        dist_to_centers[near] = np.minimum(
+            dist_to_centers[near], dist.distance(center, index.points[pos])
         )
     value = count * radius**exponent
     return Estimate(
@@ -507,6 +532,132 @@ def covering_estimate(
         "greedy-cover",
         {"delta": delta, "balls": count, "upper_proxy": True},
     )
+
+
+# Relative allowance for the rounding of a computed norm (a few ulps for
+# every kind) and of the bound's own arithmetic.
+_REACH_SLACK = 1e-9
+
+
+def _coordinate_reach(dist: HomogeneousDistance, scale: float):
+    """``reach(D, c)``: half-widths ``(q,)`` such that every cloud point x
+    whose computed distance from the centre c is below D (or at most D) has
+    ``|x_k - c_k| <= reach[k]`` in floating point, for every coordinate k.
+    ``scale`` bounds the Euclidean norm of every cloud point.
+
+    With ``z = c^-1 . x`` and ``||z|| < D``, layer i of z has magnitude at
+    most ``rho_i D^i`` (``dist.layer_radii``).  ``x = c . z``, so layer j of
+    ``x - c`` is ``z_j`` plus the layer-j part of ``sum_w coeff_w [w(c,
+    z)]`` over the words of ``bch_plan``.  Lagrange's identity gives
+    ``|[u, v]| <= L |u| |v|`` with ``L^2`` the sum of the squared norms of
+    the bracket table's vectors, so a word of length l contributes at most
+    ``|coeff_w| L^(l-1) C^#X Y^#Y``.  By the grading that word reaches only
+    layers j >= l and reads only the layers <= j - l + 1 of its letters: C
+    is the norm of c on those layers and Y the bound on z there.  (The top
+    layer is central and never enters a bracket.)
+
+    Rounding, each part covered by a term of the result:
+
+    - The computed distance is ``phi`` of the computed product ``z~``; the
+      norm of ``z~`` exceeds the computed norm by a few ulps at most (sums
+      of squares, roots and powers of nonnegative numbers, or a bisection
+      converged to the ulp), so D is widened by ``_REACH_SLACK``.
+    - ``z~`` differs from z in each coordinate by at most ``E = gamma_m
+      S`` (Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd
+      ed., sec. 3.1): m bounds the roundings along any one chain of the
+      product's evaluation (``x + y``, two per BCH term, and per bracket
+      level one per table pair plus three), and S is the same BCH sum over
+      absolute values, ``2 scale + sum_w |coeff_w| (sqrt(2) L)^(l-1)
+      scale^l``.  E is an absolute error: at step >= 4 and small D it can
+      exceed any relative allowance of ``rho_j D^j``.  So ``|z_j| <= rho_j
+      D^j + sqrt(h_j) E``.
+    - The box test and the index compute ``x_k - c_k`` and ``c_k +- r``
+      with one rounding each, at most ``u (|x_k| + |c_k| + r)``; E (which
+      holds ``2 u scale``) and a further ``_REACH_SLACK`` of r cover it.
+    """
+    g = dist.group
+    step = g.step
+    rho = dist.layer_radii.tolist()
+    lagrange = float(np.sqrt(sum(float(vec @ vec) for vec in g._table.values())))
+    plan = bch_plan(step)
+    chain = 2 + 2 * len(plan) + (step - 1) * (len(g._table) + 3)
+    unit = 2.0**-53
+    absolute = 2.0 * scale + sum(
+        abs(coeff) * (sqrt(2.0) * lagrange) ** (len(word) - 1) * scale ** len(word)
+        for coeff, word in plan
+    )
+    err = chain * unit / (1.0 - chain * unit) * absolute
+    z_err = [sqrt(h) * err for h in g.layers]
+    # the words by the layer j they reach, the prefix of layers their
+    # letters read and their powers of C and Y (halved: C and Y enter squared)
+    words: dict = {}
+    for coeff, word in plan:
+        for j in range(len(word) - 1, step):
+            key = (j, j - len(word) + 1, word.count(X) / 2.0, word.count(Y) / 2.0)
+            words[key] = words.get(key, 0.0) + abs(coeff) * lagrange ** (len(word) - 1)
+    words = [key + (weight,) for key, weight in words.items()]
+    starts = np.cumsum((0,) + g.layers[:-1])
+    coordinate_layer = g.degrees - 1
+
+    def reach(d: float, center: np.ndarray) -> np.ndarray:
+        d *= 1.0 + _REACH_SLACK
+        z = [r * d ** (j + 1) + e for j, (r, e) in enumerate(zip(rho, z_err))]
+        y_squares = list(accumulate(v * v for v in z))
+        c_squares = np.add.reduceat(center * center, starts).cumsum().tolist()
+        for j, k, half_x, half_y, weight in words:
+            z[j] += weight * c_squares[k] ** half_x * y_squares[k] ** half_y
+        return (np.array(z) * (1.0 + _REACH_SLACK) + err)[coordinate_layer]
+
+    return reach
+
+
+class _CoverIndex:
+    """A cover's cloud sorted for box queries.
+
+    Points fall into cells of the given width along the first-layer
+    coordinate ``a`` of largest spread, and inside each cell they are
+    sorted by the top-layer coordinate ``b`` of largest spread.  A query
+    reads the run of each cell that its box overlaps in ``b`` and keeps the
+    points inside the box in every other coordinate.  Cells and runs are
+    found with rounded arithmetic that is monotone in the coordinate, so no
+    point of the box is missed.  ``points`` views the sorted cloud, stored
+    coordinate-first, row by row; ``order`` maps it back to the cloud.
+    """
+
+    def __init__(self, cloud: np.ndarray, group: GradedGroup, width: float):
+        first, top = group.layer_slices[0], group.layer_slices[-1]
+        spread = np.ptp(cloud, axis=0)
+        self.a = first.start + int(np.argmax(spread[first]))
+        self.b = top.start + int(np.argmax(spread[top]))
+        self.others = [k for k in range(group.q) if k != self.b]
+        self.origin, self.width = float(np.min(cloud[:, self.a])), width
+        cells = self._cell(cloud[:, self.a])
+        self.order = np.lexsort((cloud[:, self.b], cells))
+        self.columns = np.ascontiguousarray(cloud[self.order].T)
+        self.points = self.columns.T
+        self.cells, starts = np.unique(cells[self.order], return_index=True)
+        self.bounds = np.append(starts, len(cloud))
+
+    def _cell(self, values):
+        return np.floor((values - self.origin) / self.width)
+
+    def near(self, center: np.ndarray, reach: np.ndarray) -> np.ndarray:
+        """Positions in ``points`` of the points x with ``|x_k - center_k|
+        <= reach[k]`` for every k, in increasing order."""
+        a, b, columns = self.a, self.b, self.columns
+        # the float64 arithmetic of _cell, on the ends of the box
+        first = self.cells.searchsorted(floor((center[a] - reach[a] - self.origin) / self.width))
+        last = self.cells.searchsorted(floor((center[a] + reach[a] - self.origin) / self.width) + 1)
+        # [lo, the float above hi) is the closed key range [lo, hi]
+        keys = (center[b] - reach[b], nextafter(center[b] + reach[b], np.inf))
+        runs = []
+        for start, stop in zip(self.bounds[first:last].tolist(), self.bounds[first + 1 : last + 1].tolist()):
+            lo, hi = start + columns[b, start:stop].searchsorted(keys)
+            inside = np.ones(hi - lo, dtype=bool)
+            for k in self.others:
+                inside &= np.abs(columns[k, lo:hi] - center[k]) <= reach[k]
+            runs.append(lo + np.flatnonzero(inside))
+        return np.concatenate(runs) if len(runs) != 1 else runs[0]
 
 
 # ---------------------------------------------------------------------------
@@ -573,6 +724,8 @@ def area_check(
     """Assemble mu, beta and theta and check the density identity
     theta = beta * (density factor); the factor is 1 for the intrinsic
     measure itself and is recorded explicitly in each verdict."""
+    if covering_delta is not None and not covering_delta > 0:
+        raise ValueError("covering_delta must be positive")
     region = np.asarray(region if region is not None else chart.domain, dtype=float)
     mu = intrinsic_measure(chart, region, seed=seed, policy=policy)
     verdicts: list[Verdict] = []

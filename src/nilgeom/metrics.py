@@ -18,6 +18,7 @@ magnitudes of the whole product, the oracle in ``tests/oracles/metrics.py``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -52,6 +53,22 @@ class HomogeneousDistance:
         """Declared metadata, never inferred: multiradial distances are
         n-vertically symmetric for every n."""
         return self.multiradial
+
+    @cached_property
+    def layer_radii(self) -> np.ndarray:
+        """``rho_j = phi(e_j)^(-j)`` per layer j, with ``e_j`` the unit
+        magnitude of layer j alone: every z with ``||z|| <= D`` has layer
+        magnitudes ``|z_j| <= rho_j D^j``.
+
+        Every kind's ``phi`` is monotone in each magnitude and 1-homogeneous
+        under the dilations (box, Cygan-Koranyi and euclidean-ball by
+        construction, multiradial by its monotone-safe grammar and the
+        homogeneity check), so ``||z|| >= phi(|z_j| e_j) = |z_j|^(1/j)
+        phi(e_j)``.  ``covering_estimate`` bounds its candidate points with
+        these radii.
+        """
+        iota = self.group.step
+        return np.asarray(self.phi(np.eye(iota)), dtype=float) ** -np.arange(1.0, iota + 1)
 
     def _norm_rows(self, rows: np.ndarray, point: bool = False) -> np.ndarray:
         """Norms of coordinate-first points ``(q, rows, ...)``: ``phi`` of

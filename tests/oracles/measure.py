@@ -2,9 +2,10 @@
 
 The projected-wedge route to the hypersurface density cross-checks
 ``hypersurface_density`` (the unit-normal route).  The full-scan cover
-measures every probe's spacing over the whole cloud; ``covering_estimate``
-stops scanning a probe once it is close enough and must give the same
-estimate or the same error.  The draw-per-call section
+measures every probe's spacing and every new centre's distances over the
+whole cloud; ``covering_estimate`` evaluates only the points of each
+probe's and centre's candidate box and must give the same estimate or the
+same error.  The draw-per-call section
 area, concavity and translation loops redraw every block for every volume
 and take the group product at every centre; the production estimators share
 each block and skip the identity product, and must agree with them bit for

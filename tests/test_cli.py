@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from nilgeom import cli
 from nilgeom.cli import load_config, main, run, task_catalog
 from nilgeom.errors import ConfigError
 
@@ -137,6 +138,52 @@ def test_unexpected_task_error_is_recorded(tmp_path, bad_task):
     assert set(bad["result"]) == {"error", "message"}
     assert good["status"] == "pass"
     assert status == 1
+
+
+@pytest.mark.parametrize(
+    "bad_task",
+    [
+        {"task": "coarea-check", "opts": {"g": "0"}},
+        {"task": "covering-estimate", "opts": {"delta": 0.2}},
+        {"task": "covering-estimate", "opts": {"exponent": 3}},
+        {"task": "covering-estimate", "opts": {"exponent": 3, "delta": 0}},
+        {"task": "covering-estimate", "opts": {"exponent": 3, "delta": -0.5}},
+        {"task": "covering-estimate", "opts": {"exponent": "three", "delta": 0.2}},
+        {"task": "intrinsic-measure", "opts": {"quadrature": "simpson"}},
+        {"task": "area-check", "opts": {"probes": [[0.1, -0.2]], "covering_delta": 0}},
+        {"task": "blowup-check", "opts": {}},
+    ],
+    ids=[
+        "coarea-no-domain", "covering-no-exponent", "covering-no-delta", "covering-delta-zero",
+        "covering-delta-negative", "covering-exponent-text", "unknown-quadrature",
+        "area-covering-delta-zero", "blowup-no-y0",
+    ],
+)
+def test_bad_opts_are_config_errors_before_any_work(tmp_path, capsys, monkeypatch, bad_task):
+    # the opts are checked before the run starts: no task function is called
+    # for the bad task, the good ones still run, and nothing goes to stderr
+    called = []
+    for name in ("coarea-check", "covering-estimate", "intrinsic-measure", "area-check", "blowup-check"):
+        monkeypatch.setitem(cli.TASKS, name, lambda ctx, opts, name=name: called.append(name))
+    cfg = {**BASE, "tasks": [{"task": "validate-group"}, bad_task, {"task": "validate-group"}]}
+    status = run(write_config(tmp_path, cfg), out_dir=tmp_path / "out", quiet=True)
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    first, bad, last = report["tasks"]
+    assert bad["status"] == "error"
+    assert bad["result"]["error"] == "ConfigError"
+    assert first["status"] == last["status"] == "pass"
+    assert called == [] and status == 1
+    assert capsys.readouterr().err == ""
+
+
+def test_cli_opts_are_merged_before_the_check(tmp_path):
+    cfg = {**BASE, "tasks": [{"task": "analyze-point", "opts": {}}]}
+    path = write_config(tmp_path, cfg)
+    assert main(["analyze-point", "--config", str(path), "--out", str(tmp_path / "a"), "--quiet"]) == 1
+    report = json.loads((tmp_path / "a" / "report.json").read_text())
+    assert report["tasks"][0]["result"]["error"] == "ConfigError"
+    argv = ["analyze-point", "--config", str(path), "--out", str(tmp_path / "b"), "--quiet", "--y", "0.1", "-0.2"]
+    assert main(argv) == 0
 
 
 def test_readme_demo_config_runs(tmp_path):

@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from nilgeom.algebra import Subspace, abelian, free2, heisenberg
+from nilgeom import measure
+from nilgeom.algebra import Subspace, abelian, engel, free2, h_type, heisenberg, load_group
 from nilgeom.errors import (
+    BadDimensions,
     CloudTooSparse,
     DegenerateTangent,
     LevelSetNotGraph,
@@ -27,7 +31,12 @@ from nilgeom.measure import (
     spherical_factor,
     vertical_translation_check,
 )
-from nilgeom.metrics import box_distance, multiradial_distance
+from nilgeom.metrics import (
+    box_distance,
+    cygan_koranyi_distance,
+    euclidean_ball_distance,
+    multiradial_distance,
+)
 from nilgeom.mc import stream
 from nilgeom.policy import NumericPolicy
 from oracles.measure import (
@@ -119,6 +128,49 @@ def test_intrinsic_measure_mc_agrees_with_tensor():
     assert abs(mc.value - 1.0) <= 3 * max(mc.stderr, 1e-12)
 
 
+MEASURE_CHARTS = [
+    ("y1; 0; y2", 2, heisenberg(1)),
+    ("y1; y2; y1^2 + y2^2", 2, heisenberg(1)),
+    ("y1; y1^2; y2; y1*y2", 2, engel()),
+    ("y1; y1^2; y1^3; 0.5*y1^2", 1, engel()),
+    ("y1; y2; 0; 0; y1*y2", 2, heisenberg(2)),
+]
+
+
+@settings(max_examples=25)
+@given(data=st.data())
+def test_intrinsic_measure_left_translation_and_dilation(data):
+    # mu(p . Sigma) = mu(Sigma) and mu(delta_r Sigma) = r^N mu(Sigma)
+    exprs, n, group = data.draw(st.sampled_from(MEASURE_CHARTS), label="chart")
+    chart = parse_parametrization(exprs, n, [[-0.5, 1.0]] * n, group)
+    p = data.draw(st.lists(st.floats(-2.0, 2.0), min_size=group.q, max_size=group.q), label="p")
+    r = data.draw(st.floats(0.25, 4.0), label="r")
+    resolution = 12 if n == 2 else 64
+    base = intrinsic_measure(chart, resolution=resolution)
+    translated = intrinsic_measure(TransformedChart(chart, translate=p), resolution=resolution)
+    dilated = intrinsic_measure(TransformedChart(chart, dilate=r), resolution=resolution)
+    degree = base.meta["degree"]
+    assert translated.meta["degree"] == dilated.meta["degree"] == degree
+    assert translated.value == pytest.approx(base.value, rel=1e-9)
+    assert dilated.value == pytest.approx(r**degree * base.value, rel=1e-9)
+
+
+@pytest.mark.parametrize("delta", [0.0, -0.2, float("nan")])
+def test_bad_covering_delta_raises_before_any_work(monkeypatch, delta):
+    def started(*args, **kwargs):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(measure, "intrinsic_measure", started)
+    monkeypatch.setattr(measure, "sampled_max_degree", started)
+    plane = parse_parametrization("y1; 0; y2", 2, [[0, 1], [0, 1]], H1)
+    with pytest.raises(ValueError):
+        area_check(plane, BOX, probes=[[0.5, 0.5]], covering_delta=delta)
+    with pytest.raises(ValueError):
+        covering_estimate(plane, BOX, [[0, 1], [0, 1]], 3.0, delta)
+    with pytest.raises(ValueError):
+        intrinsic_measure(plane, quadrature="simpson")
+
+
 def test_intrinsic_measure_dilation_scaling():
     # mu(delta_r Sigma) = r^N mu(Sigma)
     plane = parse_parametrization("y1; 0; y2", 2, [[0, 1], [0, 1]], H1)
@@ -207,6 +259,11 @@ def test_covering_plane_patch_stability_band():
         ("y1; 0; y2", 2, [[0, 1], [0, 1]], 0.4),  # passes
         ("y1; 0; y2", 2, [[0, 1], [0, 1]], 0.2),  # too sparse
         ("y1; y2; y1*y2", 2, [[0, 1], [0, 1]], 0.2),  # too sparse
+        # the tilted chart passes at these deltas; its candidate boxes need
+        # the bracket terms (without them the spacing check fails at 0.4)
+        # and the table's bracket norm L = 2 (L = 1 places 187 balls at 0.3)
+        ("y1; y2; y1*y2", 2, [[0, 1], [0, 1]], 0.4),
+        ("y1; y2; y1*y2", 2, [[0, 1], [0, 1]], 0.3),
     ],
 )
 def test_covering_probe_early_exit_matches_full_scan(expr, n, region, delta):
@@ -221,6 +278,84 @@ def test_covering_probe_early_exit_matches_full_scan(expr, n, region, delta):
         assert str(got.value) == str(err)
     else:
         assert covering_estimate(*args, cloud_size=9000, seed=3) == want
+
+
+FILIFORM6 = {
+    "name": "filiform6",
+    "layers": [2, 1, 1, 1, 1, 1],
+    "brackets": [[1, k, k + 1, 1.0] for k in range(2, 7)],
+}
+
+
+def _cover_distances():
+    groups = [heisenberg(1), heisenberg(2), h_type(), engel(), free2(3), load_group(FILIFORM6)]
+    cases = []
+    for g in groups:
+        cases.append(box_distance(g, [1.0, 0.7, 0.5, 0.4, 0.3, 0.2][: g.step]))
+        cases.append(multiradial_distance(g, " + ".join(f"t{j}^{1.0 / j!r}" for j in range(1, g.step + 1))))
+        cases.append(euclidean_ball_distance(g, 0.5))
+        try:
+            cases.append(cygan_koranyi_distance(g))
+        except BadDimensions:
+            pass  # not a step-2 H-type group
+    return cases
+
+
+COVER_DISTANCES = _cover_distances()
+
+
+def _chart(data, group):
+    """A linear, tilted (products of parameters in the upper layers) or
+    polynomial (powers of the coordinate's degree) chart.  The upper layers
+    are damped by a common factor, since a cloud only passes the spacing
+    check when they are flat enough; offsets in the central top layer and in
+    the first layer move the cloud away from the origin."""
+    n = data.draw(st.sampled_from([1, 1, 2]), label="n")
+    shape = data.draw(st.sampled_from(["linear", "tilted", "polynomial"]), label="shape")
+    damp = data.draw(st.sampled_from([0.0, 0.05, 0.3, 1.0]), label="damp")
+    offsets = data.draw(st.sampled_from([0.0, 0.5]), label="first"), data.draw(
+        st.sampled_from([0.0, 2.5, -70.0]), label="top"
+    )
+    coeff = st.sampled_from([-1.0, -0.5, 0.0, 0.25, 0.5, 1.0])
+    exprs = []
+    for degree in group.degrees:
+        terms = [f"({data.draw(coeff)})*y{i + 1}" for i in range(n)]
+        if shape == "tilted" and degree > 1:
+            terms.append(f"({data.draw(coeff)})*y1*y{n}")
+        if shape == "polynomial" and degree > 1:
+            terms.append(f"({data.draw(coeff)})*y{n}^{degree}")
+        expr = " + ".join(terms)
+        if degree > 1:
+            expr = f"({damp})*({expr})"
+        if degree in (1, group.step):
+            expr += f" + ({offsets[int(degree == group.step)]})"
+        exprs.append(expr)
+    lo = data.draw(st.sampled_from([-1.0, -0.5, 0.0]), label="lo")
+    region = [[lo, lo + data.draw(st.sampled_from([0.5, 1.0, 2.0]), label="width")]] * n
+    return parse_parametrization("; ".join(exprs), n, region, group), region
+
+
+@settings(max_examples=100)
+@given(data=st.data())
+def test_covering_is_bitwise_the_full_scan(data):
+    # the same balls (or the same CloudTooSparse text) on every group, kind
+    # and chart; small clouds and deltas make a share of them too sparse
+    d = data.draw(st.sampled_from(COVER_DISTANCES), label="distance")
+    chart, region = _chart(data, d.group)
+    delta = data.draw(st.floats(0.1, 0.8), label="delta")
+    kwargs = {
+        "cloud_size": data.draw(st.integers(16, 300), label="cloud_size"),
+        "seed": data.draw(st.integers(0, 2**16), label="seed"),
+    }
+    args = (chart, d, region, 2.0, delta)
+    try:
+        want = covering_full_scan(*args, **kwargs)
+    except CloudTooSparse as err:
+        with pytest.raises(CloudTooSparse) as got:
+            covering_estimate(*args, **kwargs)
+        assert str(got.value) == str(err)
+    else:
+        assert covering_estimate(*args, **kwargs) == want
 
 
 def test_covering_empty_region_is_zero_balls():

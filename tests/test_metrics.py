@@ -329,3 +329,16 @@ def test_single_points_are_bitwise_the_oracle(d):
     for x, y in rng.uniform(-2.0, 2.0, (60, 2, d.group.q)):
         assert _same(d.distance(x, y), oracle.distance(d, x, y))
         assert _same(d.norm(y), oracle.norm(d, y))
+
+
+@pytest.mark.parametrize("d", KERNEL_CASES, ids=lambda d: f"{d.group.name}-{d.kind}")
+def test_unit_sphere_layers_lie_within_layer_radii(d):
+    # |z_j| <= rho_j on the unit sphere, with equality on each layer's axis
+    g = d.group
+    rng = stream(8, f"radii:{d.group.name}:{d.kind}")
+    scales = 10.0 ** rng.uniform(-3.0, 3.0, (4000, g.step))
+    z = d.unit_normalize(rng.standard_normal((4000, g.q)) * scales[:, g.degrees - 1])
+    for j, layer in enumerate(g.layer_slices):
+        assert np.all(np.linalg.norm(z[:, layer], axis=1) <= d.layer_radii[j] * (1.0 + 1e-12))
+        axis = d.unit_normalize(np.eye(g.q)[layer.start])
+        assert np.linalg.norm(axis[layer]) == pytest.approx(d.layer_radii[j], rel=1e-12)

@@ -468,7 +468,12 @@ _REQUIRED_OPTS = {
 }
 _NUMBER_OPTS = {"covering-estimate": ("exponent",)}
 _POSITIVE_OPTS = {"covering-estimate": ("delta",), "area-check": ("covering_delta",)}
+_SAMPLES_OPTS = ("federer-density", "area-check")
 _QUADRATURES = ("tensor", "mc")
+
+
+def _finite_number(value) -> bool:
+    return not isinstance(value, bool) and isinstance(value, (int, float)) and bool(np.isfinite(value))
 
 
 def _opts_problem(name: str, opts: dict) -> str | None:
@@ -481,10 +486,18 @@ def _opts_problem(name: str, opts: dict) -> str | None:
             value = opts.get(key)
             if value is None:
                 continue
-            if isinstance(value, bool) or not isinstance(value, (int, float)) or not np.isfinite(value):
+            if not _finite_number(value):
                 return f"{name}: opts.{key} must be a finite number, got {value!r}"
             if positive and value <= 0:
                 return f"{name}: opts.{key} must be positive, got {value!r}"
+    if name in _SAMPLES_OPTS and "samples" in opts:
+        value = opts["samples"]
+        if not _finite_number(value) or value < 1 or value != int(value):
+            return f"{name}: opts.samples must be a positive integer, got {value!r}"
+    radii = opts.get("radii")
+    if name == "federer-density" and radii is not None:
+        if not isinstance(radii, list) or not radii or not all(_finite_number(r) and r > 0 for r in radii):
+            return f"federer-density: opts.radii must be a non-empty list of positive numbers, got {radii!r}"
     if name == "intrinsic-measure" and opts.get("quadrature", "tensor") not in _QUADRATURES:
         return f"intrinsic-measure: unknown quadrature {opts['quadrature']!r}, expected one of {list(_QUADRATURES)}"
     return None
@@ -541,11 +554,12 @@ def run(
             tasks = [{"task": only_task, "opts": cli_opts or {}}]
 
     # every task's opts (the file's, then the command line's) are checked
-    # before any task runs
+    # before any task runs, with the run's sample count where opts set none
     jobs = []
     for task in tasks:
         opts = {**task.get("opts", {}), **(cli_opts or {})}
-        jobs.append((task["task"], opts, _opts_problem(task["task"], opts)))
+        checked = opts if samples is None else {"samples": samples, **opts}
+        jobs.append((task["task"], opts, _opts_problem(task["task"], checked)))
 
     records = []
     timings = {}

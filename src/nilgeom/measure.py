@@ -303,24 +303,23 @@ class RadiusTracePoint:
         return asdict(self)
 
 
-def _parameter_window(chart, y0, p, dist, radius, exponents, policy) -> np.ndarray:
+def _parameter_window(chart, y0, p, dist, radius, exponents) -> np.ndarray:
     """Per-axis half-widths of a parameter box containing the preimage of
     B(p, 2 radius), guided by the induced exponents and verified on the
-    box boundary."""
-    y0 = np.asarray(y0, dtype=float)
+    box boundary: a 5^n grid on each face, axis by axis, sign by sign."""
+    n = chart.n
     rho = 2.5 * radius ** exponents.astype(float)
     lo_dom, hi_dom = chart.domain[:, 0], chart.domain[:, 1]
+    face = np.linspace(-1.0, 1.0, 5)
+    grid = np.stack(np.meshgrid(*[face] * n, indexing="ij"), axis=-1).reshape(-1, n)
+    faces = []
+    for axis in range(n):
+        for sign in (-1.0, 1.0):
+            faces.append(grid.copy())
+            faces[-1][:, axis] = sign
+    faces = np.vstack(faces)
     for _ in range(80):
-        boundary = []
-        for axis in range(chart.n):
-            for sign in (-1.0, 1.0):
-                face = np.linspace(-1.0, 1.0, 5)
-                grid = np.stack(np.meshgrid(*[face] * chart.n, indexing="ij"), axis=-1).reshape(
-                    -1, chart.n
-                )
-                grid[:, axis] = sign
-                boundary.append(y0 + grid * rho)
-        bpts = np.vstack(boundary)
+        bpts = y0 + faces * rho
         if np.any(bpts < lo_dom) or np.any(bpts > hi_dom):
             raise BoundaryTooClose(
                 f"radius {radius} needs a parameter window leaving the chart domain"
@@ -351,7 +350,24 @@ def federer_density(
     intrinsic density over a guided parameter window; the value reported is
     the sup-ratio at the smallest radius whose trailing window is flat
     within combined standard errors, together with the full trace.
+
+    A window sample within r of a centre z lies in the coordinate box
+    ``_coordinate_reach(dist, scale)(r, z)`` (``scale`` bounds the norm of
+    every sample and every centre), so each centre evaluates the distance
+    only on the samples of its box, and the intrinsic density is evaluated
+    only on the samples some ball holds; it is zero in every other sample's
+    weight.  The weights, their means and so every ratio, stderr and hit
+    count are bit for bit those of the full window
+    (``tests/oracles/measure.py::federer_full_window``).  The chart's
+    values and Jacobians are still evaluated, and checked finite, on every
+    sample.
     """
+    if samples < 1:
+        raise ValueError("samples must be at least 1")
+    if radii is not None:
+        radii = [float(r) for r in radii]
+        if not radii or not all(0.0 < r < np.inf for r in radii):
+            raise ValueError(f"radii must be a non-empty list of positive finite numbers, got {radii}")
     y0 = np.asarray(y0, dtype=float)
     analysis = classify_point(chart, y0, policy)
     n_deg = analysis.degree
@@ -362,30 +378,34 @@ def federer_density(
     ech = degree_echelon(group, coeffs, policy)
     exponents = np.array([group.degrees[r] for r in ech.pivots], dtype=float)
 
+    windows = {}
     if radii is None:
         # shrink the leading radius until its parameter window fits the chart
         r0 = 0.5
         while r0 > 1e-4:
             try:
-                _parameter_window(chart, y0, p, dist, r0, exponents, policy)
+                windows[r0] = _parameter_window(chart, y0, p, dist, r0, exponents)
                 break
             except BoundaryTooClose:
                 r0 *= 0.5
         else:
             raise BoundaryTooClose("no workable leading radius at this probe")
         radii = [r0 * 2.0 ** (-k) for k in range(10)]
-    radii = sorted((float(r) for r in radii), reverse=True)
+    radii = sorted(radii, reverse=True)
 
     trace: list[RadiusTracePoint] = []
     for k, r in enumerate(radii):
-        rho = _parameter_window(chart, y0, p, dist, r, exponents, policy)
+        rho = windows.get(r)
+        if rho is None:
+            rho = _parameter_window(chart, y0, p, dist, r, exponents)
         window = np.stack([y0 - rho, y0 + rho], axis=1)
         vol = float(np.prod(window[:, 1] - window[:, 0]))
 
         rng = stream(seed, f"federer:{k}")
         ys = uniform_box(rng, window, samples)
-        dens = intrinsic_density(chart, ys, n_deg)
-        pts = chart.value(ys)
+        # values and Jacobians are checked finite on the whole window
+        columns = np.ascontiguousarray(chart.value(ys).T)
+        chart.jacobian_batch(ys)
 
         centers = [p]
         vdirs = dist.unit_normalize(rng.standard_normal((max(centers_per_radius - 1, 0), group.q)))
@@ -393,10 +413,27 @@ def federer_density(
         for v, s in zip(vdirs, scales):
             centers.append(group.product(p, group.dilate(r, group.dilate(s, v))))
 
-        best = None
+        scale = max(np.max(np.linalg.norm(columns, axis=0)), np.max(np.linalg.norm(centers, axis=1)))
+        reach = _coordinate_reach(dist, float(scale))
+        held = np.zeros(samples, dtype=bool)
+        balls = []
         for z in centers:
-            inside = np.asarray(dist.distance(z, pts)) <= r
-            hits = int(np.sum(inside))
+            half = reach(r, z)
+            box = np.abs(columns[0] - z[0]) <= half[0]
+            for c in range(1, group.q):
+                box &= np.abs(columns[c] - z[c]) <= half[c]
+            rows = np.flatnonzero(box)
+            inside = np.zeros(samples, dtype=bool)
+            inside[rows[np.asarray(dist.distance(z, columns[:, rows].T)) <= r]] = True
+            held |= inside
+            balls.append(inside)
+        dens = np.zeros(samples)
+        if held.any():
+            dens[held] = intrinsic_density(chart, ys[held], n_deg)
+
+        best = None
+        for inside in balls:
+            hits = int(np.count_nonzero(inside))
             weights = dens * inside
             mean = float(np.mean(weights))
             var = max(float(np.mean(weights * weights)) - mean * mean, 0.0)
@@ -543,7 +580,9 @@ def _coordinate_reach(dist: HomogeneousDistance, scale: float):
     """``reach(D, c)``: half-widths ``(q,)`` such that every cloud point x
     whose computed distance from the centre c is below D (or at most D) has
     ``|x_k - c_k| <= reach[k]`` in floating point, for every coordinate k.
-    ``scale`` bounds the Euclidean norm of every cloud point.
+    ``scale`` bounds the Euclidean norm of every cloud point and of every
+    centre: the rounding bound below holds x and c to it, and a centre need
+    not be a cloud point (``federer_density``'s are not).
 
     With ``z = c^-1 . x`` and ``||z|| < D``, layer i of z has magnitude at
     most ``rho_i D^i`` (``dist.layer_radii``).  ``x = c . z``, so layer j of
@@ -726,6 +765,8 @@ def area_check(
     measure itself and is recorded explicitly in each verdict."""
     if covering_delta is not None and not covering_delta > 0:
         raise ValueError("covering_delta must be positive")
+    if samples < 1:
+        raise ValueError("samples must be at least 1")
     region = np.asarray(region if region is not None else chart.domain, dtype=float)
     mu = intrinsic_measure(chart, region, seed=seed, policy=policy)
     verdicts: list[Verdict] = []

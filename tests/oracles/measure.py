@@ -5,7 +5,10 @@ The projected-wedge route to the hypersurface density cross-checks
 measures every probe's spacing and every new centre's distances over the
 whole cloud; ``covering_estimate`` evaluates only the points of each
 probe's and centre's candidate box and must give the same estimate or the
-same error.  The draw-per-call section
+same error.  The full-window Federer density takes the intrinsic density
+and every centre's distances on every window sample; ``federer_density``
+takes them only where a ball can reach, and must give the same estimate and
+trace or the same error.  The draw-per-call section
 area, concavity and translation loops redraw every block for every volume
 and take the group product at every centre; the production estimators share
 each block and skip the identity product, and must agree with them bit for
@@ -15,15 +18,19 @@ from __future__ import annotations
 
 import numpy as np
 
-from nilgeom.errors import CloudTooSparse, DegenerateTangent, EmptySection
+from nilgeom.errors import BoundaryTooClose, CloudTooSparse, DegenerateTangent, EmptySection, RadiusTooSmall
+from nilgeom.manifold import classify_point, degree_echelon
 from nilgeom.mc import Estimate, blocks, hit_fraction_estimate, stream, uniform_ball, uniform_box
 from nilgeom.measure import (
     ConcavityReport,
+    RadiusTracePoint,
     TranslationReport,
+    intrinsic_density,
     projected_wedge_norms,
     unit_ball_volume,
 )
 from nilgeom.metrics import ball_bounding_radius
+from nilgeom.policy import DEFAULT_POLICY
 
 
 def hypersurface_density_multivector(chart, y) -> float:
@@ -193,3 +200,95 @@ def covering_full_scan(chart, dist, region, exponent, delta, cloud_size=4000, se
         count * radius**exponent, 0.0, cloud_size, seed, "greedy-cover",
         {"delta": delta, "balls": count, "upper_proxy": True},
     )
+
+
+def _window_per_face(chart, y0, p, dist, radius, exponents):
+    """``_parameter_window`` building the face grid for every axis, sign and
+    growth step."""
+    rho = 2.5 * radius ** exponents.astype(float)
+    lo_dom, hi_dom = chart.domain[:, 0], chart.domain[:, 1]
+    for _ in range(80):
+        boundary = []
+        for axis in range(chart.n):
+            for sign in (-1.0, 1.0):
+                face = np.linspace(-1.0, 1.0, 5)
+                grid = np.stack(np.meshgrid(*[face] * chart.n, indexing="ij"), axis=-1).reshape(-1, chart.n)
+                grid[:, axis] = sign
+                boundary.append(y0 + grid * rho)
+        bpts = np.vstack(boundary)
+        if np.any(bpts < lo_dom) or np.any(bpts > hi_dom):
+            raise BoundaryTooClose(f"radius {radius} needs a parameter window leaving the chart domain")
+        vals = dist.distance(p, chart.value(bpts))
+        if np.all(vals > 2.0 * radius):
+            return rho
+        rho = rho * 1.5
+    raise BoundaryTooClose("parameter window would not close around the metric ball")
+
+
+def federer_full_window(chart, dist, y0, radii=None, centers_per_radius=8, samples=40_000, seed=0,
+                        policy=DEFAULT_POLICY, flat_window=5):
+    """``federer_density`` with the intrinsic density and every centre's
+    distances taken on the whole window, and the leading window searched
+    anew for the first radius."""
+    y0 = np.asarray(y0, dtype=float)
+    analysis = classify_point(chart, y0, policy)
+    n_deg = analysis.degree
+    p = analysis.p
+    group = chart.group
+    coeffs = group.frame_coefficients(p, chart.jacobian(y0))
+    ech = degree_echelon(group, coeffs, policy)
+    exponents = np.array([group.degrees[r] for r in ech.pivots], dtype=float)
+
+    if radii is None:
+        r0 = 0.5
+        while r0 > 1e-4:
+            try:
+                _window_per_face(chart, y0, p, dist, r0, exponents)
+                break
+            except BoundaryTooClose:
+                r0 *= 0.5
+        else:
+            raise BoundaryTooClose("no workable leading radius at this probe")
+        radii = [r0 * 2.0 ** (-k) for k in range(10)]
+    radii = sorted((float(r) for r in radii), reverse=True)
+
+    trace = []
+    for k, r in enumerate(radii):
+        rho = _window_per_face(chart, y0, p, dist, r, exponents)
+        window = np.stack([y0 - rho, y0 + rho], axis=1)
+        vol = float(np.prod(window[:, 1] - window[:, 0]))
+        rng = stream(seed, f"federer:{k}")
+        ys = uniform_box(rng, window, samples)
+        dens = intrinsic_density(chart, ys, n_deg)
+        pts = chart.value(ys)
+        centers = [p]
+        vdirs = dist.unit_normalize(rng.standard_normal((max(centers_per_radius - 1, 0), group.q)))
+        scales = rng.random(len(vdirs)) ** (1.0 / group.q)
+        for v, s in zip(vdirs, scales):
+            centers.append(group.product(p, group.dilate(r, group.dilate(s, v))))
+        best = None
+        for z in centers:
+            inside = np.asarray(dist.distance(z, pts)) <= r
+            hits = int(np.sum(inside))
+            weights = dens * inside
+            mean = float(np.mean(weights))
+            var = max(float(np.mean(weights * weights)) - mean * mean, 0.0)
+            ratio = vol * mean / r**n_deg
+            err = vol * float(np.sqrt(var / samples)) / r**n_deg
+            if best is None or ratio > best[0]:
+                best = (ratio, err, hits)
+        if best[2] < 100:
+            raise RadiusTooSmall(f"only {best[2]} Monte-Carlo hits at radius {r}; increase samples")
+        trace.append(RadiusTracePoint(r, *best))
+
+    chosen = trace[-1]
+    flat_found = False
+    for k in range(len(trace) - 1, flat_window - 2, -1):
+        window_pts = trace[k - flat_window + 1 : k + 1]
+        ref = window_pts[-1]
+        if all(abs(t.ratio - ref.ratio) <= 3.0 * float(np.hypot(t.stderr, ref.stderr)) for t in window_pts):
+            chosen, flat_found = ref, True
+            break
+    meta = {"radius": chosen.radius, "degree": n_deg, "flat_window_found": flat_found,
+            "classification": analysis.classification}
+    return Estimate(chosen.ratio, chosen.stderr, samples, seed, "federer-flat-radius", meta), trace

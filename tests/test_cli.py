@@ -176,6 +176,42 @@ def test_bad_opts_are_config_errors_before_any_work(tmp_path, capsys, monkeypatc
     assert capsys.readouterr().err == ""
 
 
+@pytest.mark.parametrize(
+    "bad_task,run_samples",
+    [
+        ({"task": "federer-density", "opts": {"y0": [0.1, -0.2], "radii": []}}, None),
+        ({"task": "federer-density", "opts": {"y0": [0.1, -0.2], "radii": [0.0]}}, None),
+        ({"task": "federer-density", "opts": {"y0": [0.1, -0.2], "radii": [0.1, -0.1]}}, None),
+        ({"task": "federer-density", "opts": {"y0": [0.1, -0.2], "radii": ["0.1"]}}, None),
+        ({"task": "federer-density", "opts": {"y0": [0.1, -0.2], "radii": 0.1}}, None),
+        ({"task": "federer-density", "opts": {"y0": [0.1, -0.2], "samples": 0}}, None),
+        ({"task": "federer-density", "opts": {"y0": [0.1, -0.2], "samples": 2.5}}, None),
+        ({"task": "federer-density", "opts": {"y0": [0.1, -0.2]}}, 0),
+        ({"task": "area-check", "opts": {"probes": [[0.1, -0.2]], "samples": 0}}, None),
+        ({"task": "area-check", "opts": {"probes": [[0.1, -0.2]], "samples": None}}, None),
+        ({"task": "area-check", "opts": {"probes": [[0.1, -0.2]]}}, -1),
+    ],
+    ids=[
+        "federer-radii-empty", "federer-radius-zero", "federer-radius-negative", "federer-radius-text",
+        "federer-radii-scalar", "federer-samples-zero", "federer-samples-fraction", "federer-run-samples-zero",
+        "area-samples-zero", "area-samples-null", "area-run-samples-negative",
+    ],
+)
+def test_bad_federer_inputs_are_config_errors_before_any_work(tmp_path, capsys, monkeypatch, bad_task, run_samples):
+    called = []
+    for name in ("federer-density", "area-check"):
+        monkeypatch.setitem(cli.TASKS, name, lambda ctx, opts, name=name: called.append(name))
+    cfg = {**BASE, "tasks": [bad_task, {"task": "validate-group"}]}
+    status = run(write_config(tmp_path, cfg), out_dir=tmp_path / "out", samples=run_samples, quiet=True)
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    bad, good = report["tasks"]
+    assert bad["status"] == "error"
+    assert bad["result"]["error"] == "ConfigError"
+    assert good["status"] == "pass"
+    assert called == [] and status == 1
+    assert capsys.readouterr().err == ""
+
+
 def test_cli_opts_are_merged_before_the_check(tmp_path):
     cfg = {**BASE, "tasks": [{"task": "analyze-point", "opts": {}}]}
     path = write_config(tmp_path, cfg)

@@ -42,6 +42,7 @@ from nilgeom.policy import NumericPolicy
 from oracles.measure import (
     concavity_per_call,
     covering_full_scan,
+    federer_full_window,
     hypersurface_density_multivector,
     section_area_per_call,
     translation_per_call,
@@ -96,6 +97,33 @@ def test_spherical_factor_horizontal_shortcut():
     est = spherical_factor(BOX, line, samples=100_000, seed=4)
     assert est.method == "theorem-shortcut"
     assert est.value == pytest.approx(2.0, abs=3 * est.stderr)
+
+
+ROTATION_KINDS = [
+    BOX,
+    box_distance(H1, [1.0, 0.6]),
+    multiradial_distance(H1, "max(t1, 2*t2^0.5)"),
+    multiradial_distance(H1, "t1 + t2^0.5"),
+    euclidean_ball_distance(H1, 0.5),
+    cygan_koranyi_distance(H1),
+]
+
+
+@settings(max_examples=25)
+@given(data=st.data())
+def test_spherical_factor_is_invariant_under_first_layer_rotations(data):
+    # a rotation of the first layer keeps [e1, e2] = 2 e3, so it is an
+    # automorphism, and an isometry of every kind, since each phi reads the
+    # layer magnitudes only; the shortcut makes each factor one section area
+    d = data.draw(st.sampled_from(ROTATION_KINDS), label="distance")
+    angle = data.draw(st.floats(0.0, 2.0 * np.pi), label="angle")
+    seed = data.draw(st.integers(0, 2**16), label="seed")
+    rotated = Subspace(H1, np.array([[np.cos(angle), 0.0], [np.sin(angle), 0.0], [0.0, 1.0]]))
+    assert measure._factor_shortcut(d, VERTICAL) is not None
+    assert measure._factor_shortcut(d, rotated) is not None
+    base = spherical_factor(d, VERTICAL, samples=10_000, seed=seed)
+    turned = spherical_factor(d, rotated, samples=10_000, seed=seed)
+    assert abs(turned.value - base.value) <= 4.0 * np.hypot(base.stderr, turned.stderr)
 
 
 # ---------------------------------------------------------------------------
@@ -228,6 +256,33 @@ def test_federer_density_radius_too_small():
         federer_density(plane, BOX, [0.0, 0.0], samples=300, seed=6)
 
 
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"radii": []},
+        {"radii": [0.0]},
+        {"radii": [float("nan")]},
+        {"radii": [float("inf")]},
+        {"radii": [0.1, -0.1]},
+        {"samples": 0},
+        {"samples": -3},
+    ],
+    ids=["radii-empty", "radius-zero", "radius-nan", "radius-inf", "radius-negative", "samples-zero", "samples-negative"],
+)
+def test_federer_density_rejects_malformed_inputs_before_any_work(monkeypatch, kwargs):
+    def started(*args, **kwargs):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(measure, "classify_point", started)
+    monkeypatch.setattr(measure, "intrinsic_measure", started)
+    plane = parse_parametrization("y1; 0; y2", 2, [[-1, 1], [-1, 1]], H1)
+    with pytest.raises(ValueError):
+        federer_density(plane, BOX, [0.1, -0.2], **kwargs)
+    if "samples" in kwargs:
+        with pytest.raises(ValueError):
+            area_check(plane, BOX, probes=[[0.1, -0.2]], samples=kwargs["samples"])
+
+
 # ---------------------------------------------------------------------------
 # covering estimates
 # ---------------------------------------------------------------------------
@@ -287,8 +342,7 @@ FILIFORM6 = {
 }
 
 
-def _cover_distances():
-    groups = [heisenberg(1), heisenberg(2), h_type(), engel(), free2(3), load_group(FILIFORM6)]
+def _distances(groups):
     cases = []
     for g in groups:
         cases.append(box_distance(g, [1.0, 0.7, 0.5, 0.4, 0.3, 0.2][: g.step]))
@@ -301,7 +355,9 @@ def _cover_distances():
     return cases
 
 
-COVER_DISTANCES = _cover_distances()
+COVER_DISTANCES = _distances(
+    [heisenberg(1), heisenberg(2), h_type(), engel(), free2(3), load_group(FILIFORM6)]
+)
 
 
 def _chart(data, group):
@@ -356,6 +412,62 @@ def test_covering_is_bitwise_the_full_scan(data):
         assert str(got.value) == str(err)
     else:
         assert covering_estimate(*args, **kwargs) == want
+
+
+# Federer density against the full window, on the cover's charts and kinds
+
+FEDERER_DISTANCES = _distances([abelian(2), heisenberg(1), heisenberg(2), h_type(), engel()])
+
+# horizontal curves and surfaces, one per group
+LEGENDRIAN = {
+    "abelian(2)": ("y1; y1^2", 1),
+    "heisenberg(1)": ("y1; y1^2; y1^3/3", 1),
+    "heisenberg(2)": ("y1; y2; y1^2; 0; y1^3/3", 2),
+    "h_type": ("y1; y1^2; 0; 0; y1^3/6; 0; 0", 1),
+    "engel": ("y1; 0.5*y1; 0; 0", 1),
+}
+
+
+def _outcome(fn, *args, **kwargs):
+    try:
+        return fn(*args, **kwargs)
+    except Exception as err:
+        return type(err), str(err)
+
+
+@settings(max_examples=100)
+@given(data=st.data())
+def test_federer_density_is_bitwise_the_full_window(data):
+    # the same estimate and trace (or the same error) on every group, kind
+    # and chart, with explicit and default radii; a few sample counts are
+    # too small for any ball to hold a sample
+    d = data.draw(st.sampled_from(FEDERER_DISTANCES), label="distance")
+    if data.draw(st.booleans(), label="legendrian"):
+        exprs, n = LEGENDRIAN[d.group.name]
+        region = [[-1.0, 1.0]] * n
+        chart = parse_parametrization(exprs, n, region, d.group)
+    else:
+        chart, region = _chart(data, d.group)
+    y0 = [lo + (hi - lo) * data.draw(st.floats(0.2, 0.8), label="y0") for lo, hi in region]
+    radii = data.draw(
+        st.none() | st.lists(st.floats(0.005, 0.3), min_size=1, max_size=4), label="radii"
+    )
+    kwargs = {
+        "radii": radii,
+        "centers_per_radius": data.draw(st.integers(0, 9), label="centers"),
+        "samples": data.draw(st.integers(2000, 8000) | st.sampled_from([1, 300]), label="samples"),
+        "seed": data.draw(st.integers(0, 2**16), label="seed"),
+    }
+    want = _outcome(federer_full_window, chart, d, y0, **kwargs)
+    assert _outcome(federer_density, chart, d, y0, **kwargs) == want
+
+
+def test_federer_density_empty_balls_match_the_full_window():
+    plane = parse_parametrization("y1; 0; y2", 2, [[-1, 1], [-1, 1]], H1)
+    for samples in (1, 5):
+        want = _outcome(federer_full_window, plane, BOX, [0.0, 0.0], samples=samples, seed=6)
+        assert want[0] is RadiusTooSmall and want[1].startswith("only 0 Monte-Carlo hits")
+        assert _outcome(federer_density, plane, BOX, [0.0, 0.0], samples=samples, seed=6) == want
 
 
 def test_covering_empty_region_is_zero_balls():

@@ -439,8 +439,8 @@ def _outcome(fn, *args, **kwargs):
 @given(data=st.data())
 def test_federer_density_is_bitwise_the_full_window(data):
     # the same estimate and trace (or the same error) on every group, kind
-    # and chart, with explicit and default radii; a few sample counts are
-    # too small for any ball to hold a sample
+    # and chart, with explicit and default radii; samples of 1 and 300 leave
+    # some radii with no sample in any ball (RadiusTooSmall with 0 hits)
     d = data.draw(st.sampled_from(FEDERER_DISTANCES), label="distance")
     if data.draw(st.booleans(), label="legendrian"):
         exprs, n = LEGENDRIAN[d.group.name]
@@ -460,14 +460,6 @@ def test_federer_density_is_bitwise_the_full_window(data):
     }
     want = _outcome(federer_full_window, chart, d, y0, **kwargs)
     assert _outcome(federer_density, chart, d, y0, **kwargs) == want
-
-
-def test_federer_density_empty_balls_match_the_full_window():
-    plane = parse_parametrization("y1; 0; y2", 2, [[-1, 1], [-1, 1]], H1)
-    for samples in (1, 5):
-        want = _outcome(federer_full_window, plane, BOX, [0.0, 0.0], samples=samples, seed=6)
-        assert want[0] is RadiusTooSmall and want[1].startswith("only 0 Monte-Carlo hits")
-        assert _outcome(federer_density, plane, BOX, [0.0, 0.0], samples=samples, seed=6) == want
 
 
 def test_covering_empty_region_is_zero_balls():

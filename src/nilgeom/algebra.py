@@ -616,8 +616,8 @@ def catalog_group(name: str) -> GradedGroup:
     if "(" in name:
         base, _, rest = name.partition("(")
         arg = rest.rstrip(")").strip()
-        if base not in CATALOG:
-            raise BadDimensions(f"unknown catalog group {base!r}")
+        if base not in CATALOG or not arg.isdigit():
+            raise BadDimensions(f"unknown catalog group {name!r}")
         return CATALOG[base](int(arg))
     if name not in CATALOG:
         raise BadDimensions(f"unknown catalog group {name!r}")

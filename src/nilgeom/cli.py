@@ -13,6 +13,7 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import sys
 import time
 import traceback
@@ -21,8 +22,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .algebra import CATALOG, GradedGroup, Subspace, catalog_group, load_group
-from .errors import ConfigError, NilgeomError
+from .algebra import GradedGroup, Subspace, catalog_group, load_group
+from .errors import ArityError, BadDimensions, ConfigError, NilgeomError, ParseError
+from .exprparse import parse_expression
 from .manifold import (
     ParamMap,
     blowup_rates,
@@ -32,6 +34,7 @@ from .manifold import (
     q_n_max_degree,
 )
 from .measure import (
+    ConvexBody,
     area_check,
     ball_body,
     beta_constancy_check,
@@ -51,16 +54,7 @@ from .policy import NumericPolicy
 SCHEMA_VERSION = 1
 
 _CONFIG_KEYS = {
-    "schema",
-    "name",
-    "group",
-    "distance",
-    "submanifold",
-    "tasks",
-    "seed",
-    "out",
-    "samples",
-    "numeric_rtol",
+    "schema", "name", "group", "distance", "submanifold", "tasks", "seed", "out", "samples", "numeric_rtol",
 }
 
 _GROUP_KEYS = {"name", "layers", "brackets"}
@@ -113,28 +107,14 @@ class RunContext:
             spec = self.config.get("submanifold")
             if spec is None:
                 raise ConfigError("configuration has no 'submanifold' entry")
-            unknown = set(spec) - _SUBMANIFOLD_KEYS
-            if unknown:
-                raise ConfigError(f"unknown submanifold keys: {sorted(unknown)}")
             self._chart = parse_parametrization(
                 spec["exprs"], int(spec["n"]), spec["domain"], self.group
             )
         return self._chart
 
-    def task_samples(self, opts: dict, default: int) -> int:
-        if "samples" in opts:
-            return int(opts["samples"])
-        if self.samples is not None:
-            return self.samples
-        return default
-
     def say(self, text: str) -> None:
         if not self.quiet:
             print(text)
-
-
-def _subspace(ctx: RunContext, basis) -> Subspace:
-    return Subspace(ctx.group, np.asarray(basis, dtype=float))
 
 
 def _write_csv(path: Path, header: list, rows) -> str:
@@ -190,7 +170,7 @@ def task_catalog(ctx: RunContext, opts: dict):
 
 
 def task_analyze_point(ctx: RunContext, opts: dict):
-    a = classify_point(ctx.chart, np.asarray(opts["y"], dtype=float), ctx.policy)
+    a = classify_point(ctx.chart, opts["y"], ctx.policy)
     record = {
         "y": [float(v) for v in a.y],
         "p": [float(v) for v in a.p],
@@ -209,8 +189,7 @@ def task_analyze_point(ctx: RunContext, opts: dict):
 
 
 def task_degree_map(ctx: RunContext, opts: dict):
-    grid = opts.get("grid", 9)
-    result = degree_map(ctx.chart, grid, ctx.policy)
+    result = degree_map(ctx.chart, opts["grid"], ctx.policy)
     csv_name = _write_csv(
         ctx.out_dir / "degree_map.csv",
         [f"y{i+1}" for i in range(ctx.chart.n)] + ["degree", "classification"],
@@ -227,39 +206,20 @@ def task_degree_map(ctx: RunContext, opts: dict):
 
 
 def task_spherical_factor(ctx: RunContext, opts: dict):
-    space = _subspace(ctx, np.asarray(opts["subspace"], dtype=float).T)
-    est = spherical_factor(
-        ctx.distance, space, samples=ctx.task_samples(opts, 200_000), seed=ctx.seed
-    )
+    est = spherical_factor(ctx.distance, opts["subspace"], samples=opts["samples"], seed=ctx.seed)
     return {"beta": est.as_dict()}, True
 
 
 def task_federer_density(ctx: RunContext, opts: dict):
-    est, trace = federer_density(
-        ctx.chart,
-        ctx.distance,
-        np.asarray(opts["y0"], dtype=float),
-        radii=opts.get("radii"),
-        centers_per_radius=int(opts.get("centers_per_radius", 8)),
-        samples=ctx.task_samples(opts, 40_000),
-        seed=ctx.seed,
-        policy=ctx.policy,
-    )
+    est, trace = federer_density(ctx.chart, ctx.distance, **opts, seed=ctx.seed, policy=ctx.policy)
     csv_name = _write_csv(ctx.out_dir / "federer_trace.csv", *_radius_trace(trace))
     return {"theta": est.as_dict(), "trace_csv": csv_name}, True
 
 
 def task_area_check(ctx: RunContext, opts: dict):
     report = area_check(
-        ctx.chart,
-        ctx.distance,
-        region=opts.get("region"),
-        probes=[np.asarray(p, dtype=float) for p in opts.get("probes", [])],
-        theta_tolerance=float(opts.get("tolerance", 0.05)),
-        covering_delta=opts.get("covering_delta"),
-        samples=ctx.task_samples(opts, 40_000),
-        seed=ctx.seed,
-        policy=ctx.policy,
+        ctx.chart, ctx.distance, opts["region"], opts["probes"], theta_tolerance=opts["tolerance"],
+        covering_delta=opts["covering_delta"], samples=opts["samples"], seed=ctx.seed, policy=ctx.policy,
     )
     for key, trace in report.traces.items():
         table = (["delta", "value"], trace) if key == "covering" else _radius_trace(trace)
@@ -269,21 +229,14 @@ def task_area_check(ctx: RunContext, opts: dict):
 
 def task_coarea_check(ctx: RunContext, opts: dict):
     report = coarea_check(
-        ctx.group,
-        int(opts.get("graph_coord", 1)),
-        str(opts.get("g", "0")),
-        str(opts.get("u", "1")),
-        opts["domain"],
-        resolution=int(opts.get("resolution", 32)),
-        tolerance=float(opts.get("tolerance", 0.02)),
+        ctx.group, opts["graph_coord"], opts["g"], opts["u"], opts["domain"],
+        resolution=opts["resolution"], tolerance=opts["tolerance"],
     )
     return report.as_dict(), report.passed
 
 
 def task_blowup_check(ctx: RunContext, opts: dict):
-    y0 = np.asarray(opts["y0"], dtype=float)
-    ray = np.asarray(opts.get("ray", np.ones(ctx.chart.n)), dtype=float)
-    report = blowup_rates(ctx.chart, y0, ray, scales=opts.get("scales"), policy=ctx.policy)
+    report = blowup_rates(ctx.chart, **opts, policy=ctx.policy)
     record = {
         "case": report.case,
         "advisory": report.advisory,
@@ -305,102 +258,51 @@ def task_blowup_check(ctx: RunContext, opts: dict):
 
 
 def task_concavity_check(ctx: RunContext, opts: dict):
-    body_spec = opts.get("body", {"kind": "ball"})
-    kind = body_spec.get("kind", "ball")
-    if kind == "ball":
-        body = ball_body(ctx.distance)
-    elif kind == "box":
-        body = box_body(body_spec.get("halfwidths", [1.0] * ctx.group.q))
-    elif kind == "ellipsoid":
-        body = ellipsoid_body(body_spec.get("matrix", np.eye(ctx.group.q)))
-    else:
-        raise ConfigError(f"unknown body kind {kind!r}")
-    space = _subspace(ctx, np.asarray(opts["subspace"], dtype=float).T)
     report = section_concavity_check(
-        body,
-        space,
-        segments=int(opts.get("segments", 200)),
-        samples=ctx.task_samples(opts, 20_000),
-        seed=ctx.seed,
+        opts["body"], opts["subspace"], segments=opts["segments"], samples=opts["samples"], seed=ctx.seed
     )
     return report.as_dict(), report.passed
 
 
 def task_translation_check(ctx: RunContext, opts: dict):
-    space = _subspace(ctx, np.asarray(opts["subspace"], dtype=float).T)
     report = vertical_translation_check(
-        ctx.group,
-        space,
-        np.asarray(opts.get("p", np.zeros(ctx.group.q)), dtype=float),
-        box=opts.get("box"),
-        samples=ctx.task_samples(opts, 100_000),
-        seed=ctx.seed,
+        ctx.group, opts["subspace"], opts["p"], box=opts["box"], samples=opts["samples"], seed=ctx.seed
     )
     return report.as_dict(), report.passed
 
 
 def task_beta_constancy(ctx: RunContext, opts: dict):
-    family = [_subspace(ctx, np.asarray(b, dtype=float).T) for b in opts["family"]]
-    report = beta_constancy_check(
-        ctx.distance, family, samples=ctx.task_samples(opts, 200_000), seed=ctx.seed
-    )
+    report = beta_constancy_check(ctx.distance, **opts, seed=ctx.seed)
     return report.as_dict(), report.passed
 
 
 def task_verify_distance(ctx: RunContext, opts: dict):
-    report = verify_distance_axioms(
-        ctx.distance, samples=ctx.task_samples(opts, 100_000), seed=ctx.seed
-    )
+    report = verify_distance_axioms(ctx.distance, **opts, seed=ctx.seed)
     return report.as_dict(), report.passed
 
 
 def task_calibrate_box(ctx: RunContext, opts: dict):
-    cal = calibrate_box(ctx.group, samples=ctx.task_samples(opts, 20_000), seed=ctx.seed)
-    return {
-        "epsilons": list(cal.epsilons),
-        "verification": cal.report.as_dict(),
-    }, True
+    cal = calibrate_box(ctx.group, **opts, seed=ctx.seed)
+    return {"epsilons": list(cal.epsilons), "verification": cal.report.as_dict()}, True
 
 
 def task_intrinsic_measure(ctx: RunContext, opts: dict):
-    est = intrinsic_measure(
-        ctx.chart,
-        region=opts.get("region"),
-        quadrature=opts.get("quadrature", "tensor"),
-        resolution=int(opts.get("resolution", 64)),
-        samples=ctx.task_samples(opts, 200_000),
-        seed=ctx.seed,
-        policy=ctx.policy,
-    )
+    est = intrinsic_measure(ctx.chart, **opts, seed=ctx.seed, policy=ctx.policy)
     return {"mu": est.as_dict()}, True
 
 
 def task_covering(ctx: RunContext, opts: dict):
-    est = covering_estimate(
-        ctx.chart,
-        ctx.distance,
-        region=opts.get("region", ctx.chart.domain),
-        exponent=float(opts["exponent"]),
-        delta=float(opts["delta"]),
-        cloud_size=int(opts.get("cloud_size", 4000)),
-        seed=ctx.seed,
-    )
+    est = covering_estimate(ctx.chart, ctx.distance, **opts, seed=ctx.seed)
     return {"covering": est.as_dict()}, True
 
 
 def task_prop_suite(ctx: RunContext, opts: dict):
-    groups = opts.get("groups", ["abelian(3)", "heisenberg(1)", "heisenberg(2)", "engel", "free2(3)"])
-    samples = ctx.task_samples(opts, 10_000)
-    tol = float(opts.get("tolerance", 1e-9))
     rows = []
-    ok = True
-    for name in groups:
-        g = catalog_group(name) if isinstance(name, str) else load_group(name)
-        res = group_property_residuals(g, samples=samples, seed=ctx.seed)
-        passed = max(res.values()) < tol
-        ok = ok and passed
-        rows.append({"group": g.name, **res, "passed": passed})
-    return {"tolerance": tol, "samples": samples, "groups": rows}, ok
+    for g in opts["groups"]:
+        res = group_property_residuals(g, samples=opts["samples"], seed=ctx.seed)
+        rows.append({"group": g.name, **res, "passed": max(res.values()) < opts["tolerance"]})
+    ok = all(row["passed"] for row in rows)
+    return {"tolerance": opts["tolerance"], "samples": opts["samples"], "groups": rows}, ok
 
 
 def group_property_residuals(group: GradedGroup, samples: int, seed: int) -> dict:
@@ -454,58 +356,182 @@ TASKS = {
 }
 
 
-# opts a task cannot run without, and opts that must be (positive) numbers
-_REQUIRED_OPTS = {
-    "analyze-point": ("y",),
-    "spherical-factor": ("subspace",),
-    "federer-density": ("y0",),
-    "coarea-check": ("domain",),
-    "blowup-check": ("y0",),
-    "concavity-check": ("subspace",),
-    "translation-check": ("subspace",),
-    "beta-constancy": ("family",),
-    "covering-estimate": ("exponent", "delta"),
+# ---------------------------------------------------------------------------
+# Opts: each task's opts with their defaults, and one kind per opt name
+# ---------------------------------------------------------------------------
+
+REQUIRED = object()
+# an opt whose default is None goes to the library as None, its own default
+OPTS = {
+    "validate-group": {},
+    "catalog": {},
+    "analyze-point": {"y": REQUIRED},
+    "degree-map": {"grid": 9},
+    "spherical-factor": {"subspace": REQUIRED, "samples": 200_000},
+    "federer-density": {"y0": REQUIRED, "radii": None, "centers_per_radius": 8, "samples": 40_000},
+    "area-check": {
+        "probes": REQUIRED, "region": None, "tolerance": 0.05, "covering_delta": None, "samples": 40_000,
+    },
+    "coarea-check": {
+        "domain": REQUIRED, "graph_coord": 1, "g": "0", "u": "1", "resolution": 32, "tolerance": 0.02,
+    },
+    "blowup-check": {"y0": REQUIRED, "ray": None, "scales": None},
+    "concavity-check": {"subspace": REQUIRED, "body": {"kind": "ball"}, "segments": 200, "samples": 20_000},
+    "translation-check": {"subspace": REQUIRED, "p": None, "box": None, "samples": 100_000},
+    "beta-constancy": {"family": REQUIRED, "samples": 200_000},
+    "verify-distance": {"samples": 100_000},
+    "calibrate-box": {"samples": 20_000},
+    "intrinsic-measure": {"region": None, "quadrature": "tensor", "resolution": 64, "samples": 200_000},
+    "covering-estimate": {"exponent": REQUIRED, "delta": REQUIRED, "region": None, "cloud_size": 4000},
+    "prop-suite": {"groups": ["abelian(3)", "heisenberg(1)", "heisenberg(2)", "engel", "free2(3)"],
+                   "samples": 10_000, "tolerance": 1e-9},
 }
-_NUMBER_OPTS = {"covering-estimate": ("exponent",)}
-_POSITIVE_OPTS = {"covering-estimate": ("delta",), "area-check": ("covering_delta",)}
-_SAMPLES_OPTS = ("federer-density", "area-check")
-_QUADRATURES = ("tensor", "mc")
+
+# The kind of every opt and top-level value, by name.  An array kind names
+# its shape: n is the chart's dimension, q the group's, d the task
+# subspace's, and k any size from 1.
+KINDS = {
+    "y": "n-vector", "y0": "n-vector", "ray": "n-vector", "region": "n×2 array", "probes": "k×n array",
+    "p": "q-vector", "domain": "q×2 array", "box": "d×2 array",
+    **dict.fromkeys(["samples", "centers_per_radius", "cloud_size", "graph_coord", "resolution", "segments"],
+                    "positive integer"),
+    "tolerance": "positive number", "delta": "positive number", "covering_delta": "positive number",
+    "radii": "positive numbers", "scales": "positive numbers", "exponent": "finite number",
+    "quadrature": "one of tensor, mc", "g": "expression in y1..yq-1", "u": "expression in x1..xq",
+    **{key: key for key in ("subspace", "family", "body", "grid", "groups")},
+    "seed": "integer", "numeric_rtol": "number in (0, 1)", "name": "string", "out": "string",
+}
+
+_SCALARS = {
+    "integer": lambda v: v == int(v),
+    "positive integer": lambda v: v >= 1 and v == int(v),
+    "positive number": lambda v: v > 0,
+    "finite number": lambda v: True,
+    "number in (0, 1)": lambda v: 0 < v < 1,
+}
+_LISTS = {"positive numbers": "positive number", "family": "subspace", "groups": "group"}
+_BODY_KEYS = {"ball": {"kind"}, "box": {"kind", "halfwidths"}, "ellipsoid": {"kind", "matrix"}}
 
 
-def _finite_number(value) -> bool:
-    return not isinstance(value, bool) and isinstance(value, (int, float)) and bool(np.isfinite(value))
+class _Malformed(Exception):
+    """A value is not of its kind; the message, if any, says why."""
 
 
-def _opts_problem(name: str, opts: dict) -> str | None:
-    """Why a task cannot run on its merged opts, or None."""
-    missing = [key for key in _REQUIRED_OPTS.get(name, ()) if opts.get(key) is None]
-    if missing:
-        return f"{name} needs " + ", ".join(f"opts.{key}" for key in missing)
-    for keys, positive in ((_NUMBER_OPTS, False), (_POSITIVE_OPTS, True)):
-        for key in keys.get(name, ()):
-            value = opts.get(key)
-            if value is None:
-                continue
-            if not _finite_number(value):
-                return f"{name}: opts.{key} must be a finite number, got {value!r}"
-            if positive and value <= 0:
-                return f"{name}: opts.{key} must be positive, got {value!r}"
-    if name in _SAMPLES_OPTS and "samples" in opts:
-        value = opts["samples"]
-        if not _finite_number(value) or value < 1 or value != int(value):
-            return f"{name}: opts.samples must be a positive integer, got {value!r}"
-    radii = opts.get("radii")
-    if name == "federer-density" and radii is not None:
-        if not isinstance(radii, list) or not radii or not all(_finite_number(r) and r > 0 for r in radii):
-            return f"federer-density: opts.radii must be a non-empty list of positive numbers, got {radii!r}"
-    if name == "intrinsic-measure" and opts.get("quadrature", "tensor") not in _QUADRATURES:
-        return f"intrinsic-measure: unknown quadrature {opts['quadrature']!r}, expected one of {list(_QUADRATURES)}"
-    return None
+def _numbers(value) -> bool:
+    """A number or nested lists of numbers: no bool, string or null."""
+    return all(map(_numbers, value)) if isinstance(value, list) else type(value) in (int, float)
+
+
+def _value(kind: str, value, ctx, dim):
+    """``value`` checked as a ``kind`` and converted, else ``_Malformed``;
+    ``dim`` gives the size that a shape letter stands for."""
+    if kind in _SCALARS:
+        finite = type(value) is int or type(value) is float and math.isfinite(value)
+        if not (finite and _SCALARS[kind](value)):
+            raise _Malformed()
+        return int(value) if kind.endswith("integer") else float(value)
+    if kind.endswith(("vector", "array")):
+        shape = kind.replace("-", " ").split()[0].split("×")
+        try:
+            a = np.array(value, dtype=float) if _numbers(value) else np.array(np.nan)
+        except (ValueError, OverflowError):  # ragged, or beyond a float
+            raise _Malformed() from None
+        if a.ndim != len(shape) or not np.all(np.isfinite(a)) or any(
+            size < 1 if s == "k" else size != (int(s) if s.isdigit() else dim(s))
+            for size, s in zip(a.shape, shape)
+        ):
+            raise _Malformed()
+        return a
+    if kind in _LISTS:
+        if not isinstance(value, list) or not value:
+            raise _Malformed("a non-empty list")
+        items = [_value(_LISTS[kind], v, ctx, dim) for v in value]
+        if kind == "family" and len({space.dim for space in items}) > 1:
+            raise _Malformed("subspaces of one dimension")
+        return items
+    if kind == "grid":
+        if isinstance(value, list) and len(value) == dim("n"):
+            return [_value("positive integer", v, ctx, dim) for v in value]
+        return _value("positive integer", value, ctx, dim)
+    if kind == "string" and isinstance(value, str):
+        return value
+    if kind.startswith("one of ") and value in kind[7:].split(", "):
+        return value
+    try:
+        if kind.startswith("expression in "):
+            letter = kind.split()[-1][0]
+            count = dim("q") - kind.endswith("-1")
+            parse_expression(_value("string", value, ctx, dim), [f"{letter}{i + 1}" for i in range(count)])
+            return value
+        if kind == "subspace":
+            return Subspace(ctx.group, _value("k×q array", value, ctx, dim).T)
+        if kind == "group":
+            if isinstance(value, dict):
+                return load_group(value)
+            return catalog_group(_value("string", value, ctx, dim))
+    except (ParseError, ArityError, BadDimensions) as err:
+        raise _Malformed(str(err)) from None
+    if kind == "body":
+        shape = value.get("kind", "ball") if isinstance(value, dict) else None
+        if not isinstance(shape, str) or not set(value) <= _BODY_KEYS.get(shape, set()):
+            raise _Malformed("a ball, a box or an ellipsoid, with its halfwidths or matrix")
+        if shape == "ball":
+            return ball_body(ctx.distance)
+        if shape == "box":
+            halfwidths = _value("q-vector", value.get("halfwidths", [1.0] * dim("q")), ctx, dim)
+            if not np.all(halfwidths > 0):
+                raise _Malformed("positive halfwidths")
+            return box_body(halfwidths)
+        matrix = _value("q×q array", value.get("matrix", np.eye(dim("q")).tolist()), ctx, dim)
+        if np.linalg.svd(matrix, compute_uv=False)[-1] == 0:
+            raise _Malformed("an invertible matrix")
+        return ellipsoid_body(matrix)
+    raise _Malformed()
+
+
+def _convert(kind: str, value, ctx, dim, what: str):
+    try:
+        return _value(kind, value, ctx, dim)
+    except _Malformed as err:
+        why = f" ({err})" if str(err) else ""
+        raise ConfigError(f"{what}: expected {kind}{why}, got {value!r}") from None
+
+
+def task_opts(ctx: RunContext, name: str, opts: dict) -> dict:
+    """The task's opts checked and converted, its defaults filled in, and
+    the run's sample count where the task has ``samples`` and opts set none."""
+    declared = OPTS[name]
+    unknown = sorted(set(opts) - set(declared))
+    if unknown:
+        raise ConfigError(f"{name}: unknown opts {unknown}, expected some of {sorted(declared)}")
+    if "samples" in declared and ctx.samples is not None:
+        opts = {"samples": ctx.samples, **opts}
+    done = {}
+
+    def dim(letter: str) -> int:
+        sizes = {"n": lambda: ctx.chart.n, "q": lambda: ctx.group.q, "d": lambda: done["subspace"].dim}
+        return sizes[letter]()
+
+    for key, default in declared.items():
+        value = opts[key] if key in opts else default
+        if value is REQUIRED:
+            raise ConfigError(f"{name} needs opts.{key}")
+        keep = value is None and default is None
+        done[key] = None if keep else _convert(KINDS[key], value, ctx, dim, f"{name}: opts.{key}")
+    return done
 
 
 # ---------------------------------------------------------------------------
 # Runner
 # ---------------------------------------------------------------------------
+
+def _error_record(err: Exception) -> dict:
+    """A task failure as its report record.  An error outside the package's
+    hierarchy is a bug or unchecked input, so its traceback goes to stderr."""
+    if not isinstance(err, NilgeomError):
+        traceback.print_exc()
+    return {"error": type(err).__name__, "message": str(err)}
+
 
 def load_config(path: str | Path) -> dict:
     try:
@@ -520,14 +546,29 @@ def load_config(path: str | Path) -> dict:
     unknown = set(config) - _CONFIG_KEYS
     if unknown:
         raise ConfigError(f"unknown configuration keys: {sorted(unknown)}")
-    for i, task in enumerate(config.get("tasks", [])):
-        if not isinstance(task, dict) or "task" not in task:
+    for key in ("seed", "numeric_rtol", "samples", "name", "out"):
+        if key in config:
+            _convert(KINDS[key], config[key], None, None, f"configuration {key!r}")
+    sub = config.get("submanifold")
+    if sub is not None:
+        if not isinstance(sub, dict) or set(sub) != _SUBMANIFOLD_KEYS:
+            raise ConfigError(f"'submanifold' needs exactly the keys {sorted(_SUBMANIFOLD_KEYS)}")
+        n = _convert("positive integer", sub["n"], None, None, "submanifold 'n'")
+        _convert("string", sub["exprs"], None, None, "submanifold 'exprs'")
+        _convert("n×2 array", sub["domain"], None, {"n": n}.get, "submanifold 'domain'")
+    tasks = config.get("tasks", [])
+    if not isinstance(tasks, list):
+        raise ConfigError("'tasks' must be a list")
+    for i, task in enumerate(tasks):
+        if not isinstance(task, dict) or not isinstance(task.get("task"), str):
             raise ConfigError(f"task {i} must be an object with a 'task' field")
         if task["task"] not in TASKS:
             raise ConfigError(f"task {i}: unknown task {task['task']!r}")
         extra = set(task) - {"task", "opts"}
         if extra:
             raise ConfigError(f"task {i}: unknown keys {sorted(extra)}")
+        if not isinstance(task.get("opts", {}), dict):
+            raise ConfigError(f"task {i}: 'opts' must be an object")
     return config
 
 
@@ -554,31 +595,28 @@ def run(
             tasks = [{"task": only_task, "opts": cli_opts or {}}]
 
     # every task's opts (the file's, then the command line's) are checked
-    # before any task runs, with the run's sample count where opts set none
+    # and converted before any task runs
     jobs = []
     for task in tasks:
-        opts = {**task.get("opts", {}), **(cli_opts or {})}
-        checked = opts if samples is None else {"samples": samples, **opts}
-        jobs.append((task["task"], opts, _opts_problem(task["task"], checked)))
+        try:
+            opts = task_opts(ctx, task["task"], {**task.get("opts", {}), **(cli_opts or {})})
+            jobs.append((task["task"], opts, None))
+        except Exception as err:
+            jobs.append((task["task"], None, _error_record(err)))
 
     records = []
     timings = {}
     overall_ok = True
-    for index, (name, opts, problem) in enumerate(jobs):
+    for index, (name, opts, record) in enumerate(jobs):
         started = time.monotonic()
-        try:
-            if problem is not None:
-                raise ConfigError(problem)
-            record, ok = TASKS[name](ctx, opts)
-            status = "pass" if ok else "fail"
-        except Exception as err:
-            # every task failure becomes an error record and the run goes on;
-            # an error outside the package's hierarchy is a bug or unchecked
-            # input, so its traceback goes to stderr as well
-            if not isinstance(err, NilgeomError):
-                traceback.print_exc()
-            record = {"error": type(err).__name__, "message": str(err)}
-            ok, status = False, "error"
+        status = "error"
+        if record is None:
+            try:
+                record, ok = TASKS[name](ctx, opts)
+                status = "pass" if ok else "fail"
+            except Exception as err:
+                record = _error_record(err)
+        ok = status == "pass"
         elapsed = time.monotonic() - started
         overall_ok = overall_ok and ok
         records.append({"index": index, "task": name, "status": status, "result": record})
@@ -646,11 +684,7 @@ def main(argv=None) -> int:
             p.add_argument("--y0", type=float, nargs="+", default=None)
 
     args = parser.parse_args(argv)
-    cli_opts = {}
-    if getattr(args, "y", None) is not None:
-        cli_opts["y"] = list(args.y)
-    if getattr(args, "y0", None) is not None:
-        cli_opts["y0"] = list(args.y0)
+    cli_opts = {key: getattr(args, key) for key in ("y", "y0") if getattr(args, key, None) is not None}
 
     if args.command == "catalog" and args.config is None:
         # catalog needs no configuration

@@ -570,11 +570,12 @@ def blowup_rates(
     The translated curve t -> Psi(y0)^-1 . Psi(y0 + V eta(t * ray)) is read in
     a per-layer rotated basis adapted to the h-tangent space.  Coordinates on
     the tangent index set must show log-log slope equal to their degree;
-    the others must have |coord| / t^degree decreasing to zero.
+    the others must have |coord| / t^degree decreasing to zero.  A ray of
+    None is the diagonal, all ones.
     """
     group = chart.group
     y0 = np.asarray(y0, dtype=float)
-    ray = np.asarray(ray, dtype=float)
+    ray = np.asarray(ray if ray is not None else np.ones(chart.n), dtype=float)
     ray = ray / np.linalg.norm(ray)
     analysis = classify_point(chart, y0, policy)
     case = _blowup_case(group, analysis)
@@ -647,7 +648,7 @@ def blowup_rates(
                 continue
             window = ratios[-7:]  # two smallest dyadic decades
             decreasing = bool(np.all(np.diff(window) <= 1e-12 + 0.05 * window[:-1]))
-            vanishing = window[-1] <= 0.6 * window[0] or window[-1] <= 1e-10 * scale_ref
+            vanishing = bool(window[-1] <= 0.6 * window[0] or window[-1] <= 1e-10 * scale_ref)
             rates.append(
                 CoordinateRate(
                     s, int(deg[s]), False, False, None, tuple(ratios), decreasing and vanishing

@@ -58,6 +58,14 @@ def stream(seed: int, tag: str, block: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=_key(seed, tag, block)))
 
 
+def require_counts(**counts: int) -> None:
+    """Reject a sample, segment or grid count below 1 before any work: a
+    loop over no samples would report a check that tested nothing."""
+    for name, count in counts.items():
+        if count < 1:
+            raise ValueError(f"{name} must be at least 1")
+
+
 def blocks(total: int) -> list[tuple[int, int]]:
     """Fixed partition of `total` samples into (block index, size) chunks."""
     out = []

@@ -44,6 +44,7 @@ from .mc import (
     count_hits,
     draw_blocks,
     hit_fraction_estimate,
+    require_counts,
     stream,
     uniform_ball,
     uniform_box,
@@ -97,6 +98,7 @@ def section_area(
     The sample stream is keyed on u rounded to 12 digits, with -0 read as
     +0, so equal centres draw equal samples.
     """
+    require_counts(samples=samples)
     u = np.asarray(u, dtype=float)
     n = space.dim
     if radius_hint is not None:
@@ -159,6 +161,7 @@ def spherical_factor(
     returned directly (method "theorem-shortcut"); otherwise a multi-start
     search with simplex refinement maximizes over u in the unit ball.
     """
+    require_counts(samples=samples)
     reason = None if force_search else _factor_shortcut(dist, space)
     if reason is not None:
         est = section_area(dist, space, np.zeros(dist.group.q), samples, seed, tag="beta0")
@@ -235,6 +238,7 @@ def intrinsic_measure(
     at half resolution, reporting the Richardson-extrapolated value with the
     extrapolation delta in ``meta``; "mc" integrates by uniform sampling.
     """
+    require_counts(resolution=resolution, samples=samples)
     if quadrature not in ("tensor", "mc"):
         raise ValueError(f"unknown quadrature kind {quadrature!r}")
     region = np.asarray(region if region is not None else chart.domain, dtype=float)
@@ -362,8 +366,7 @@ def federer_density(
     values and Jacobians are still evaluated, and checked finite, on every
     sample.
     """
-    if samples < 1:
-        raise ValueError("samples must be at least 1")
+    require_counts(samples=samples)
     if radii is not None:
         radii = [float(r) for r in radii]
         if not radii or not all(0.0 < r < np.inf for r in radii):
@@ -492,7 +495,8 @@ def covering_estimate(
     seed: int = 0,
 ) -> Estimate:
     """Greedy farthest-point cover of a sample cloud of Psi(region) by closed
-    d-balls of radius delta/2; returns sum of radius^exponent.
+    d-balls of radius delta/2; returns sum of radius^exponent.  A region of
+    None is the chart's domain.
 
     This is an upper proxy for the Caratheodory premeasure (a greedy net is
     not the infimum); used for consistency bands only.
@@ -519,7 +523,8 @@ def covering_estimate(
     """
     if not delta > 0:
         raise ValueError("delta must be positive")
-    region = np.asarray(region, dtype=float)
+    require_counts(cloud_size=cloud_size)
+    region = np.asarray(region if region is not None else chart.domain, dtype=float)
     rng = stream(seed, "cover-cloud")
     ys = uniform_box(rng, region, cloud_size)
     cloud = chart.value(ys)
@@ -765,8 +770,7 @@ def area_check(
     measure itself and is recorded explicitly in each verdict."""
     if covering_delta is not None and not covering_delta > 0:
         raise ValueError("covering_delta must be positive")
-    if samples < 1:
-        raise ValueError("samples must be at least 1")
+    require_counts(samples=samples)
     region = np.asarray(region if region is not None else chart.domain, dtype=float)
     mu = intrinsic_measure(chart, region, seed=seed, policy=policy)
     verdicts: list[Verdict] = []
@@ -961,6 +965,7 @@ def section_concavity_check(
 ) -> ConcavityReport:
     """Check midpoint-type concavity of psi(v) = H^n(C ∩ (v+S))^(1/n) along
     random segments in the orthogonal parameter space."""
+    require_counts(segments=segments, samples=samples)
     basis = space.orthonormal_basis()
     n = space.dim
     q = body.ambient_dim
@@ -1055,14 +1060,16 @@ def vertical_translation_check(
     seed: int = 0,
 ) -> TranslationReport:
     """Compare H^n(A) with H^n(p . A) for a box A inside a vertical subgroup,
-    measuring the image inside the affine coset p . N = P_V(p) + N."""
+    measuring the image inside the affine coset p . N = P_V(p) + N; p None
+    is the identity."""
+    require_counts(samples=samples)
     cls = classify_subspace(group, nspace)
     if not cls.vertical:
         raise NotVertical("translation invariance requires a vertical subgroup")
     basis = nspace.orthonormal_basis()
     n = nspace.dim
     box = np.asarray(box if box is not None else np.stack([-np.ones(n), np.ones(n)], axis=1), dtype=float)
-    p = np.asarray(p, dtype=float)
+    p = np.asarray(p if p is not None else np.zeros(group.q), dtype=float)
 
     # linear projection onto V = N^perp along N is the orthogonal projection
     v_part = p - basis @ (basis.T @ p)
@@ -1138,6 +1145,9 @@ def beta_constancy_check(
     samples: int = 200_000,
     seed: int = 0,
 ) -> ConstancyReport:
+    if not family:
+        raise ValueError("the family is empty")
+    require_counts(samples=samples)
     dims = {s.dim for s in family}
     if len(dims) != 1:
         raise ValueError("all family members must have the same dimension")
@@ -1219,6 +1229,7 @@ def coarea_check(
     hypersurface density of the area formula, then integrates over the level
     value; both sides are tensor-grid quadratures.
     """
+    require_counts(resolution=resolution)
     q = group.q
     j0 = graph_coord - 1
     if not 0 <= j0 < q:
@@ -1260,18 +1271,15 @@ def coarea_check(
     t_lo = domain[j0, 0] - float(np.max(g_vals))
     t_hi = domain[j0, 1] - float(np.min(g_vals))
 
-    def rhs_of_t(t: float) -> float:
-        exprs = []
-        names = iter(f"y{k + 1}" for k in range(n))
-        for i in range(q):
-            if i == j0:
-                exprs.append(f"{t!r} + ({g_expr})")
-            else:
-                exprs.append(next(names))
-        chart = parse_parametrization("; ".join(exprs), n, sub_domain, group)
+    # the level set at t is the chart at t = 0 shifted by t in coordinate j
+    names = iter(f"y{k + 1}" for k in range(n))
+    exprs = [f"({g_expr})" if i == j0 else next(names) for i in range(q)]
+    chart = parse_parametrization("; ".join(exprs), n, sub_domain, group)
 
+    def rhs_of_t(t: float) -> float:
         def integrand(ys: np.ndarray) -> np.ndarray:
             pts = chart.value(ys)
+            pts[:, j0] += t
             coeffs = group.frame_coefficients(pts, chart.jacobian_batch(ys))
             dens = projected_wedge_norms(group, coeffs, group.hom_dimension - 1)
             inside = (pts[:, j0] >= domain[j0, 0] - 1e-12) & (

@@ -26,7 +26,7 @@ import numpy as np
 from .algebra import GradedGroup, Subspace, _blocked, load_group
 from .errors import BadDimensions, CalibrationFailed, EmptySection
 from .exprparse import is_monotone_safe, parse_expression
-from .mc import stream
+from .mc import require_counts, stream
 from .optimize import bisect_largest_passing, nelder_mead
 
 TRIANGLE_SLACK = 1e-12
@@ -347,6 +347,7 @@ def verify_distance_axioms(
 ) -> AxiomReport:
     """Sampled triangle-inequality check; homogeneity reduces general pairs to
     pairs with ||x|| + ||y|| = 1.  Necessary, not sufficient."""
+    require_counts(samples=samples)
     g = dist.group
     rng = stream(seed, f"axioms:{dist.kind}:{dist.params}")
     worst = 0.0
@@ -403,6 +404,7 @@ def calibrate_box(
     """Calibrate box weights layer by layer: eps_1 = 1 and each eps_j is the
     largest value in (floor, 1] passing a zero-violation triangle check on the
     step-j quotient group, holding the earlier weights fixed."""
+    require_counts(samples=samples)
     eps = [1.0]
     for j in range(2, group.step + 1):
         quotient = _quotient_group(group, j)

@@ -4,10 +4,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from nilgeom import cli
 from nilgeom.cli import load_config, main, run, task_catalog
 from nilgeom.errors import ConfigError
+from nilgeom.measure import ConvexBody
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -152,18 +155,41 @@ def test_unexpected_task_error_is_recorded(tmp_path, bad_task):
         {"task": "intrinsic-measure", "opts": {"quadrature": "simpson"}},
         {"task": "area-check", "opts": {"probes": [[0.1, -0.2]], "covering_delta": 0}},
         {"task": "blowup-check", "opts": {}},
+        {"task": "analyze-point", "opts": {"y": [0.1]}},
+        {"task": "analyze-point", "opts": {"y": "a"}},
+        {"task": "spherical-factor", "opts": {"subspace": [[1, 0, 0], [0, 0, 1]], "samples": 0}},
+        {"task": "translation-check", "opts": {"subspace": [[0, 1, 0], [0, 0, 1]], "p": [0.1, 0.2]}},
+        {"task": "intrinsic-measure", "opts": {"resolution": 0}},
+        {"task": "intrinsic-measure", "opts": {"region": [[-1, 1]]}},
+        {"task": "covering-estimate", "opts": {"exponent": 3, "delta": 0.2, "cloud_size": 0}},
+        {"task": "coarea-check", "opts": {"domain": [[-1, 1], [-1, 1]]}},
+        {"task": "beta-constancy", "opts": {"family": []}},
+        {"task": "prop-suite", "opts": {"samples": 0}},
+        {"task": "concavity-check", "opts": {"subspace": [[1, 0, 0], [0, 1, 0]], "segments": 0}},
+        {"task": "concavity-check", "opts": {"subspace": [[1, 0, 0], [0, 1, 0]], "samples": -5}},
+        {"task": "verify-distance", "opts": {"samples": 0}},
+        {"task": "calibrate-box", "opts": {"samples": 0}},
+        {"task": "spherical-factor", "opts": {"subspace": [[1, 0, 0], [0, 0, 1]], "sampels": 5}},
+        {"task": "federer-density", "opts": {"y0": [0.1, -0.2], "centers_per_radius": 0}},
+        {"task": "area-check", "opts": {}},
+        {"task": "analyze-point", "opts": {"y": ["0.1", "-0.2"]}},
     ],
     ids=[
         "coarea-no-domain", "covering-no-exponent", "covering-no-delta", "covering-delta-zero",
         "covering-delta-negative", "covering-exponent-text", "unknown-quadrature",
         "area-covering-delta-zero", "blowup-no-y0",
+        "analyze-y-short", "analyze-y-text", "factor-samples-zero", "translation-p-short",
+        "measure-resolution-zero", "measure-region-one-row", "covering-cloud-zero", "coarea-domain-two-rows",
+        "constancy-family-empty", "props-samples-zero", "concavity-segments-zero", "concavity-samples-negative",
+        "verify-samples-zero", "calibrate-samples-zero", "factor-samples-typo", "federer-centers-zero",
+        "area-no-probes", "analyze-y-numeric-text",
     ],
 )
 def test_bad_opts_are_config_errors_before_any_work(tmp_path, capsys, monkeypatch, bad_task):
     # the opts are checked before the run starts: no task function is called
     # for the bad task, the good ones still run, and nothing goes to stderr
     called = []
-    for name in ("coarea-check", "covering-estimate", "intrinsic-measure", "area-check", "blowup-check"):
+    for name in set(cli.TASKS) - {"validate-group"}:
         monkeypatch.setitem(cli.TASKS, name, lambda ctx, opts, name=name: called.append(name))
     cfg = {**BASE, "tasks": [{"task": "validate-group"}, bad_task, {"task": "validate-group"}]}
     status = run(write_config(tmp_path, cfg), out_dir=tmp_path / "out", quiet=True)
@@ -212,6 +238,35 @@ def test_bad_federer_inputs_are_config_errors_before_any_work(tmp_path, capsys, 
     assert capsys.readouterr().err == ""
 
 
+@pytest.mark.parametrize(
+    "top",
+    [
+        {"numeric_rtol": "abc"},
+        {"numeric_rtol": -1},
+        {"numeric_rtol": 1.5},
+        {"seed": "x"},
+        {"seed": 2.5},
+        {"samples": 0},
+        {"name": 5},
+        {"out": ["a"]},
+        {"submanifold": {"n": 2, "exprs": "y1; 0; y2"}},
+        {"submanifold": {"n": 2, "exprs": "y1; 0; y2", "domain": [[-1, 1]]}},
+        {"tasks": [{"task": "validate-group", "opts": [1]}]},
+    ],
+    ids=[
+        "rtol-text", "rtol-negative", "rtol-above-one", "seed-text", "seed-fraction", "samples-zero", "name-number",
+        "out-list", "submanifold-no-domain", "submanifold-domain-one-row", "opts-list",
+    ],
+)
+def test_bad_top_level_values_are_config_errors(tmp_path, capsys, top):
+    cfg = {**BASE, "tasks": [{"task": "validate-group"}], **top}
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(write_config(tmp_path, cfg)), "--out", str(out), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and "Traceback" not in err
+    assert not (out / "report.json").exists()
+
+
 def test_cli_opts_are_merged_before_the_check(tmp_path):
     cfg = {**BASE, "tasks": [{"task": "analyze-point", "opts": {}}]}
     path = write_config(tmp_path, cfg)
@@ -230,3 +285,95 @@ def test_readme_demo_config_runs(tmp_path):
     assert run(path, out_dir=tmp_path / "out", quiet=True) == 0
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     assert report["tasks"] and all(task["status"] == "pass" for task in report["tasks"])
+
+
+def test_readme_opts_table_is_cli_opts():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split("### Task opts", 1)[1].split("\n## ", 1)[0]
+    words = {"required": cli.REQUIRED, "none": None}
+    documented = {}
+    for task, key, kind, default in re.findall(r"^\| ([a-z-]+) \| `(\w+)` \| (.+?) \| (.+?) \|$", table, re.M):
+        value = words[default] if default in words else json.loads(default.strip("`"))
+        documented.setdefault(task, {})[key] = (kind, value)
+    declared = {
+        task: {key: (cli.KINDS[key], default) for key, default in opts.items()}
+        for task, opts in cli.OPTS.items()
+        if opts
+    }
+    assert documented == declared
+    assert set(cli.OPTS) == set(cli.TASKS)
+
+
+# one well-formed value of every opt on BASE: heisenberg(1), a chart of dimension 2
+EXAMPLES = {
+    "y": [0.1, -0.2], "y0": [0.1, -0.2], "ray": [1.0, 0.5], "region": [[-0.5, 0.5], [0.0, 1.0]],
+    "p": [0.1, 0.2, 0.3], "domain": [[-1, 1], [-1, 1], [0, 1]], "box": [[-1, 1], [0, 0.5]],
+    "probes": [[0.1, -0.2]], "samples": 7, "centers_per_radius": 3, "cloud_size": 50, "graph_coord": 2,
+    "resolution": 5, "segments": 4, "tolerance": 0.5, "delta": 0.3, "covering_delta": 0.3,
+    "radii": [0.1, 0.05], "scales": [0.5, 0.25], "exponent": 3, "quadrature": "mc", "g": "y1^2", "u": "x3",
+    "subspace": [[0, 1, 0], [0, 0, 1]], "family": [[[1, 0, 0]], [[0, 1, 0]]],
+    "body": {"kind": "box", "halfwidths": [1, 2, 1]}, "grid": [3, 4], "groups": ["engel", "heisenberg(1)"],
+}
+JUNK = {"0": 0, "-1": -1, "2.5": 2.5, "nan": float("nan"), "inf": float("inf"), "true": True, "text": "a", "empty": []}
+# the kinds that take a value other than the opt's own example
+TAKEN_BY = {
+    "0": {"finite number"},
+    "-1": {"finite number"},
+    "2.5": {"finite number", "positive number"},
+    "short": {"subspace", "family", "positive numbers", "groups"},
+    "long": {"k×n array", "family", "positive numbers", "groups"},
+}
+
+
+def _variants(example) -> dict:
+    out = {"example": example, **JUNK, "nested": [example], "unknown": example}
+    if isinstance(example, list):
+        out.update(short=example[:-1], long=example + example[-1:])
+    return out
+
+
+def _converted(kind: str, got, raw) -> bool:
+    if kind == "subspace":
+        return np.array_equal(got.basis, np.asarray(raw, dtype=float).T)
+    if kind == "family":
+        return len(got) == len(raw) and all(map(_converted, ["subspace"] * len(raw), got, raw))
+    if kind == "groups":
+        return [g.name for g in got] == raw
+    if kind == "body":
+        return isinstance(got, ConvexBody) and got.label == raw["kind"]
+    if kind.endswith(("vector", "array")):
+        return got.dtype == float and np.array_equal(got, raw)
+    if kind == "positive integer":
+        return type(got) is int and got == raw
+    if kind.endswith("number"):
+        return type(got) is float and got == raw
+    return got == raw
+
+
+@settings(max_examples=300, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_fuzzed_opts_are_checked_before_any_work(tmp_path, capsys, monkeypatch, data):
+    # one opt of one task takes a drawn value, the others their examples;
+    # the task functions are stubs, so each run does no work
+    calls = []
+    for name in cli.TASKS:
+        monkeypatch.setitem(cli.TASKS, name, lambda ctx, opts: (calls.append(opts), ({}, True))[1])
+    task = data.draw(st.sampled_from(sorted(t for t, opts in cli.OPTS.items() if opts)), label="task")
+    key = data.draw(st.sampled_from(sorted(cli.OPTS[task])), label="opt")
+    variants = _variants(EXAMPLES[key])
+    label = data.draw(st.sampled_from(sorted(variants)), label="value")
+    opts = {k: EXAMPLES[k] for k, default in cli.OPTS[task].items() if default is cli.REQUIRED}
+    opts[key] = variants[label]
+    if label == "unknown":
+        opts["sampels"] = 5
+    capsys.readouterr()
+    run(write_config(tmp_path, {**BASE, "tasks": [{"task": task, "opts": opts}]}), out_dir=tmp_path / "out", quiet=True)
+    record = json.loads((tmp_path / "out" / "report.json").read_text())["tasks"][0]
+    assert capsys.readouterr().err == ""
+    kind = cli.KINDS[key]
+    if label == "example" or kind in TAKEN_BY.get(label, ()):
+        assert record["status"] == "pass" and len(calls) == 1
+        assert set(calls[0]) == set(cli.OPTS[task])
+        assert _converted(kind, calls[0][key], variants[label])
+    else:
+        assert record["result"]["error"] == "ConfigError" and calls == []

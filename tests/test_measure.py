@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nilgeom import measure
+from nilgeom import measure, metrics
 from nilgeom.algebra import Subspace, abelian, engel, free2, h_type, heisenberg, load_group
 from nilgeom.errors import (
     BadDimensions,
@@ -281,6 +281,47 @@ def test_federer_density_rejects_malformed_inputs_before_any_work(monkeypatch, k
     if "samples" in kwargs:
         with pytest.raises(ValueError):
             area_check(plane, BOX, probes=[[0.1, -0.2]], samples=kwargs["samples"])
+
+
+PLANE = parse_parametrization("y1; 0; y2", 2, [[-1, 1], [-1, 1]], H1)
+CUBE = box_body([1.0, 1.0, 1.0])
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda: section_area(BOX, VERTICAL, np.zeros(3), samples=0), "samples"),
+        (lambda: spherical_factor(BOX, VERTICAL, samples=0), "samples"),
+        (lambda: beta_constancy_check(BOX, [VERTICAL], samples=0), "samples"),
+        (lambda: beta_constancy_check(BOX, []), "family is empty"),
+        (lambda: vertical_translation_check(H1, VERTICAL, np.zeros(3), samples=-1), "samples"),
+        (lambda: section_concavity_check(CUBE, VERTICAL, samples=0), "samples"),
+        (lambda: section_concavity_check(CUBE, VERTICAL, segments=0), "segments"),
+        (lambda: metrics.verify_distance_axioms(BOX, samples=0), "samples"),
+        (lambda: metrics.calibrate_box(H1, samples=0), "samples"),
+        (lambda: intrinsic_measure(PLANE, quadrature="mc", samples=0), "samples"),
+        (lambda: intrinsic_measure(PLANE, resolution=0), "resolution"),
+        (lambda: coarea_check(H1, 1, "0", "1", [[-1, 1]] * 3, resolution=0), "resolution"),
+        (lambda: covering_estimate(PLANE, BOX, PLANE.domain, exponent=3.0, delta=0.2, cloud_size=0), "cloud_size"),
+    ],
+    ids=[
+        "section-samples", "factor-samples", "constancy-samples", "constancy-empty", "translation-samples",
+        "concavity-samples", "concavity-segments", "axioms-samples", "calibrate-samples", "measure-samples",
+        "measure-resolution", "coarea-resolution", "covering-cloud",
+    ],
+)
+def test_counts_below_one_are_rejected_before_any_work(monkeypatch, call, message):
+    def started(*args, **kwargs):
+        raise AssertionError("work started")
+
+    for module, name in [
+        (measure, "stream"), (measure, "draw_blocks"), (measure, "classify_subspace"),
+        (measure, "ball_bounding_radius"), (measure, "sampled_max_degree"), (measure, "parse_expression"),
+        (metrics, "stream"), (metrics, "_quotient_group"),
+    ]:
+        monkeypatch.setattr(module, name, started)
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 # ---------------------------------------------------------------------------

@@ -382,21 +382,32 @@ def load_group(spec: dict, policy: NumericPolicy = DEFAULT_POLICY) -> GradedGrou
     """Build a validated GradedGroup from a definition document.
 
     ``spec`` is JSON-compatible: ``{"name": str, "layers": [h_1, ...],
-    "brackets": [[i, j, k, c], ...]}`` with 1-based basis indices.
+    "brackets": [[i, j, k, c], ...]}`` with 1-based basis indices.  A
+    malformed definition raises ``BadDimensions``.
     """
     name = str(spec.get("name", "anonymous"))
-    layers = tuple(int(h) for h in spec.get("layers", ()))
+    raw_layers = spec.get("layers", ())
+    try:
+        layers = tuple(int(h) for h in raw_layers) if isinstance(raw_layers, (list, tuple)) else ()
+    except (TypeError, ValueError):
+        layers = ()
     if not layers or any(h < 1 for h in layers):
-        raise BadDimensions(f"layers must be positive integers, got {layers!r}")
+        raise BadDimensions(f"layers must be positive integers, got {raw_layers!r}")
     if len(layers) > MAX_STEP:
         raise BadDimensions(f"step {len(layers)} exceeds supported maximum {MAX_STEP}")
     q = sum(layers)
     deg = _degrees(layers)
 
+    brackets = spec.get("brackets", ())
+    if not isinstance(brackets, (list, tuple)):
+        raise BadDimensions(f"brackets must be a list of [i, j, k, c] entries, got {brackets!r}")
     table: dict[tuple[int, int], np.ndarray] = {}
-    for entry in spec.get("brackets", ()):
-        i, j, k, c = entry
-        i, j, k = int(i) - 1, int(j) - 1, int(k) - 1
+    for entry in brackets:
+        try:
+            i, j, k, c = entry
+            i, j, k, c = int(i) - 1, int(j) - 1, int(k) - 1, float(c)
+        except (TypeError, ValueError):
+            raise BadDimensions(f"bracket entry {entry!r} must be [i, j, k, c]") from None
         if not (0 <= i < q and 0 <= j < q and 0 <= k < q):
             raise BadDimensions(f"bracket entry {entry!r} out of range for q={q}")
         if i == j:
@@ -407,7 +418,7 @@ def load_group(spec: dict, policy: NumericPolicy = DEFAULT_POLICY) -> GradedGrou
         if i > j:
             i, j, sign = j, i, -1.0
         vec = table.setdefault((i, j), np.zeros(q))
-        vec[k] += sign * float(c)
+        vec[k] += sign * c
 
     for (i, j), vec in table.items():
         target = deg[i] + deg[j]

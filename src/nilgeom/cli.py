@@ -206,7 +206,9 @@ def task_degree_map(ctx: RunContext, opts: dict):
 
 
 def task_spherical_factor(ctx: RunContext, opts: dict):
-    est = spherical_factor(ctx.distance, opts["subspace"], samples=opts["samples"], seed=ctx.seed)
+    est = spherical_factor(
+        ctx.distance, opts["subspace"], samples=opts["samples"], seed=ctx.seed, policy=ctx.policy
+    )
     return {"beta": est.as_dict()}, True
 
 
@@ -261,19 +263,20 @@ def task_concavity_check(ctx: RunContext, opts: dict):
     report = section_concavity_check(
         opts["body"], opts["subspace"], segments=opts["segments"], samples=opts["samples"], seed=ctx.seed
     )
-    return report.as_dict(), report.passed
+    return report.as_dict(), report.passed or report.advisory
 
 
 def task_translation_check(ctx: RunContext, opts: dict):
     report = vertical_translation_check(
-        ctx.group, opts["subspace"], opts["p"], box=opts["box"], samples=opts["samples"], seed=ctx.seed
+        ctx.group, opts["subspace"], opts["p"], box=opts["box"], samples=opts["samples"], seed=ctx.seed,
+        policy=ctx.policy,
     )
     return report.as_dict(), report.passed
 
 
 def task_beta_constancy(ctx: RunContext, opts: dict):
-    report = beta_constancy_check(ctx.distance, **opts, seed=ctx.seed)
-    return report.as_dict(), report.passed
+    report = beta_constancy_check(ctx.distance, **opts, seed=ctx.seed, policy=ctx.policy)
+    return report.as_dict(), report.passed or report.advisory
 
 
 def task_verify_distance(ctx: RunContext, opts: dict):
@@ -586,7 +589,8 @@ def run(
     out = Path(out_dir or config.get("out", "nilgeom-out"))
     out.mkdir(parents=True, exist_ok=True)
     run_seed = seed if seed is not None else int(config.get("seed", 0))
-    ctx = RunContext(config, out, run_seed, samples, quiet)
+    run_samples = samples if samples is not None else config.get("samples")
+    ctx = RunContext(config, out, run_seed, run_samples, quiet)
 
     tasks = list(config.get("tasks", []))
     if only_task is not None:

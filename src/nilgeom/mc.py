@@ -7,6 +7,12 @@ so results do not depend on how work is partitioned across workers.
 ``count_hits`` is the one hit-or-miss loop, for section and box volumes.
 Common random numbers are drawn once per block by ``draw_blocks`` and shared
 by every member that ``count_hits`` tests on that block.
+
+Sample points are ``(count, n)`` rows.  The per-point work runs column by
+column: numpy reduces over, or broadcasts against, a short trailing axis in
+a slow inner loop, while a whole column is one fast loop.  Each column-wise
+kernel gives, bit for bit, what its row-wise form did; ``sum_of_squares``
+holds the one summation order that makes the Euclidean norms agree.
 """
 from __future__ import annotations
 
@@ -78,21 +84,51 @@ def blocks(total: int) -> list[tuple[int, int]]:
     return out
 
 
+def sum_of_squares(columns: np.ndarray) -> np.ndarray:
+    """Sum of the squares of ``columns`` ``(k, ...)`` over its first axis,
+    added in the order of ``np.linalg.norm(..., axis=-1)`` on the same values
+    as C-ordered rows ``(..., k)``: in sequence below 8 entries, pairwise
+    (``np.add.reduce`` over each row's contiguous squares) from 8 on.  Its
+    square root is therefore that norm, bit for bit.  The squares are taken
+    as one array, as the norm takes them: numpy's scalar product of two
+    nans can drop the sign that its array product keeps."""
+    squares = columns * columns
+    if len(squares) < 8:
+        total = squares[0]
+        for square in squares[1:]:
+            total = total + square
+        return total
+    return np.add.reduce(np.ascontiguousarray(np.moveaxis(squares, 0, -1)), axis=-1)
+
+
 def uniform_ball(rng: np.random.Generator, n: int, count: int, radius: float = 1.0) -> np.ndarray:
-    """Uniform samples in the n-dimensional Euclidean ball."""
+    """Uniform samples ``(count, n)`` in the n-dimensional Euclidean ball.
+
+    Each row is a standard normal direction divided by its norm and then
+    multiplied by ``radius * U^(1/n)``, one column at a time; the rows are
+    those of ``g / norm(g, axis=1) * r``, bit for bit.  A zero row stays zero.
+    """
     g = rng.standard_normal((count, n))
-    norms = np.linalg.norm(g, axis=1, keepdims=True)
+    norms = np.sqrt(sum_of_squares(g.T))
     norms[norms == 0] = 1.0
     r = radius * rng.random(count) ** (1.0 / n)
-    return g / norms * r[:, None]
+    out = np.empty_like(g)
+    for k in range(n):
+        np.divide(g[:, k], norms, out=out[:, k])
+        out[:, k] *= r
+    return out
 
 
 def box_points(bounds: np.ndarray, unit: np.ndarray) -> np.ndarray:
     """Points of the unit cube ``unit`` (count, n) mapped affinely into a box
-    given as an (n, 2) array of [lo, hi] rows."""
+    given as an (n, 2) array of [lo, hi] rows: ``lo + (hi - lo) * unit``,
+    one column at a time."""
     bounds = np.asarray(bounds, dtype=float)
-    lo, hi = bounds[:, 0], bounds[:, 1]
-    return lo + (hi - lo) * unit
+    out = np.empty(np.shape(unit))
+    for k, (lo, hi) in enumerate(bounds):
+        np.multiply(hi - lo, unit[..., k], out=out[..., k])
+        out[..., k] += lo
+    return out
 
 
 def uniform_box(rng: np.random.Generator, bounds: np.ndarray, count: int) -> np.ndarray:

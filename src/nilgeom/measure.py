@@ -46,6 +46,7 @@ from .mc import (
     hit_fraction_estimate,
     require_counts,
     stream,
+    sum_of_squares,
     uniform_ball,
     uniform_box,
 )
@@ -130,8 +131,10 @@ FACTOR_REFINE_ITERS = 40
 FACTOR_SEARCH_SAMPLES = 4_000
 
 
-def _factor_shortcut(dist: HomogeneousDistance, space: Subspace) -> str | None:
-    cls = classify_subspace(dist.group, space)
+def _factor_shortcut(
+    dist: HomogeneousDistance, space: Subspace, policy: NumericPolicy = DEFAULT_POLICY
+) -> str | None:
+    cls = classify_subspace(dist.group, space, policy.rtol)
     if dist.convex_ball and cls.vertical:
         return "convex-ball-vertical"
     if dist.multiradial and cls.horizontal:
@@ -154,15 +157,17 @@ def spherical_factor(
     samples: int = 200_000,
     seed: int = 0,
     force_search: bool = False,
+    policy: NumericPolicy = DEFAULT_POLICY,
 ) -> Estimate:
     """beta_d(S) = max over unit-ball centers u of H^n(B(u,1) ∩ S).
 
     When a constancy theorem pins the maximum at u = 0 the section there is
     returned directly (method "theorem-shortcut"); otherwise a multi-start
-    search with simplex refinement maximizes over u in the unit ball.
+    search with simplex refinement maximizes over u in the unit ball.  The
+    class of S that picks the theorem is decided at ``policy.rtol``.
     """
     require_counts(samples=samples)
-    reason = None if force_search else _factor_shortcut(dist, space)
+    reason = None if force_search else _factor_shortcut(dist, space, policy)
     if reason is not None:
         est = section_area(dist, space, np.zeros(dist.group.q), samples, seed, tag="beta0")
         return Estimate(
@@ -806,7 +811,7 @@ def area_check(
             )
             continue
 
-        beta = spherical_factor(dist, analysis.htangent, samples=factor_samples, seed=seed)
+        beta = spherical_factor(dist, analysis.htangent, samples=factor_samples, seed=seed, policy=policy)
         theta, trace = federer_density(
             chart, dist, y, samples=samples, seed=seed, policy=policy
         )
@@ -896,7 +901,13 @@ def area_check(
 # ---------------------------------------------------------------------------
 
 class ConvexBody:
-    """Membership-testable convex body with a Euclidean bounding radius."""
+    """Membership-testable convex body with a Euclidean bounding radius.
+
+    ``member(pts)`` takes points ``(..., ambient_dim)`` and returns a boolean
+    array of their leading shape.  The bodies built here test their points
+    column by column (see ``mc``), with the results of the row-wise formulas
+    bit for bit.
+    """
 
     def __init__(self, ambient_dim: int, radius: float, member, label: str):
         self.ambient_dim = ambient_dim
@@ -912,12 +923,30 @@ def ball_body(dist: HomogeneousDistance) -> ConvexBody:
     return ConvexBody(group.q, radius, lambda pts: np.asarray(dist.norm(pts)) <= 1.0, f"ball[{dist.kind}]")
 
 
+def _every_column(pts, test) -> np.ndarray:
+    """Points ``(..., k)`` whose every column k passes ``test(column, k)``,
+    one column at a time."""
+    pts = np.asarray(pts)
+    inside = test(pts[..., 0], 0)
+    for k in range(1, pts.shape[-1]):
+        inside &= test(pts[..., k], k)
+    return inside
+
+
+def _shifted(v: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """``v + pts`` for points ``(count, q)``, one column at a time."""
+    out = np.empty_like(pts)
+    for k in range(len(v)):
+        np.add(pts[:, k], v[k], out=out[:, k])
+    return out
+
+
 def box_body(halfwidths) -> ConvexBody:
     h = np.asarray(halfwidths, dtype=float)
     return ConvexBody(
         h.size,
         float(np.linalg.norm(h)) * 1.05,
-        lambda pts: np.all(np.abs(pts) <= h, axis=-1),
+        lambda pts: _every_column(pts, lambda x, k: np.abs(x) <= h[k]),
         "box",
     )
 
@@ -928,22 +957,30 @@ def ellipsoid_body(matrix) -> ConvexBody:
     return ConvexBody(
         m.shape[1],
         1.05 / float(s[-1]),
-        lambda pts: np.linalg.norm(pts @ m.T, axis=-1) <= 1.0,
+        lambda pts: np.sqrt(sum_of_squares(np.moveaxis(pts @ m.T, -1, 0))) <= 1.0,
         "ellipsoid",
     )
 
 
 @dataclass(frozen=True)
 class ConcavityReport:
+    """Counts of a concavity run.  A run that made no check is advisory,
+    with the ``reason``, and does not pass."""
+
     segments: int
     checks: int
     violations: int
     skipped: int
     worst_deficit: float
+    reason: str | None = None
+
+    @property
+    def advisory(self) -> bool:
+        return self.reason is not None
 
     @property
     def passed(self) -> bool:
-        return self.violations == 0
+        return self.violations == 0 and not self.advisory
 
     def as_dict(self) -> dict:
         return {
@@ -953,7 +990,20 @@ class ConcavityReport:
             "skipped": self.skipped,
             "worst_deficit": self.worst_deficit,
             "passed": self.passed,
+            "advisory": self.advisory,
+            "reason": self.reason,
         }
+
+
+def concavity_reason(orthogonal_dim: int, segments: int, checks: int) -> str | None:
+    """Why a concavity run checked nothing, or None when it checked."""
+    if checks:
+        return None
+    if orthogonal_dim == 0:
+        return "the subspace has no orthogonal direction"
+    if segments == 0:
+        return "no segment had both end sections at the hit floor"
+    return "no midpoint section reached the hit floor"
 
 
 def section_concavity_check(
@@ -983,7 +1033,7 @@ def section_concavity_check(
         return val, err
 
     def shifted(v: np.ndarray):
-        return lambda pts: body.member(v[None, :] + pts)
+        return lambda pts: body.member(_shifted(v, pts))
 
     rng = stream(seed, "concavity-segments")
     checks = violations = skipped = 0
@@ -1029,7 +1079,8 @@ def section_concavity_check(
                 violations += 1
                 worst = max(worst, deficit / max(err, 1e-300))
     return ConcavityReport(
-        segments=done, checks=checks, violations=violations, skipped=skipped, worst_deficit=worst
+        segments=done, checks=checks, violations=violations, skipped=skipped, worst_deficit=worst,
+        reason=concavity_reason(perp.shape[1], done, checks),
     )
 
 
@@ -1058,12 +1109,13 @@ def vertical_translation_check(
     box=None,
     samples: int = 100_000,
     seed: int = 0,
+    policy: NumericPolicy = DEFAULT_POLICY,
 ) -> TranslationReport:
     """Compare H^n(A) with H^n(p . A) for a box A inside a vertical subgroup,
     measuring the image inside the affine coset p . N = P_V(p) + N; p None
-    is the identity."""
+    is the identity.  N is tested for verticality at ``policy.rtol``."""
     require_counts(samples=samples)
-    cls = classify_subspace(group, nspace)
+    cls = classify_subspace(group, nspace, policy.rtol)
     if not cls.vertical:
         raise NotVertical("translation invariance requires a vertical subgroup")
     basis = nspace.orthonormal_basis()
@@ -1075,7 +1127,7 @@ def vertical_translation_check(
     v_part = p - basis @ (basis.T @ p)
 
     def in_a(zeta: np.ndarray) -> np.ndarray:
-        return np.all((zeta >= box[:, 0]) & (zeta <= box[:, 1]), axis=-1)
+        return _every_column(zeta, lambda x, k: (x >= box[k, 0]) & (x <= box[k, 1]))
 
     if not np.any(p):
         image_box = box  # left translation by the identity is the identity
@@ -1092,7 +1144,7 @@ def vertical_translation_check(
     def in_image(unit: np.ndarray) -> np.ndarray:
         # the image-box points are a temporary, so the product runs beside
         # one unit block only
-        pts = v_part[None, :] + box_points(image_box, unit) @ basis.T
+        pts = _shifted(v_part, box_points(image_box, unit) @ basis.T)
         back = group.product(group.inverse(p), pts)
         return in_a(back @ basis)
 
@@ -1120,14 +1172,25 @@ def vertical_translation_check(
 
 @dataclass(frozen=True)
 class ConstancyReport:
+    """Factors of a family and their largest pairwise z-score.  A family of
+    one member compares no pair: the report is advisory and does not pass."""
+
     values: tuple[float, ...]
     stderrs: tuple[float, ...]
     spread: float
     max_pairwise_z: float
 
     @property
+    def reason(self) -> str | None:
+        return "a single member compares no pair" if len(self.values) < 2 else None
+
+    @property
+    def advisory(self) -> bool:
+        return self.reason is not None
+
+    @property
     def passed(self) -> bool:
-        return self.max_pairwise_z <= 3.0
+        return self.max_pairwise_z <= 3.0 and not self.advisory
 
     def as_dict(self) -> dict:
         return {
@@ -1136,6 +1199,8 @@ class ConstancyReport:
             "spread": self.spread,
             "max_pairwise_z": self.max_pairwise_z,
             "passed": self.passed,
+            "advisory": self.advisory,
+            "reason": self.reason,
         }
 
 
@@ -1144,6 +1209,7 @@ def beta_constancy_check(
     family: list[Subspace],
     samples: int = 200_000,
     seed: int = 0,
+    policy: NumericPolicy = DEFAULT_POLICY,
 ) -> ConstancyReport:
     if not family:
         raise ValueError("the family is empty")
@@ -1152,7 +1218,7 @@ def beta_constancy_check(
     if len(dims) != 1:
         raise ValueError("all family members must have the same dimension")
     estimates = [
-        spherical_factor(dist, s, samples=samples, seed=seed + i)
+        spherical_factor(dist, s, samples=samples, seed=seed + i, policy=policy)
         for i, s in enumerate(family)
     ]
     values = [e.value for e in estimates]

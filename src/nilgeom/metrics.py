@@ -26,7 +26,7 @@ import numpy as np
 from .algebra import GradedGroup, Subspace, _blocked, load_group
 from .errors import BadDimensions, CalibrationFailed, EmptySection
 from .exprparse import is_monotone_safe, parse_expression
-from .mc import require_counts, stream
+from .mc import require_counts, stream, sum_of_squares
 from .optimize import bisect_largest_passing, nelder_mead
 
 TRIANGLE_SLACK = 1e-12
@@ -77,21 +77,13 @@ class HomogeneousDistance:
         point always has: a kind that reads numpy scalars or 0-d arrays off
         them rounds its powers as before.
 
-        Each magnitude is the square root of the sum of its layer's squared
-        coordinates, added in the order of ``np.linalg.norm(..., axis=-1)``:
-        in sequence below 8 entries, pairwise (``np.add.reduce`` over each
-        point's contiguous squares) from 8 on.
+        Each magnitude is the square root of ``mc.sum_of_squares`` of its
+        layer's coordinates, which is ``np.linalg.norm(..., axis=-1)`` of the
+        layer bit for bit.
         """
         mags = np.empty((self.group.step,) + rows.shape[1:])
         for j, layer in enumerate(self.group.layer_slices):
-            squares = rows[layer] * rows[layer]
-            if len(squares) < 8:
-                total = squares[0]
-                for square in squares[1:]:
-                    total = total + square
-            else:
-                total = np.add.reduce(np.ascontiguousarray(np.moveaxis(squares, 0, -1)), axis=-1)
-            np.sqrt(total, out=mags[j])
+            np.sqrt(sum_of_squares(rows[layer]), out=mags[j])
         return self.phi(mags[:, 0] if point else mags)
 
     def norm(self, x) -> np.ndarray:

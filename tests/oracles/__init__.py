@@ -3,6 +3,7 @@
 The library never imports these: wedge algebra over the left-invariant frame
 (``exterior``), the word-by-word BCH bracket ``nested`` (``algebra``), the
 brute-force Q_n (``manifold``), the multivector hypersurface density, the
-full-scan covering and the full-window Federer density (``measure``), and
-the product-then-norm distance (``metrics``).
+full-scan covering, the full-window Federer density and the row-wise body
+members (``measure``), the product-then-norm distance (``metrics``), and the
+row-wise samplers (``mc``).
 """

@@ -12,7 +12,11 @@ trace or the same error.  The draw-per-call section
 area, concavity and translation loops redraw every block for every volume
 and take the group product at every centre; the production estimators share
 each block and skip the identity product, and must agree with them bit for
-bit.
+bit.  Every oracle here draws with the row-wise samplers of ``oracles.mc``,
+shifts points by broadcasting (``shift_rows``), and is given bodies whose
+members are the row-wise box and ellipsoid formulas (``box_body_rows``,
+``ellipsoid_body_rows``), so a bit that the library's column-wise kernels
+moved would show.
 """
 from __future__ import annotations
 
@@ -20,17 +24,44 @@ import numpy as np
 
 from nilgeom.errors import BoundaryTooClose, CloudTooSparse, DegenerateTangent, EmptySection, RadiusTooSmall
 from nilgeom.manifold import classify_point, degree_echelon
-from nilgeom.mc import Estimate, blocks, hit_fraction_estimate, stream, uniform_ball, uniform_box
+from nilgeom.mc import Estimate, blocks, hit_fraction_estimate, stream
 from nilgeom.measure import (
     ConcavityReport,
+    ConvexBody,
     RadiusTracePoint,
     TranslationReport,
+    box_body,
+    concavity_reason,
+    ellipsoid_body,
     intrinsic_density,
     projected_wedge_norms,
     unit_ball_volume,
 )
 from nilgeom.metrics import ball_bounding_radius
 from nilgeom.policy import DEFAULT_POLICY
+
+from .mc import uniform_ball_rows, uniform_box_rows
+
+
+def shift_rows(v: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """``v`` added to every point ``(count, q)`` by broadcasting."""
+    return v[None, :] + pts
+
+
+def box_body_rows(halfwidths) -> ConvexBody:
+    """``box_body`` whose member reduces over each point's coordinates."""
+    h = np.asarray(halfwidths, dtype=float)
+    body = box_body(h)
+    return ConvexBody(body.ambient_dim, body.radius, lambda pts: np.all(np.abs(pts) <= h, axis=-1), body.label)
+
+
+def ellipsoid_body_rows(matrix) -> ConvexBody:
+    """``ellipsoid_body`` whose member takes ``np.linalg.norm`` of each point."""
+    m = np.asarray(matrix, dtype=float)
+    body = ellipsoid_body(m)
+    return ConvexBody(
+        body.ambient_dim, body.radius, lambda pts: np.linalg.norm(pts @ m.T, axis=-1) <= 1.0, body.label
+    )
 
 
 def hypersurface_density_multivector(chart, y) -> float:
@@ -70,7 +101,7 @@ def section_area_per_call(dist, space, u, samples=200_000, seed=0, tag="section"
     basis = space.orthonormal_basis()
     g = dist.group
     hits = _hits(
-        lambda rng, count: uniform_ball(rng, n, count, radius) @ basis.T,
+        lambda rng, count: uniform_ball_rows(rng, n, count, radius) @ basis.T,
         lambda pts: dist.norm(g.product(g.inverse(u), pts)) <= 1.0 + 1e-14,
         samples,
         seed,
@@ -91,7 +122,7 @@ def concavity_per_call(body, space, segments=200, samples=20_000, seed=0) -> Con
 
     def psi(v, tag):
         hits = _hits(
-            lambda rng, count: v[None, :] + uniform_ball(rng, n, count, body.radius) @ basis.T,
+            lambda rng, count: shift_rows(v, uniform_ball_rows(rng, n, count, body.radius) @ basis.T),
             body.member,
             samples,
             seed,
@@ -132,7 +163,8 @@ def concavity_per_call(body, space, segments=200, samples=20_000, seed=0) -> Con
                 violations += 1
                 worst = max(worst, deficit / max(err, 1e-300))
     return ConcavityReport(
-        segments=done, checks=checks, violations=violations, skipped=skipped, worst_deficit=worst
+        segments=done, checks=checks, violations=violations, skipped=skipped, worst_deficit=worst,
+        reason=concavity_reason(perp.shape[1], done, checks),
     )
 
 
@@ -151,7 +183,7 @@ def translation_per_call(group, nspace, p, box=None, samples=100_000, seed=0) ->
     if not np.any(p):
         image_box = box
     else:
-        dense = uniform_box(stream(seed, "translate-bounds"), box, 4096)
+        dense = uniform_box_rows(stream(seed, "translate-bounds"), box, 4096)
         image = (group.product(p, dense @ basis.T) - v_part) @ basis
         lo, hi = image.min(axis=0), image.max(axis=0)
         margin = 0.05 * (hi - lo) + 1e-9
@@ -159,13 +191,13 @@ def translation_per_call(group, nspace, p, box=None, samples=100_000, seed=0) ->
 
     def mc_volume(target_box, member):
         hits = _hits(
-            lambda rng, count: uniform_box(rng, target_box, count), member, samples, seed, "translate-mc"
+            lambda rng, count: uniform_box_rows(rng, target_box, count), member, samples, seed, "translate-mc"
         )
         vol = float(np.prod(target_box[:, 1] - target_box[:, 0]))
         return hit_fraction_estimate(hits, samples, vol, seed, "mc-box")
 
     def in_image(zeta):
-        back = group.product(group.inverse(p), v_part[None, :] + zeta @ basis.T)
+        back = group.product(group.inverse(p), shift_rows(v_part, zeta @ basis.T))
         return in_a(back @ basis)
 
     before = mc_volume(box, in_a)
@@ -178,7 +210,7 @@ def covering_full_scan(chart, dist, region, exponent, delta, cloud_size=4000, se
     """``covering_estimate`` with every probe scanned over the whole cloud."""
     region = np.asarray(region, dtype=float)
     rng = stream(seed, "cover-cloud")
-    cloud = chart.value(uniform_box(rng, region, cloud_size))
+    cloud = chart.value(uniform_box_rows(rng, region, cloud_size))
     probe = cloud[rng.choice(cloud_size, size=min(256, cloud_size), replace=False)]
     nn = np.full(len(probe), np.inf)
     for lo in range(0, cloud_size, 1 << 12):
@@ -258,7 +290,7 @@ def federer_full_window(chart, dist, y0, radii=None, centers_per_radius=8, sampl
         window = np.stack([y0 - rho, y0 + rho], axis=1)
         vol = float(np.prod(window[:, 1] - window[:, 0]))
         rng = stream(seed, f"federer:{k}")
-        ys = uniform_box(rng, window, samples)
+        ys = uniform_box_rows(rng, window, samples)
         dens = intrinsic_density(chart, ys, n_deg)
         pts = chart.value(ys)
         centers = [p]

@@ -83,6 +83,20 @@ def test_bad_dimension_inputs():
         g.product([1, 2], [0, 0])
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [
+        {"layers": "ab"},
+        {"layers": [2, 1], "brackets": [[1, 2]]},
+        {"layers": [2, 1], "brackets": "x"},
+    ],
+    ids=["layers-text", "bracket-two-numbers", "brackets-text"],
+)
+def test_malformed_definitions_raise_bad_dimensions(spec):
+    with pytest.raises(BadDimensions):
+        load_group(spec)
+
+
 # ---------------------------------------------------------------------------
 # BCH plan
 # ---------------------------------------------------------------------------

@@ -377,3 +377,89 @@ def test_fuzzed_opts_are_checked_before_any_work(tmp_path, capsys, monkeypatch, 
         assert _converted(kind, calls[0][key], variants[label])
     else:
         assert record["result"]["error"] == "ConfigError" and calls == []
+
+
+BAD_GROUPS = [
+    {"layers": "ab"},
+    {"layers": [2, 1], "brackets": [[1, 2]]},
+    {"layers": [2, 1], "brackets": "x"},
+]
+BAD_GROUP_IDS = ["layers-text", "bracket-two-numbers", "brackets-text"]
+
+
+@pytest.mark.parametrize("group", BAD_GROUPS, ids=BAD_GROUP_IDS)
+def test_malformed_group_definitions_are_typed_records(tmp_path, capsys, group):
+    # as the top-level group a BadDimensions record, as a prop-suite group a
+    # ConfigError record (its opts are malformed); nothing on stderr, and
+    # the other task still runs
+    cfg = {
+        **BASE,
+        "group": group,
+        "tasks": [{"task": "validate-group"}, {"task": "catalog"}],
+    }
+    assert run(write_config(tmp_path, cfg), out_dir=tmp_path / "a", quiet=True) == 1
+    report = json.loads((tmp_path / "a" / "report.json").read_text())
+    bad, good = report["tasks"]
+    assert bad["result"]["error"] == "BadDimensions" and good["status"] == "pass"
+    cfg = {**BASE, "tasks": [{"task": "prop-suite", "opts": {"groups": ["heisenberg(1)", group]}}]}
+    assert run(write_config(tmp_path, cfg), out_dir=tmp_path / "b", quiet=True) == 1
+    report = json.loads((tmp_path / "b" / "report.json").read_text())
+    assert report["tasks"][0]["result"]["error"] == "ConfigError"
+    assert capsys.readouterr().err == ""
+
+
+def test_top_level_samples_is_the_run_default(tmp_path):
+    cfg = {**BASE, "samples": 5, "tasks": [{"task": "verify-distance"}]}
+    path = write_config(tmp_path, cfg)
+    assert run(path, out_dir=tmp_path / "a", quiet=True) == 0
+    report = json.loads((tmp_path / "a" / "report.json").read_text())
+    assert report["tasks"][0]["result"]["samples"] == 5
+    # --samples overrides the document's, and a task's own opt both
+    assert run(path, out_dir=tmp_path / "b", samples=7, quiet=True) == 0
+    report = json.loads((tmp_path / "b" / "report.json").read_text())
+    assert report["tasks"][0]["result"]["samples"] == 7
+    cfg["tasks"] = [{"task": "verify-distance", "opts": {"samples": 9}}]
+    assert run(write_config(tmp_path, cfg), out_dir=tmp_path / "c", quiet=True) == 0
+    report = json.loads((tmp_path / "c" / "report.json").read_text())
+    assert report["tasks"][0]["result"]["samples"] == 9
+
+
+def test_checks_that_test_nothing_are_advisory(tmp_path):
+    # the whole group has no orthogonal direction, and a family of one
+    # member compares no pair: each record says why, and the run passes
+    cfg = {
+        **BASE,
+        "tasks": [
+            {"task": "concavity-check",
+             "opts": {"subspace": np.eye(3).tolist(), "body": {"kind": "box"}, "segments": 5, "samples": 100}},
+            {"task": "beta-constancy", "opts": {"family": [[[1, 0, 0], [0, 0, 1]]], "samples": 1000}},
+        ],
+    }
+    assert run(write_config(tmp_path, cfg), out_dir=tmp_path / "out", quiet=True) == 0
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    concavity, constancy = (task["result"] for task in report["tasks"])
+    assert all(task["status"] == "pass" for task in report["tasks"])
+    assert concavity["advisory"] is True and concavity["passed"] is False and concavity["checks"] == 0
+    assert concavity["reason"] == "the subspace has no orthogonal direction"
+    assert constancy["advisory"] is True and constancy["passed"] is False
+    assert constancy["reason"] == "a single member compares no pair"
+
+
+def test_numeric_rtol_reaches_the_subspace_class(tmp_path):
+    # span{e1, e3 + 1e-6 e2} is vertical only at a tolerance above 1e-6: the
+    # translation check refuses it at the default and runs at 1e-3, and the
+    # factor takes the convex-ball shortcut only at 1e-3
+    near_vertical = [[1.0, 0.0, 0.0], [0.0, 1e-6, 1.0]]
+    tasks = [
+        {"task": "translation-check", "opts": {"subspace": near_vertical, "samples": 2000}},
+        {"task": "spherical-factor", "opts": {"subspace": near_vertical, "samples": 2000}},
+    ]
+    path = write_config(tmp_path, {**BASE, "numeric_rtol": 1e-3, "tasks": tasks})
+    assert run(path, out_dir=tmp_path / "loose", quiet=True) == 0
+    translation, factor = json.loads((tmp_path / "loose" / "report.json").read_text())["tasks"]
+    assert translation["result"]["passed"] is True
+    assert factor["result"]["beta"]["method"] == "theorem-shortcut"
+    path = write_config(tmp_path, {**BASE, "tasks": tasks[:1]})
+    assert run(path, out_dir=tmp_path / "default", quiet=True) == 1
+    translation = json.loads((tmp_path / "default" / "report.json").read_text())["tasks"][0]
+    assert translation["result"]["error"] == "NotVertical"

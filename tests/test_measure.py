@@ -37,14 +37,18 @@ from nilgeom.metrics import (
     euclidean_ball_distance,
     multiradial_distance,
 )
-from nilgeom.mc import stream
+from nilgeom.mc import box_points, stream, sum_of_squares, uniform_ball
 from nilgeom.policy import NumericPolicy
+from oracles.mc import box_points_rows, uniform_ball_rows
 from oracles.measure import (
+    box_body_rows,
     concavity_per_call,
     covering_full_scan,
+    ellipsoid_body_rows,
     federer_full_window,
     hypersurface_density_multivector,
     section_area_per_call,
+    shift_rows,
     translation_per_call,
 )
 
@@ -545,6 +549,29 @@ def test_concavity_euclidean_ball():
     assert report.violations == 0
 
 
+def test_concavity_that_checks_nothing_is_advisory():
+    # the whole group has no orthogonal direction; 20 samples never reach
+    # the 25-hit floor; neither run checks a midpoint, so neither passes
+    whole = section_concavity_check(CUBE, Subspace(H1, np.eye(3)), segments=5, samples=100)
+    assert (whole.segments, whole.checks, whole.violations) == (0, 0, 0)
+    assert whole.advisory and not whole.passed
+    assert whole.reason == "the subspace has no orthogonal direction"
+    assert whole.as_dict()["advisory"] is True and whole.as_dict()["passed"] is False
+    sparse = section_concavity_check(CUBE, PLANE12, segments=3, samples=20)
+    assert sparse.segments == 0 and sparse.advisory and not sparse.passed
+    assert sparse.reason == "no segment had both end sections at the hit floor"
+    checked = section_concavity_check(CUBE, PLANE12, segments=3, samples=2000)
+    assert checked.checks > 0 and checked.reason is None and not checked.advisory and checked.passed
+
+
+def test_beta_constancy_of_one_member_is_advisory():
+    single = beta_constancy_check(BOX, [VERTICAL], samples=2000, seed=4)
+    assert single.max_pairwise_z == 0.0 and single.advisory and not single.passed
+    assert single.as_dict()["reason"] == "a single member compares no pair"
+    pair = beta_constancy_check(BOX, [VERTICAL, VERTICAL], samples=2000, seed=4)
+    assert not pair.advisory and pair.reason is None
+
+
 def test_concavity_box_ball_vertical_sections():
     report = section_concavity_check(ball_body(BOX), VERTICAL, segments=50, samples=6000, seed=9)
     assert report.violations == 0
@@ -738,19 +765,20 @@ def test_section_area_bit_identical_to_per_call_product(dist, space, u, samples)
 
 @pytest.mark.parametrize("samples", MULTI_BLOCK)
 @pytest.mark.parametrize(
-    "body, space",
+    "body, oracle_body, space",
     [
-        (box_body([1, 1, 1]), PLANE12),
-        (ball_body(BOX), VERTICAL),
-        (ellipsoid_body(np.diag([1.0, 2.0, 1.5])), X_LINE),
-        (ConvexBody(3, 1.05, _shell, "shell"), X_LINE),
-        (ConvexBody(3, 1.3, _dumbbell, "dumbbell"), PLANE12),
+        (box_body([1, 1, 1]), box_body_rows([1, 1, 1]), PLANE12),
+        (ball_body(BOX), ball_body(BOX), VERTICAL),
+        (ellipsoid_body(np.diag([1.0, 2.0, 1.5])), ellipsoid_body_rows(np.diag([1.0, 2.0, 1.5])), X_LINE),
+        (ConvexBody(3, 1.05, _shell, "shell"), ConvexBody(3, 1.05, _shell, "shell"), X_LINE),
+        (ConvexBody(3, 1.3, _dumbbell, "dumbbell"), ConvexBody(3, 1.3, _dumbbell, "dumbbell"), PLANE12),
     ],
     ids=["cube", "box-ball", "ellipsoid-line", "shell-line", "dumbbell"],
 )
-def test_concavity_bit_identical_to_per_call_draws(body, space, samples):
+def test_concavity_bit_identical_to_per_call_draws(body, oracle_body, space, samples):
+    # the library's box and ellipsoid against the row-wise member formulas
     got = section_concavity_check(body, space, segments=8, samples=samples, seed=3)
-    assert got == concavity_per_call(body, space, segments=8, samples=samples, seed=3)
+    assert got == concavity_per_call(oracle_body, space, segments=8, samples=samples, seed=3)
     if body.label == "dumbbell":
         # a non-convex member exercises every field of the report
         assert got.violations > 0 and got.skipped > 0 and got.worst_deficit > 0
@@ -769,3 +797,103 @@ def test_translation_bit_identical_to_per_call_draws(group, space, samples):
         box = np.stack([-half, half], axis=1)
         got = vertical_translation_check(group, space, p, box=box, samples=samples, seed=21)
         assert got == translation_per_call(group, space, p, box=box, samples=samples, seed=21)
+
+
+# ---------------------------------------------------------------------------
+# column-wise sampling and membership kernels against the row-wise oracles
+# ---------------------------------------------------------------------------
+
+class _StubRng:
+    """A generator that hands out given normals and uniforms."""
+
+    def __init__(self, normals: np.ndarray, uniforms: np.ndarray):
+        self.normals, self.uniforms = normals, uniforms
+
+    def standard_normal(self, shape):
+        assert shape == self.normals.shape
+        return self.normals.copy()
+
+    def random(self, count):
+        assert count == len(self.uniforms)
+        return self.uniforms.copy()
+
+
+_COORD = st.floats(-4.0, 4.0, allow_subnormal=True) | st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5])
+
+
+@settings(max_examples=150)
+@given(
+    n=st.integers(1, 9),
+    count=st.integers(0, 40),
+    radius=st.floats(0.01, 5.0),
+    seed=st.integers(0, 2**16),
+)
+def test_uniform_ball_is_bitwise_the_row_wise_oracle(n, count, radius, seed):
+    got = uniform_ball(stream(seed, "ball-oracle"), n, count, radius)
+    want = uniform_ball_rows(stream(seed, "ball-oracle"), n, count, radius)
+    assert got.flags.c_contiguous and got.shape == want.shape
+    assert np.array_equal(got, want)
+
+
+@settings(max_examples=100)
+@given(data=st.data(), n=st.integers(1, 9), count=st.integers(1, 12))
+def test_uniform_ball_zero_row_is_bitwise_the_row_wise_oracle(data, n, count):
+    # a zero normal row keeps its norm at 1 and so stays zero
+    normals = np.array(data.draw(st.lists(_COORD, min_size=n * count, max_size=n * count))).reshape(count, n)
+    normals[data.draw(st.integers(0, count - 1), label="zero row")] = 0.0
+    uniforms = np.array(data.draw(st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=count, max_size=count)))
+    got = uniform_ball(_StubRng(normals, uniforms), n, count, 1.5)
+    want = uniform_ball_rows(_StubRng(normals, uniforms), n, count, 1.5)
+    assert np.array_equal(got, want)
+    assert not np.any(got[~np.any(normals, axis=1)])
+
+
+_LEADING = st.sampled_from([(), (7,), (3, 5), (2, 1, 4)])
+
+
+@settings(max_examples=100)
+@given(data=st.data(), q=st.integers(1, 10), leading=_LEADING)
+def test_box_member_is_bitwise_the_row_wise_oracle(data, q, leading):
+    h = np.array(data.draw(st.lists(st.floats(0.1, 3.0) | st.just(1.0), min_size=q, max_size=q)))
+    size = int(np.prod(leading, dtype=int)) * q
+    pts = np.array(data.draw(st.lists(_COORD | st.sampled_from(list(h) + list(-h)), min_size=size, max_size=size)))
+    pts = pts.reshape(leading + (q,))
+    got, want = box_body(h).member(pts), box_body_rows(h).member(pts)
+    assert got.shape == want.shape == leading
+    assert np.array_equal(got, want)
+
+
+@settings(max_examples=100)
+@given(q=st.integers(1, 10), leading=_LEADING, seed=st.integers(0, 2**16))
+def test_ellipsoid_member_is_bitwise_the_row_wise_oracle(q, leading, seed):
+    # points scaled onto the boundary, where the last bit of the norm
+    # decides membership; q from 8 on sums the squares pairwise
+    rng = stream(seed, "ellipsoid-oracle")
+    m = np.eye(q) + 0.3 * rng.standard_normal((q, q))
+    pts = rng.uniform(-1.5, 1.5, leading + (q,)) / max(np.linalg.norm(m, 2), 1e-3)
+    boundary = rng.standard_normal(leading + (q,))
+    boundary /= np.linalg.norm(boundary @ m.T, axis=-1, keepdims=True)
+    for points in (pts, boundary, np.nextafter(boundary, 0.0), np.nextafter(boundary, 2.0 * boundary)):
+        got, want = ellipsoid_body(m).member(points), ellipsoid_body_rows(m).member(points)
+        assert got.shape == want.shape == leading
+        assert np.array_equal(got, want)
+
+
+@settings(max_examples=100)
+@given(k=st.integers(1, 10), leading=_LEADING, seed=st.integers(0, 2**16))
+def test_sum_of_squares_is_the_square_of_np_linalg_norm(k, leading, seed):
+    rows = stream(seed, "squares-oracle").standard_normal(leading + (k,)) * 10.0 ** np.arange(-4, k - 4)
+    assert np.array_equal(np.sqrt(sum_of_squares(np.moveaxis(rows, -1, 0))), np.linalg.norm(rows, axis=-1))
+
+
+@settings(max_examples=100)
+@given(q=st.integers(1, 10), count=st.integers(0, 30), seed=st.integers(0, 2**16))
+def test_shift_and_box_points_are_bitwise_the_row_wise_oracles(q, count, seed):
+    rng = stream(seed, "shift-oracle")
+    v = rng.standard_normal(q) * 10.0 ** rng.integers(-3, 4, q)
+    pts = rng.standard_normal((count, q)) @ rng.standard_normal((q, q))
+    assert np.array_equal(measure._shifted(v, pts), shift_rows(v, pts))
+    lo = rng.uniform(-2.0, 1.0, q)
+    bounds = np.stack([lo, lo + rng.uniform(1e-9, 3.0, q)], axis=1)
+    unit = rng.random((count, q))
+    assert np.array_equal(box_points(bounds, unit), box_points_rows(bounds, unit))

@@ -388,7 +388,7 @@ def load_group(spec: dict, policy: NumericPolicy = DEFAULT_POLICY) -> GradedGrou
     name = str(spec.get("name", "anonymous"))
     raw_layers = spec.get("layers", ())
     try:
-        layers = tuple(int(h) for h in raw_layers) if isinstance(raw_layers, (list, tuple)) else ()
+        layers = tuple(_count(h) for h in raw_layers) if isinstance(raw_layers, (list, tuple)) else ()
     except (TypeError, ValueError):
         layers = ()
     if not layers or any(h < 1 for h in layers):
@@ -405,9 +405,9 @@ def load_group(spec: dict, policy: NumericPolicy = DEFAULT_POLICY) -> GradedGrou
     for entry in brackets:
         try:
             i, j, k, c = entry
-            i, j, k, c = int(i) - 1, int(j) - 1, int(k) - 1, float(c)
+            i, j, k, c = _count(i) - 1, _count(j) - 1, _count(k) - 1, float(c)
         except (TypeError, ValueError):
-            raise BadDimensions(f"bracket entry {entry!r} must be [i, j, k, c]") from None
+            raise BadDimensions(f"bracket entry {entry!r} must be [i, j, k, c] with integer i, j, k") from None
         if not (0 <= i < q and 0 <= j < q and 0 <= k < q):
             raise BadDimensions(f"bracket entry {entry!r} out of range for q={q}")
         if i == j:
@@ -434,6 +434,17 @@ def load_group(spec: dict, policy: NumericPolicy = DEFAULT_POLICY) -> GradedGrou
     _check_jacobi(group)
     bch_plan(group.step)  # build and cache the evaluation plan now
     return group
+
+
+def _count(value) -> int:
+    """A layer size or basis index as an int: an integer, or a float with an
+    integral value.  A bool, a fraction, text or a non-finite number raises
+    ValueError, so a typo in a count is refused, not truncated."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return int(value)
+    if isinstance(value, (float, np.floating)) and float(value).is_integer():
+        return int(value)
+    raise ValueError(f"{value!r} is not an integer")
 
 
 def _check_jacobi(group: GradedGroup, tol: float = 1e-12) -> None:

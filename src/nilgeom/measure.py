@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
 from itertools import accumulate
-from math import floor, gamma, nextafter, pi, sqrt
+from math import gamma, pi, sqrt
 
 import numpy as np
 
@@ -368,8 +368,8 @@ def federer_density(
     weight.  The weights, their means and so every ratio, stderr and hit
     count are bit for bit those of the full window
     (``tests/oracles/measure.py::federer_full_window``).  The chart's
-    values and Jacobians are still evaluated, and checked finite, on every
-    sample.
+    values and Jacobians are evaluated, and checked finite, on every
+    sample, once; the density takes those of the held samples.
     """
     require_counts(samples=samples)
     if radii is not None:
@@ -411,9 +411,7 @@ def federer_density(
 
         rng = stream(seed, f"federer:{k}")
         ys = uniform_box(rng, window, samples)
-        # values and Jacobians are checked finite on the whole window
         columns = np.ascontiguousarray(chart.value(ys).T)
-        chart.jacobian_batch(ys)
 
         centers = [p]
         vdirs = dist.unit_normalize(rng.standard_normal((max(centers_per_radius - 1, 0), group.q)))
@@ -435,9 +433,17 @@ def federer_density(
             inside[rows[np.asarray(dist.distance(z, columns[:, rows].T)) <= r]] = True
             held |= inside
             balls.append(inside)
+        # values and Jacobians are checked finite on the whole window, and
+        # the density takes those of the held samples; a block at a time,
+        # so that the whole window's Jacobians are never held at once
+        jacobians = np.concatenate([
+            chart.jacobian_batch(ys[lo : lo + (1 << 14)])[held[lo : lo + (1 << 14)]]
+            for lo in range(0, samples, 1 << 14)
+        ])
         dens = np.zeros(samples)
         if held.any():
-            dens[held] = intrinsic_density(chart, ys[held], n_deg)
+            coeffs = group.frame_coefficients(columns[:, held].T, jacobians)
+            dens[held] = projected_wedge_norms(group, coeffs, n_deg)
 
         best = None
         for inside in balls:
@@ -506,25 +512,54 @@ def covering_estimate(
     This is an upper proxy for the Caratheodory premeasure (a greedy net is
     not the infimum); used for consistency bands only.
 
-    The loop is Gonzalez's farthest-point clustering: the next centre is the
-    point farthest from every centre so far (``argmax``, lowest index on
-    ties), until that distance is at most delta/2.  A new centre c at
-    distance D can only lower the points x with ``d(c, x) < D``, and each of
-    those lies in a coordinate box around c: with ``z = c^-1 . x``, the
-    magnitudes are ``|z_j| <= rho_j D^j`` (``dist.layer_radii``), and the
-    BCH series ``x - c = z + sum_w coeff_w [w(c, z)]`` bounds layer j of
-    ``x - c`` by ``r_j = rho_j D^j + sum_w |coeff_w| L^(len w - 1)
-    C^#X Y^#Y`` (see ``_coordinate_reach``).  The cloud is indexed once
-    (``_CoverIndex``), and each centre evaluates the distance only on the
-    points of its box, so the centres, the ball count and every nearest
-    centre distance are bit for bit those of the full scan
+    The net is Gonzalez's farthest-point clustering (TCS 1985): the first
+    centre is point 0, and each next centre is the point farthest from the
+    centres so far (lowest index on ties), until that distance is at most
+    delta/2.  A point's value, its distance to the centres so far, only
+    ever falls, so the argmax can be lazy, as in Minoux's accelerated greedy
+    (1978), and the centres are taken in batches (``_farthest_point_net``):
+
+    - *The pool.*  A pool holds the points whose value is at least T, the
+      COVER_POOL-th largest value when the pool was filled.  Every point
+      outside it stays below T.  A pool point that falls below T leaves the
+      pool, and an empty pool is filled again from the whole cloud.
+    - *The batch rule.*  A batch takes the first COVER_BATCH pool points in
+      (value descending, index ascending) order as candidates, and the
+      distance between every ordered pair of them in one distance call.  It
+      runs the loop on the candidates alone: the next centre is the
+      candidate of largest value, and each centre lowers every candidate's
+      value to its distance from that centre where that is smaller.  The
+      batch ends at the first centre so chosen whose value is at most
+      delta/2, below T, or after the first pool point left out in that
+      order.
+    - *Why it is exact.*  Until the batch ends, the candidate chosen is the
+      full loop's next centre: its value is that of the full loop, every
+      pool point left out comes after it (their values have only fallen),
+      and every point outside the pool is below T.  A centre c at value D
+      lowers only points x with ``d(c, x) < D``, and each of those lies in
+      a coordinate box around c: with ``z = c^-1 . x``, the magnitudes are
+      ``|z_j| <= rho_j D^j`` (``dist.layer_radii``), and the BCH series
+      ``x - c = z + sum_w coeff_w [w(c, z)]`` bounds layer j of ``x - c``
+      by ``r_j = rho_j D^j + sum_w |coeff_w| L^(len w - 1) C^#X Y^#Y`` (see
+      ``_coordinate_reach``).  The cloud is indexed once (``_CoverIndex``),
+      the batch's boxes are read from it at once, and one distance call
+      takes every (centre, box point) pair.  Folding those in with
+      ``np.minimum.at`` is exact and does not depend on order, so every
+      value after the batch is the full loop's after the same centres.
+
+    So the centres, the ball count and every nearest centre distance are
+    bit for bit those of the full scan
     (``tests/oracles/measure.py::covering_full_scan``).
 
     The spacing check asks of 256 probe points that each have a neighbour
     within delta/4; a probe closes as soon as a point of its box at
-    D = delta/4 lies in (0, delta/4].  Only the probes still open are
-    scanned over the whole cloud, so the spacing reported by
-    ``CloudTooSparse`` is the exact nearest-neighbour distance.
+    D = delta/4 lies in (0, delta/4].  A probe still open searches the boxes
+    at D = delta/2, delta, 2 delta, ...: every point at computed distance
+    0 < d <= D lies in the box at D, so the smallest nonzero distance in the
+    first box that holds one is the probe's exact nearest-neighbour
+    distance, and a box that holds the whole cloud gives the full minimum
+    (inf when no point differs from the probe).  So the spacing reported by
+    ``CloudTooSparse`` is that of the full scan.
     """
     if not delta > 0:
         raise ValueError("delta must be positive")
@@ -539,37 +574,36 @@ def covering_estimate(
 
     quarter = delta / 4.0
     probes = rng.choice(cloud_size, size=min(256, cloud_size), replace=False)
-    boxes = [index.near(cloud[p], reach(quarter, cloud[p])) for p in probes]
-    pairs = np.repeat(probes, [len(pos) for pos in boxes])
-    d = np.asarray(dist.distance(cloud[pairs], index.points[np.concatenate(boxes)]))
+    pos, counts = index.near(cloud[probes], np.array([reach(quarter, cloud[p]) for p in probes]))
+    pairs = np.repeat(probes, counts)
+    d = np.asarray(dist.distance(cloud[pairs], index.rows(pos)))
     close = np.zeros(cloud_size, dtype=bool)
     close[pairs[(d > 0.0) & (d <= quarter)]] = True
     still_open = probes[~close[probes]]
     if len(still_open):
-        probe = cloud[still_open]
-        nn = np.full(len(probe), np.inf)
-        for lo in range(0, cloud_size, 1 << 12):
-            d = np.asarray(dist.distance(probe[:, None, :], cloud[None, lo : lo + (1 << 12), :]))
+        spacing = np.empty(len(still_open))
+        todo = np.arange(len(still_open))
+        bound = radius
+        while len(todo):
+            centres = cloud[still_open[todo]]
+            # a box too wide to compute holds the whole cloud
+            halves = np.array([reach(bound, c) for c in centres])
+            halves[~np.isfinite(halves)] = np.inf
+            pos, counts = index.near(centres, halves)
+            d = np.asarray(dist.distance(np.repeat(centres, counts, axis=0), index.rows(pos)))
             d[d == 0.0] = np.inf
-            nn = np.minimum(nn, d.min(axis=1))
+            nearest = np.full(len(todo), np.inf)
+            np.minimum.at(nearest, np.repeat(np.arange(len(todo)), counts), d)
+            done = (nearest <= bound) | (counts == cloud_size)
+            spacing[todo[done]] = nearest[done]
+            todo = todo[~done]
+            bound *= 2.0
         raise CloudTooSparse(
-            f"cloud spacing {float(np.max(nn)):.3g} exceeds delta/4 = {quarter:.3g}"
+            f"cloud spacing {float(np.max(spacing)):.3g} exceeds delta/4 = {quarter:.3g}"
         )
 
-    dist_to_centers = np.asarray(dist.distance(cloud[0], cloud))
-    count = 1
-    while True:
-        idx = int(np.argmax(dist_to_centers))
-        farthest = float(dist_to_centers[idx])
-        if farthest <= radius:
-            break
-        count += 1
-        center = cloud[idx]
-        pos = index.near(center, reach(farthest, center))
-        near = index.order[pos]
-        dist_to_centers[near] = np.minimum(
-            dist_to_centers[near], dist.distance(center, index.points[pos])
-        )
+    centres, _ = _farthest_point_net(dist, cloud, radius, reach, index)
+    count = len(centres)
     value = count * radius**exponent
     return Estimate(
         value,
@@ -579,6 +613,59 @@ def covering_estimate(
         "greedy-cover",
         {"delta": delta, "balls": count, "upper_proxy": True},
     )
+
+
+# The farthest-point net keeps at least COVER_POOL points in its pool and
+# takes its candidates COVER_BATCH at a time (see covering_estimate).
+COVER_POOL = 2048
+COVER_BATCH = 32
+
+
+def _farthest_point_net(dist: HomogeneousDistance, cloud: np.ndarray, radius: float, reach, index):
+    """The farthest-point net of ``cloud`` at ``radius``, taken as
+    ``covering_estimate`` describes: the centres' indices, in the order
+    taken, and every point's distance to its nearest centre, both equal to
+    those of the plain loop (``tests/oracles/measure.py::farthest_point_loop``).
+    """
+    n = len(cloud)
+    values = np.asarray(dist.distance(cloud[0], cloud))
+    centres = [0]
+    pool, floor_value = np.empty(0, dtype=np.intp), np.inf
+    while True:
+        pool = pool[values[pool] >= floor_value]
+        if not len(pool):
+            floor_value = np.partition(values, n - COVER_POOL)[n - COVER_POOL] if n > COVER_POOL else -np.inf
+            pool = np.flatnonzero(values >= floor_value)
+        pooled = values[pool]
+        # the pool is in index order, so a stable sort breaks ties by index
+        ranked = np.argsort(-pooled, kind="stable")
+        if pooled[ranked[0]] <= radius:
+            return np.array(centres), values
+        if len(ranked) > COVER_BATCH:
+            after = pooled[ranked[COVER_BATCH]], pool[ranked[COVER_BATCH]]
+        else:
+            after = floor_value, n
+        chosen = np.sort(ranked[:COVER_BATCH])
+        ids, points, now = pool[chosen], cloud[pool[chosen]], pooled[chosen]
+        k = len(ids)
+        apart = np.asarray(dist.distance(np.repeat(points, k, axis=0), np.tile(points, (k, 1))))
+        apart = apart.reshape(k, k)
+        taken, halves = [], []
+        while len(taken) < k:
+            # the candidates are in index order, so argmax breaks ties by index
+            j = int(np.argmax(now))
+            value = float(now[j])
+            if value <= radius or value < after[0] or (value == after[0] and ids[j] > after[1]):
+                break
+            taken.append(j)
+            halves.append(reach(value, points[j]))
+            np.minimum(now, apart[j], out=now)
+            now[j] = -np.inf
+        centres.extend(ids[taken].tolist())
+        batch = points[taken]
+        pos, counts = index.near(batch, np.array(halves))
+        d = dist.distance(np.repeat(batch, counts, axis=0), index.rows(pos))
+        np.minimum.at(values, index.order[pos], d)
 
 
 # Relative allowance for the rounding of a computed norm (a few ulps for
@@ -669,8 +756,12 @@ class _CoverIndex:
     reads the run of each cell that its box overlaps in ``b`` and keeps the
     points inside the box in every other coordinate.  Cells and runs are
     found with rounded arithmetic that is monotone in the coordinate, so no
-    point of the box is missed.  ``points`` views the sorted cloud, stored
-    coordinate-first, row by row; ``order`` maps it back to the cloud.
+    point of the box is missed.  The runs of every box of a batch are found
+    in one search: ``keys`` orders the sorted cloud by cell and then by the
+    rank of ``b`` among all the cloud's values of ``b``, which is the order
+    of ``b`` inside a cell.  ``columns`` holds the sorted cloud
+    coordinate-first (``rows`` reads points from it), and ``order`` maps it
+    back to the cloud.
     """
 
     def __init__(self, cloud: np.ndarray, group: GradedGroup, width: float):
@@ -683,30 +774,52 @@ class _CoverIndex:
         cells = self._cell(cloud[:, self.a])
         self.order = np.lexsort((cloud[:, self.b], cells))
         self.columns = np.ascontiguousarray(cloud[self.order].T)
-        self.points = self.columns.T
-        self.cells, starts = np.unique(cells[self.order], return_index=True)
-        self.bounds = np.append(starts, len(cloud))
+        self.cells, sizes = np.unique(cells[self.order], return_counts=True)
+        self.sorted_b = np.sort(self.columns[self.b])
+        self.stride = len(cloud) + 1
+        self.keys = np.repeat(np.arange(len(sizes)) * self.stride, sizes) + self.sorted_b.searchsorted(
+            self.columns[self.b]
+        )
+        self.low, self.high = self.columns.min(axis=1), self.columns.max(axis=1)
 
     def _cell(self, values):
         return np.floor((values - self.origin) / self.width)
 
-    def near(self, center: np.ndarray, reach: np.ndarray) -> np.ndarray:
-        """Positions in ``points`` of the points x with ``|x_k - center_k|
-        <= reach[k]`` for every k, in increasing order."""
+    def near(self, centers: np.ndarray, reaches: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The points x with ``|x_k - c_k| <= r_k`` for every k, for each
+        centre c of ``centers`` ``(m, q)`` and its half-widths r, the same
+        row of ``reaches``: their positions in the sorted cloud, grouped by
+        centre and increasing within a group, and the number of each
+        centre's."""
         a, b, columns = self.a, self.b, self.columns
-        # the float64 arithmetic of _cell, on the ends of the box
-        first = self.cells.searchsorted(floor((center[a] - reach[a] - self.origin) / self.width))
-        last = self.cells.searchsorted(floor((center[a] + reach[a] - self.origin) / self.width) + 1)
+        first = self.cells.searchsorted(self._cell(centers[:, a] - reaches[:, a]))
+        last = self.cells.searchsorted(self._cell(centers[:, a] + reaches[:, a]) + 1)
+        owner, cell = _ranges(first, last - first)
         # [lo, the float above hi) is the closed key range [lo, hi]
-        keys = (center[b] - reach[b], nextafter(center[b] + reach[b], np.inf))
-        runs = []
-        for start, stop in zip(self.bounds[first:last].tolist(), self.bounds[first + 1 : last + 1].tolist()):
-            lo, hi = start + columns[b, start:stop].searchsorted(keys)
-            inside = np.ones(hi - lo, dtype=bool)
-            for k in self.others:
-                inside &= np.abs(columns[k, lo:hi] - center[k]) <= reach[k]
-            runs.append(lo + np.flatnonzero(inside))
-        return np.concatenate(runs) if len(runs) != 1 else runs[0]
+        ends = np.stack([centers[owner, b] - reaches[owner, b], centers[owner, b] + reaches[owner, b]])
+        ends[1] = np.nextafter(ends[1], np.inf)
+        lo, hi = self.keys.searchsorted(cell * self.stride + self.sorted_b.searchsorted(ends))
+        run, pos = _ranges(lo, hi - lo)
+        inside = np.ones(len(pos), dtype=bool)
+        for k in self.others:
+            c, r = centers[owner, k], reaches[owner, k]
+            # rounding is monotone, so a box that holds a column's extremes
+            # holds every value between them
+            if np.all(np.abs(self.low[k] - c) <= r) and np.all(np.abs(self.high[k] - c) <= r):
+                continue
+            inside &= np.abs(columns[k, pos] - np.repeat(c, hi - lo)) <= np.repeat(r, hi - lo)
+        return pos[inside], np.bincount(owner[run[inside]], minlength=len(centers))
+
+    def rows(self, pos: np.ndarray) -> np.ndarray:
+        """The sorted cloud's points at ``pos``, ``(len(pos), q)``."""
+        return self.columns.take(pos, axis=1).T
+
+
+def _ranges(starts: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The integers ``starts[i], ..., starts[i] + lengths[i] - 1`` for every
+    i in turn, and the i of each."""
+    which = np.repeat(np.arange(len(lengths)), lengths)
+    return which, np.arange(len(which)) - np.repeat(np.cumsum(lengths) - lengths - starts, lengths)
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,11 @@
 The projected-wedge route to the hypersurface density cross-checks
 ``hypersurface_density`` (the unit-normal route).  The full-scan cover
 measures every probe's spacing and every new centre's distances over the
-whole cloud; ``covering_estimate`` evaluates only the points of each
-probe's and centre's candidate box and must give the same estimate or the
-same error.  The full-window Federer density takes the intrinsic density
+whole cloud, one centre at a time (``farthest_point_loop``);
+``covering_estimate`` evaluates only the points of each probe's and
+centre's candidate box, a batch of centres at a time, and must give the
+same estimate or the same error, and ``measure._farthest_point_net`` the
+same centres and distances.  The full-window Federer density takes the intrinsic density
 and every centre's distances on every window sample; ``federer_density``
 takes them only where a ball can reach, and must give the same estimate and
 trace or the same error.  The draw-per-call section
@@ -206,6 +208,20 @@ def translation_per_call(group, nspace, p, box=None, samples=100_000, seed=0) ->
     return TranslationReport(volume_before=before, volume_after=after, passed=passed)
 
 
+def farthest_point_loop(dist, cloud, radius):
+    """The farthest-point net one centre at a time, each over the whole
+    cloud: the centres' indices and every point's distance to its nearest
+    centre."""
+    dist_to_centers = np.asarray(dist.distance(cloud[0], cloud))
+    centres = [0]
+    while True:
+        idx = int(np.argmax(dist_to_centers))
+        if dist_to_centers[idx] <= radius:
+            return np.array(centres), dist_to_centers
+        centres.append(idx)
+        dist_to_centers = np.minimum(dist_to_centers, np.asarray(dist.distance(cloud[idx], cloud)))
+
+
 def covering_full_scan(chart, dist, region, exponent, delta, cloud_size=4000, seed=0) -> Estimate:
     """``covering_estimate`` with every probe scanned over the whole cloud."""
     region = np.asarray(region, dtype=float)
@@ -220,14 +236,7 @@ def covering_full_scan(chart, dist, region, exponent, delta, cloud_size=4000, se
     if float(np.max(nn)) > delta / 4.0:
         raise CloudTooSparse(f"cloud spacing {float(np.max(nn)):.3g} exceeds delta/4 = {delta / 4:.3g}")
     radius = delta / 2.0
-    dist_to_centers = np.asarray(dist.distance(cloud[0], cloud))
-    count = 1
-    while True:
-        idx = int(np.argmax(dist_to_centers))
-        if dist_to_centers[idx] <= radius:
-            break
-        count += 1
-        dist_to_centers = np.minimum(dist_to_centers, np.asarray(dist.distance(cloud[idx], cloud)))
+    count = len(farthest_point_loop(dist, cloud, radius)[0])
     return Estimate(
         count * radius**exponent, 0.0, cloud_size, seed, "greedy-cover",
         {"delta": delta, "balls": count, "upper_proxy": True},

@@ -73,6 +73,12 @@ def test_jacobi_violation_rejected():
         load_group(spec)
 
 
+def test_integral_floats_are_counts():
+    # JSON may spell a count as 2.0; it is the integer 2
+    g = load_group({"layers": [2.0, 1], "brackets": [[1.0, 2, 3.0, 1]]})
+    assert g.layers == (2, 1) and np.array_equal(g.bracket([1, 0, 0], [0, 1, 0]), [0, 0, 1])
+
+
 def test_bad_dimension_inputs():
     with pytest.raises(BadDimensions):
         load_group({"name": "x", "layers": [], "brackets": []})
@@ -89,8 +95,16 @@ def test_bad_dimension_inputs():
         {"layers": "ab"},
         {"layers": [2, 1], "brackets": [[1, 2]]},
         {"layers": [2, 1], "brackets": "x"},
+        {"layers": [2.7, 1], "brackets": [[1, 2, 3, 2]]},
+        {"layers": [2, 1], "brackets": [[1.9, 2.2, 3, 2]]},
+        {"layers": [2, 1], "brackets": [[1, 2, 3.5, 2]]},
+        {"layers": [True, 1, 1]},
+        {"layers": [2, 1], "brackets": [[True, 2, 3, 1]]},
+        {"layers": ["2", 1]},
+        {"layers": [2, float("nan")]},
     ],
-    ids=["layers-text", "bracket-two-numbers", "brackets-text"],
+    ids=["layers-text", "bracket-two-numbers", "brackets-text", "layer-fraction", "bracket-index-fractions",
+         "bracket-target-fraction", "layer-bool", "bracket-index-bool", "layer-string", "layer-nan"],
 )
 def test_malformed_definitions_raise_bad_dimensions(spec):
     with pytest.raises(BadDimensions):

@@ -383,8 +383,10 @@ BAD_GROUPS = [
     {"layers": "ab"},
     {"layers": [2, 1], "brackets": [[1, 2]]},
     {"layers": [2, 1], "brackets": "x"},
+    {"layers": [2.7, 1], "brackets": [[1.9, 2.2, 3, 2]]},
+    {"layers": [True, 1, 1]},
 ]
-BAD_GROUP_IDS = ["layers-text", "bracket-two-numbers", "brackets-text"]
+BAD_GROUP_IDS = ["layers-text", "bracket-two-numbers", "brackets-text", "fractional-counts", "layer-bool"]
 
 
 @pytest.mark.parametrize("group", BAD_GROUPS, ids=BAD_GROUP_IDS)

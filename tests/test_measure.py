@@ -1,3 +1,6 @@
+from itertools import product
+from unittest.mock import patch
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -39,12 +42,13 @@ from nilgeom.metrics import (
 )
 from nilgeom.mc import box_points, stream, sum_of_squares, uniform_ball
 from nilgeom.policy import NumericPolicy
-from oracles.mc import box_points_rows, uniform_ball_rows
+from oracles.mc import box_points_rows, uniform_ball_rows, uniform_box_rows
 from oracles.measure import (
     box_body_rows,
     concavity_per_call,
     covering_full_scan,
     ellipsoid_body_rows,
+    farthest_point_loop,
     federer_full_window,
     hypersurface_density_multivector,
     section_area_per_call,
@@ -459,6 +463,100 @@ def test_covering_is_bitwise_the_full_scan(data):
         assert covering_estimate(*args, **kwargs) == want
 
 
+# The farthest-point net against the plain loop, with the default pool and
+# batch and with pools and batches down to one point
+NET_SIZES = [(measure.COVER_POOL, measure.COVER_BATCH), (8, 4), (1, 1), (3, 64)]
+
+
+def _assert_net_is_the_loop(dist, cloud, radius, pool, batch):
+    want = farthest_point_loop(dist, cloud, radius)
+    # the reach and the index that covering_estimate builds
+    reach = measure._coordinate_reach(dist, float(np.max(np.linalg.norm(cloud, axis=1))))
+    index = measure._CoverIndex(cloud, dist.group, float(dist.layer_radii[0]) * radius)
+    with patch.object(measure, "COVER_POOL", pool), patch.object(measure, "COVER_BATCH", batch):
+        centres, values = measure._farthest_point_net(dist, cloud, radius, reach, index)
+    assert np.array_equal(centres, want[0])
+    assert np.array_equal(values, want[1])
+
+
+@settings(max_examples=30)
+@given(data=st.data())
+def test_farthest_point_net_is_the_plain_loop(data):
+    # groups of step at most 3: the oracle's distance over the whole cloud
+    # per centre is slow at higher steps
+    d = data.draw(st.sampled_from([d for d in COVER_DISTANCES if d.group.step <= 3]), label="distance")
+    chart, region = _chart(data, d.group)
+    rng = stream(data.draw(st.integers(0, 2**16), label="seed"), "cover-cloud")
+    size = data.draw(st.integers(1, 700), label="cloud_size")
+    cloud = chart.value(uniform_box_rows(rng, np.asarray(region, dtype=float), size))
+    radius = data.draw(st.floats(0.08, 0.4), label="radius")
+    # a pool and batch of one take a batch per centre: hand-built clouds only
+    sizes = data.draw(st.sampled_from(NET_SIZES[:2] + NET_SIZES[3:]), label="sizes")
+    _assert_net_is_the_loop(d, cloud, radius, *sizes)
+
+
+def _lattice(q):
+    return np.array(list(product(range(-2, 3), repeat=q)), dtype=float)
+
+
+@pytest.mark.parametrize("sizes", NET_SIZES)
+@pytest.mark.parametrize(
+    "dist, cloud, radius",
+    [
+        # integer lattices under the box distance: many values tie exactly,
+        # so the lowest index decides
+        (BOX, _lattice(3), 0.5),
+        (BOX, _lattice(3), 1.0),
+        (box_distance(engel(), [1.0, 1.0, 1.0]), _lattice(4), 1.0),
+        (box_distance(engel(), [1.0, 1.0, 1.0]), _lattice(4), 1.5),
+        # each point three times in a row, and the cloud twice over
+        (BOX, np.repeat(_lattice(3)[::7] * 0.3, 3, axis=0), 0.2),
+        (BOX, np.tile(_lattice(3)[::5] * 0.3, (2, 1)), 0.2),
+        # a single point
+        (BOX, np.array([[0.3, -0.2, 0.1]]), 0.1),
+        # a vertical line of 6,000 points: 129 balls, with the default pool
+        # filled 9 times
+        (BOX, np.outer(np.linspace(-1.0, 1.0, 6000), [0.0, 0.0, 1.0]), 0.1),
+    ],
+    ids=["h1-lattice-0.5", "h1-lattice-1", "engel-lattice-1", "engel-lattice-1.5", "repeated", "tiled",
+         "one-point", "vertical-line"],
+)
+def test_farthest_point_net_on_hand_built_clouds(dist, cloud, radius, sizes):
+    _assert_net_is_the_loop(dist, cloud, radius, *sizes)
+
+
+@settings(max_examples=40)
+@given(data=st.data())
+def test_cover_index_near_is_the_box(data):
+    # every centre's box, with cells and runs found as the one-centre
+    # search found them: the cell range of the first-layer coordinate a,
+    # the closed range [c_b - r_b, c_b + r_b] of the top-layer coordinate
+    # b, and |x_k - c_k| <= r_k in every other coordinate
+    d = data.draw(st.sampled_from(COVER_DISTANCES), label="distance")
+    chart, region = _chart(data, d.group)
+    rng = stream(data.draw(st.integers(0, 2**16), label="seed"), "near")
+    size = data.draw(st.integers(1, 400), label="cloud_size")
+    cloud = chart.value(uniform_box_rows(rng, np.asarray(region, dtype=float), size))
+    index = measure._CoverIndex(cloud, d.group, data.draw(st.floats(0.01, 1.0), label="width"))
+    m = data.draw(st.integers(1, 6), label="centres")
+    centers = np.vstack([cloud[rng.integers(0, len(cloud), m)], rng.standard_normal((m, d.group.q))])
+    scale = data.draw(st.sampled_from([0.0, 0.1, 1.0, 10.0]), label="scale")
+    reaches = rng.random((2 * m, d.group.q)) * scale
+    pos, counts = index.near(centers, reaches)
+    assert len(counts) == 2 * m
+    cols, a, b = index.columns, index.a, index.b
+    want = []
+    for c, r in zip(centers, reaches):
+        cells = index._cell(cols[a])
+        box = (cells >= index._cell(c[a] - r[a])) & (cells <= index._cell(c[a] + r[a]))
+        box &= (cols[b] >= c[b] - r[b]) & (cols[b] <= c[b] + r[b])
+        for k in index.others:
+            box &= np.abs(cols[k] - c[k]) <= r[k]
+        want.append(np.flatnonzero(box))
+    assert np.array_equal(counts, [len(w) for w in want])
+    assert np.array_equal(pos, np.concatenate(want))
+
+
 # Federer density against the full window, on the cover's charts and kinds
 
 FEDERER_DISTANCES = _distances([abelian(2), heisenberg(1), heisenberg(2), h_type(), engel()])
@@ -505,6 +603,18 @@ def test_federer_density_is_bitwise_the_full_window(data):
     }
     want = _outcome(federer_full_window, chart, d, y0, **kwargs)
     assert _outcome(federer_density, chart, d, y0, **kwargs) == want
+
+
+@pytest.mark.parametrize("samples", [4000, 20000])
+@pytest.mark.parametrize("translate", [None, [0.2, -0.1, 0.3]])
+def test_federer_density_on_a_transformed_chart_is_the_full_window(translate, samples):
+    # the reparametrization is a BLAS matmul: the density takes its rows
+    # for the held samples out of the whole window's, as the oracle does
+    base = parse_parametrization("y1; 0; y2", 2, [[-3, 3], [-3, 3]], H1)
+    chart = TransformedChart(base, translate=translate, mat=[[1.1, -0.45], [0.3, 0.8]], shift=[0.05, -0.02])
+    y0 = chart.domain.mean(axis=1) + [0.6, -0.5]
+    kwargs = {"radii": [0.2, 0.1, 0.05], "samples": samples, "seed": 5}
+    assert federer_density(chart, BOX, y0, **kwargs) == federer_full_window(chart, BOX, y0, **kwargs)
 
 
 def test_covering_empty_region_is_zero_balls():

@@ -641,6 +641,8 @@ def _farthest_point_net(dist: HomogeneousDistance, cloud: np.ndarray, radius: fl
         ranked = np.argsort(-pooled, kind="stable")
         if pooled[ranked[0]] <= radius:
             return np.array(centres), values
+        # (value, index) of the first pool point left out; with none left
+        # out, a candidate need only reach the floor
         if len(ranked) > COVER_BATCH:
             after = pooled[ranked[COVER_BATCH]], pool[ranked[COVER_BATCH]]
         else:

@@ -7,10 +7,10 @@ whole cloud, one centre at a time (``farthest_point_loop``);
 ``covering_estimate`` evaluates only the points of each probe's and
 centre's candidate box, a batch of centres at a time, and must give the
 same estimate or the same error, and ``measure._farthest_point_net`` the
-same centres and distances.  The full-window Federer density takes the intrinsic density
-and every centre's distances on every window sample; ``federer_density``
-takes them only where a ball can reach, and must give the same estimate and
-trace or the same error.  The draw-per-call section
+same centres and distances.  The full-window Federer density takes the
+intrinsic density and every centre's distances on every window sample;
+``federer_density`` takes them only where a ball can reach, and must give
+the same estimate and trace or the same error.  The draw-per-call section
 area, concavity and translation loops redraw every block for every volume
 and take the group product at every centre; the production estimators share
 each block and skip the identity product, and must agree with them bit for

@@ -13,6 +13,7 @@ the Riemannian volume the Lebesgue measure.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
+from functools import partial
 from itertools import accumulate
 from math import gamma, pi, sqrt
 
@@ -92,7 +93,6 @@ def section_area(
     samples: int = 200_000,
     seed: int = 0,
     tag: str = "section",
-    radius_hint: float | None = None,
 ) -> Estimate:
     """Monte-Carlo H^n measure of {v in S : d(v, u) <= 1}.
 
@@ -102,13 +102,10 @@ def section_area(
     require_counts(samples=samples)
     u = np.asarray(u, dtype=float)
     n = space.dim
-    if radius_hint is not None:
-        radius = radius_hint
-    else:
-        try:
-            radius = ball_bounding_radius(dist, space, u)
-        except EmptySection:
-            return Estimate(0.0, 0.0, 0, seed, "empty-section")
+    try:
+        radius = ball_bounding_radius(dist, space, u)
+    except EmptySection:
+        return Estimate(0.0, 0.0, 0, seed, "empty-section")
     basis = space.orthonormal_basis()
     (hits,) = count_hits(
         draw_blocks(
@@ -125,7 +122,7 @@ def section_area(
 
 
 # the factor search: multi-start count, simplex iterations per start, and
-# samples per objective evaluation
+# size of the one sample set that every objective evaluation counts on
 FACTOR_STARTS = 4
 FACTOR_REFINE_ITERS = 40
 FACTOR_SEARCH_SAMPLES = 4_000
@@ -165,11 +162,20 @@ def spherical_factor(
     returned directly (method "theorem-shortcut"); otherwise a multi-start
     search with simplex refinement maximizes over u in the unit ball.  The
     class of S that picks the theorem is decided at ``policy.rtol``.
+
+    The search draws its ``FACTOR_SEARCH_SAMPLES`` points once ("beta-search",
+    common random numbers) in the section of B(0, 2), which holds every
+    section with ||u|| <= 1, so its objective, the hit count of B(u, 1), is
+    deterministic.  A winner other than the origin meets u = 0 on one shared
+    draw ("beta-select"); the larger count is picked, a tie going to the
+    origin, and reported on its own stream ("beta-final", or the shortcut's
+    "beta0"), never as the larger of two noisy estimates.
     """
     require_counts(samples=samples)
     reason = None if force_search else _factor_shortcut(dist, space, policy)
+    origin = np.zeros(dist.group.q)
     if reason is not None:
-        est = section_area(dist, space, np.zeros(dist.group.q), samples, seed, tag="beta0")
+        est = section_area(dist, space, origin, samples, seed, tag="beta0")
         return Estimate(
             est.value, est.stderr, est.samples, est.seed, "theorem-shortcut", {"shortcut": reason}
         )
@@ -177,8 +183,14 @@ def spherical_factor(
     g = dist.group
     rng = stream(seed, "beta-starts")
     # any section with ||u|| <= 1 sits inside the section of B(0, 2) at the
-    # origin (triangle inequality), giving one search-wide bounding radius
-    search_radius = ball_bounding_radius(dist, space, np.zeros(g.q), ball_radius=2.0)
+    # origin (triangle inequality), giving one search-wide sampling ball
+    search_radius = ball_bounding_radius(dist, space, origin, ball_radius=2.0)
+    basis = space.orthonormal_basis()
+
+    def points(count: int, tag: str):
+        return draw_blocks(
+            lambda r, size: uniform_ball(r, space.dim, size, search_radius) @ basis.T, count, seed, tag
+        )
 
     def project(u: np.ndarray) -> np.ndarray:
         nrm = float(dist.norm(u))
@@ -186,41 +198,35 @@ def spherical_factor(
             return g.dilate(1.0 / nrm, u)
         return u
 
-    def objective(u: np.ndarray) -> float:
-        val = section_area(
-            dist,
-            space,
-            project(u),
-            FACTOR_SEARCH_SAMPLES,
-            seed,
-            tag="beta-search",
-            radius_hint=search_radius,
-        ).value
-        return -val
+    search_points = list(points(FACTOR_SEARCH_SAMPLES, "beta-search"))
+    evaluations = 0
 
-    candidates = [np.zeros(g.q)]
+    def objective(u: np.ndarray) -> float:
+        nonlocal evaluations
+        evaluations += 1
+        return -float(count_hits(search_points, partial(dist.ball_contains, project(u)))[0])
+
+    candidates = [origin]
     for _ in range(FACTOR_STARTS - 1):
         direction = dist.unit_normalize(rng.standard_normal(g.q))
         candidates.append(g.dilate(rng.random() ** (1.0 / g.q), direction))
 
-    best_u, best_val = np.zeros(g.q), -objective(np.zeros(g.q))
+    best_u, best_val = origin, -objective(origin)
     for u0 in candidates:
         u_opt, neg = nelder_mead(objective, u0, scale=0.2, max_iter=FACTOR_REFINE_ITERS)
         if -neg > best_val:
             best_u, best_val = project(u_opt), -neg
 
-    final = section_area(dist, space, best_u, samples, seed, tag="beta-final")
-    base = section_area(dist, space, np.zeros(g.q), samples, seed, tag="beta0")
-    if base.value >= final.value:
-        final, best_u = base, np.zeros(g.q)
-    return Estimate(
-        final.value,
-        final.stderr,
-        final.samples,
-        final.seed,
-        "optimized",
-        {"argmax_u": [float(v) for v in best_u]},
-    )
+    won = False
+    if np.any(best_u):
+        members = (partial(dist.ball_contains, c) for c in (best_u, origin))
+        at_best, at_origin = count_hits(points(samples, "beta-select"), *members)
+        won = at_best > at_origin
+    centre, tag = (best_u, "beta-final") if won else (origin, "beta0")
+    final = section_area(dist, space, centre, samples, seed, tag=tag)
+    meta = {"argmax_u": [float(v) for v in centre], "evaluations": evaluations}
+    meta["selected"] = "search" if won else "origin"
+    return Estimate(final.value, final.stderr, final.samples, final.seed, "optimized", meta)
 
 
 # ---------------------------------------------------------------------------

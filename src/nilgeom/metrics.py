@@ -443,6 +443,11 @@ def section_nonempty(dist: HomogeneousDistance, space: Subspace, u, radius: floa
     return best <= radius
 
 
+# radius-sweep levels, and bisection-tree levels, per distance call
+SWEEP_LEVELS = 8
+BISECT_DEPTH = 3
+
+
 def ball_bounding_radius(
     dist: HomogeneousDistance,
     space: Subspace,
@@ -452,7 +457,12 @@ def ball_bounding_radius(
 ) -> float:
     """Euclidean radius R (within the subspace) with B(u, ball_radius) ∩ S
     contained in the ball of radius R, by a directional grid sweep times a
-    safety factor."""
+    safety factor.
+
+    One distance call takes ``SWEEP_LEVELS`` grid radii, or every midpoint
+    of a ``BISECT_DEPTH``-level bisection tree; the steps then read their
+    outcomes in turn, so R is that of one call per step bit for bit (the
+    loop in ``tests/oracles/metrics.py``)."""
     u = np.asarray(u, dtype=float)
     if not section_nonempty(dist, space, u, radius=ball_radius):
         raise EmptySection("the metric ball does not meet the subspace")
@@ -463,31 +473,49 @@ def ball_bounding_radius(
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     dirs = np.vstack([dirs, np.eye(n), -np.eye(n)])
 
+    def distances(scales: np.ndarray) -> np.ndarray:  # (k, dirs, 1) -> (k, dirs)
+        pts = ((dirs * scales) @ basis.T).reshape(-1, basis.shape[0])
+        return np.asarray(dist.distance(u, pts)).reshape(len(scales), len(dirs))
+
     # geometric radius grid, extended until every direction is well outside
     base = 0.125 * ball_radius
     best = np.zeros(len(dirs))
     t = base
     tail_out = 0
     while tail_out < 4 and t < 1e9:
-        pts = (dirs * t) @ basis.T
-        vals = np.asarray(dist.distance(u, pts))
-        inside = vals <= ball_radius
-        best = np.where(inside, t, best)
-        tail_out = tail_out + 1 if not np.any(vals <= 3.0 * ball_radius) else 0
-        t *= 1.25
+        levels = []
+        while len(levels) < SWEEP_LEVELS and t < 1e9:
+            levels.append(t)
+            t *= 1.25
+        for level, vals in zip(levels, distances(np.array(levels)[:, None, None])):
+            best = np.where(vals <= ball_radius, level, best)
+            tail_out = tail_out + 1 if not np.any(vals <= 3.0 * ball_radius) else 0
+            if tail_out == 4:
+                t = level * 1.25
+                break
     if t >= 1e9:
         raise EmptySection("norm does not grow along the subspace; not coercive?")
     if not np.any(best > 0):
         return float(safety * base)
 
-    # refine each crossing between the largest inside radius and the next grid point
+    # refine each crossing between the largest inside radius and the next grid
+    # point: 30 halvings, in trees whose breadth-first node 2i + 1 (2i + 2)
+    # follows node i's midpoint inside (outside) the ball
     lo = np.where(best > 0, best, 0.0)
     hi = np.where(best > 0, best * 1.25, base)
     active = best > 0
-    for _ in range(30):
-        mid = 0.5 * (lo + hi)
-        pts = (dirs * mid[:, None]) @ basis.T
-        inside = np.asarray(dist.distance(u, pts)) <= ball_radius
-        lo = np.where(active & inside, mid, lo)
-        hi = np.where(active & ~inside, mid, hi)
+    for _ in range(30 // BISECT_DEPTH):
+        lows, highs, mids = lo[None], hi[None], []
+        for _ in range(BISECT_DEPTH):
+            mids.append(0.5 * (lows + highs))
+            lows = np.stack([np.where(active, mids[-1], lows), lows], axis=1).reshape(-1, len(dirs))
+            highs = np.stack([highs, np.where(active, mids[-1], highs)], axis=1).reshape(-1, len(dirs))
+        vals = distances(np.concatenate(mids)[:, :, None])
+        node = np.zeros(len(dirs), dtype=int)
+        for depth in range(BISECT_DEPTH):
+            inside = vals[2**depth - 1 + node, np.arange(len(dirs))] <= ball_radius
+            mid = 0.5 * (lo + hi)
+            lo = np.where(active & inside, mid, lo)
+            hi = np.where(active & ~inside, mid, hi)
+            node = 2 * node + ~inside
     return float(safety * np.max(hi))

@@ -86,20 +86,17 @@ def _hits(draw, member, samples, seed, tag) -> int:
     )
 
 
-def section_area_per_call(dist, space, u, samples=200_000, seed=0, tag="section", radius_hint=None):
+def section_area_per_call(dist, space, u, samples=200_000, seed=0, tag="section"):
     """``section_area`` with membership ``||u^-1 . x|| <= 1`` through the
     group product at every centre.  The bounding radius still comes from
     ``ball_bounding_radius``; its identity-centre distances are checked
     against the product in ``tests/test_metrics.py``."""
     u = np.asarray(u, dtype=float)
     n = space.dim
-    if radius_hint is not None:
-        radius = radius_hint
-    else:
-        try:
-            radius = ball_bounding_radius(dist, space, u)
-        except EmptySection:
-            return Estimate(0.0, 0.0, 0, seed, "empty-section")
+    try:
+        radius = ball_bounding_radius(dist, space, u)
+    except EmptySection:
+        return Estimate(0.0, 0.0, 0, seed, "empty-section")
     basis = space.orthonormal_basis()
     g = dist.group
     hits = _hits(

@@ -5,11 +5,17 @@ magnitudes by ``np.linalg.norm`` stacked on a trailing axis ``(..., iota)``,
 and the norm function on that stack (the box and Cygan-Koranyi formulas
 written out from the distance's parameters).  The production kernel takes
 the product and the norm block by block on coordinate-first rows and must
-agree with it bit for bit.
+agree with it bit for bit.  ``ball_bounding_radius_loop`` makes one
+distance call per sweep level and per bisection step; the production sweep
+and bisection batch the calls and must return the same radius bit for bit.
 """
 from __future__ import annotations
 
 import numpy as np
+
+from nilgeom.errors import EmptySection
+from nilgeom.mc import stream
+from nilgeom.metrics import section_nonempty
 
 
 def layer_magnitudes(dist, x) -> np.ndarray:
@@ -50,3 +56,44 @@ def unit_normalize(dist, x) -> np.ndarray:
     n = np.asarray(norm(dist, x))
     factor = 1.0 / np.where(n == 0, 1.0, n)
     return x * factor[..., None] ** dist.group.degrees
+
+
+def ball_bounding_radius_loop(dist, space, u, safety: float = 1.5, ball_radius: float = 1.0) -> float:
+    """``ball_bounding_radius`` with one distance call per sweep level and per
+    bisection step, as first written."""
+    u = np.asarray(u, dtype=float)
+    if not section_nonempty(dist, space, u, radius=ball_radius):
+        raise EmptySection("the metric ball does not meet the subspace")
+    basis = space.orthonormal_basis()
+    n = space.dim
+    rng = stream(0, "bounding-dirs")
+    dirs = rng.standard_normal((32 + 16 * n, n))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    dirs = np.vstack([dirs, np.eye(n), -np.eye(n)])
+
+    base = 0.125 * ball_radius
+    best = np.zeros(len(dirs))
+    t = base
+    tail_out = 0
+    while tail_out < 4 and t < 1e9:
+        pts = (dirs * t) @ basis.T
+        vals = np.asarray(dist.distance(u, pts))
+        inside = vals <= ball_radius
+        best = np.where(inside, t, best)
+        tail_out = tail_out + 1 if not np.any(vals <= 3.0 * ball_radius) else 0
+        t *= 1.25
+    if t >= 1e9:
+        raise EmptySection("norm does not grow along the subspace; not coercive?")
+    if not np.any(best > 0):
+        return float(safety * base)
+
+    lo = np.where(best > 0, best, 0.0)
+    hi = np.where(best > 0, best * 1.25, base)
+    active = best > 0
+    for _ in range(30):
+        mid = 0.5 * (lo + hi)
+        pts = (dirs * mid[:, None]) @ basis.T
+        inside = np.asarray(dist.distance(u, pts)) <= ball_radius
+        lo = np.where(active & inside, mid, lo)
+        hi = np.where(active & ~inside, mid, hi)
+    return float(safety * np.max(hi))

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nilgeom import measure, metrics
+from nilgeom import mc, measure, metrics
 from nilgeom.algebra import Subspace, abelian, engel, free2, h_type, heisenberg, load_group
 from nilgeom.errors import (
     BadDimensions,
@@ -132,6 +132,55 @@ def test_spherical_factor_is_invariant_under_first_layer_rotations(data):
     base = spherical_factor(d, VERTICAL, samples=10_000, seed=seed)
     turned = spherical_factor(d, rotated, samples=10_000, seed=seed)
     assert abs(turned.value - base.value) <= 4.0 * np.hypot(base.stderr, turned.stderr)
+
+
+def test_factor_search_draws_one_shared_sample_set(monkeypatch):
+    tags = []
+
+    def recording(seed, tag, block=0):
+        tags.append(tag)
+        return stream(seed, tag, block)
+
+    monkeypatch.setattr(mc, "stream", recording)
+    monkeypatch.setattr(measure, "stream", recording)
+    spherical_factor(BOX, VERTICAL, samples=20_000, seed=2, force_search=True)
+    assert tags.count("beta-search") == 1
+    assert not [tag for tag in tags if tag.startswith("beta-search:")]
+
+
+def test_factor_search_reports_the_picked_centre_on_its_own_stream():
+    # at seed 1 the paired draw keeps the origin, at seed 2 the search winner
+    picked = []
+    for seed in (1, 2):
+        est = spherical_factor(BOX, VERTICAL, samples=20_000, seed=seed, force_search=True)
+        tag = {"origin": "beta0", "search": "beta-final"}[est.meta["selected"]]
+        centre = np.array(est.meta["argmax_u"])
+        again = section_area(BOX, VERTICAL, centre, 20_000, seed, tag=tag)
+        assert (est.value, est.stderr, est.samples, est.seed) == (again.value, again.stderr, again.samples, again.seed)
+        assert est.meta["evaluations"] > 0
+        picked.append((est.meta["selected"], bool(np.any(centre))))
+    assert picked == [("origin", False), ("search", True)]
+
+
+def test_factor_search_is_deterministic():
+    first, second = (
+        spherical_factor(BOX, VERTICAL, samples=20_000, seed=2, force_search=True) for _ in range(2)
+    )
+    assert first == second
+    assert first.meta == second.meta
+
+
+@settings(max_examples=25)
+@given(data=st.data())
+def test_forced_search_agrees_with_the_shortcut(data):
+    # the Euclidean-ball kind is left out: its norm is an 80-step bisection
+    # per point, and one forced search on it takes several seconds
+    d = data.draw(st.sampled_from([k for k in ROTATION_KINDS if k.kind != "euclidean_ball"]), label="distance")
+    seed = data.draw(st.integers(0, 2**16), label="seed")
+    short = spherical_factor(d, VERTICAL, samples=20_000, seed=seed)
+    searched = spherical_factor(d, VERTICAL, samples=20_000, seed=seed, force_search=True)
+    assert short.method == "theorem-shortcut" and searched.method == "optimized"
+    assert abs(searched.value - short.value) <= 3.0 * np.hypot(short.stderr, searched.stderr)
 
 
 # ---------------------------------------------------------------------------

@@ -242,6 +242,27 @@ def test_identity_centre_is_bitwise_the_product(data):
         d.distance(np.zeros(q + 1), y)
 
 
+@settings(max_examples=60)
+@given(data=st.data())
+def test_bounding_radius_is_bitwise_the_loop_oracle(data):
+    # the batched sweep and bisection trees against one distance call per step
+    d = data.draw(st.sampled_from(IDENTITY_CASES), label="distance")
+    g = d.group
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    dim = data.draw(st.integers(1, min(g.q, 4)), label="dim")
+    space = Subspace(g, np.linalg.qr(rng.standard_normal((g.q, dim)))[0])
+    size = data.draw(st.sampled_from([0.0, 0.3, 0.9, 1.4]), label="|u|")
+    u = g.dilate(size, d.unit_normalize(rng.standard_normal(g.q))) if size else np.zeros(g.q)
+    ball_radius = data.draw(st.sampled_from([0.5, 1.0, 2.0]), label="ball radius")
+    try:
+        want = oracle.ball_bounding_radius_loop(d, space, u, ball_radius=ball_radius)
+    except EmptySection:
+        with pytest.raises(EmptySection):
+            ball_bounding_radius(d, space, u, ball_radius=ball_radius)
+        return
+    assert ball_bounding_radius(d, space, u, ball_radius=ball_radius) == want
+
+
 # ---------------------------------------------------------------------------
 # the fused distance kernel against the product-then-norm oracle
 # ---------------------------------------------------------------------------

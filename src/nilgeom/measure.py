@@ -1135,7 +1135,16 @@ def section_concavity_check(
     seed: int = 0,
 ) -> ConcavityReport:
     """Check midpoint-type concavity of psi(v) = H^n(C ∩ (v+S))^(1/n) along
-    random segments in the orthogonal parameter space."""
+    random segments in the orthogonal parameter space.
+
+    The ``samples`` points of the sections are drawn once per call (tag
+    ``concavity-points``) and every section of every segment counts its hits
+    on them (common random numbers).  A segment's five counts share one
+    uniform draw, as they would with a draw per segment, so each segment's
+    counts have the same joint distribution; the independent standard errors
+    then overestimate the error of the concavity deficit.  What the shared
+    set gives up is independence between segments, which no count of the
+    report relies on: each check is judged within its own segment."""
     require_counts(segments=segments, samples=samples)
     basis = space.orthonormal_basis()
     n = space.dim
@@ -1161,23 +1170,18 @@ def section_concavity_check(
     worst = 0.0
     done = 0
     attempts = 0
-    while done < segments and attempts < 20 * segments:
+    shared = list(
+        draw_blocks(
+            lambda rng, count: uniform_ball(rng, n, count, body.radius) @ basis.T,
+            samples,
+            seed,
+            "concavity-points",
+        )
+    ) if perp.shape[1] else []
+    while perp.shape[1] and done < segments and attempts < 20 * segments:
         attempts += 1
-        if perp.shape[1] == 0:
-            break
         v = (rng.standard_normal(perp.shape[1]) * body.radius * 0.5) @ perp.T
         w = (rng.standard_normal(perp.shape[1]) * body.radius * 0.5) @ perp.T
-        # common random numbers within one segment, drawn once and shared by
-        # its five sections: the independent standard errors then
-        # overestimate the error of the concavity deficit
-        shared = list(
-            draw_blocks(
-                lambda rng, count: uniform_ball(rng, n, count, body.radius) @ basis.T,
-                samples,
-                seed,
-                f"concavity:seg{attempts}",
-            )
-        )
         ends = [psi(h) for h in count_hits(shared, shifted(v), shifted(w))]
         if ends[0] is None or ends[1] is None:
             continue

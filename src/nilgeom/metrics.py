@@ -70,12 +70,10 @@ class HomogeneousDistance:
         iota = self.group.step
         return np.asarray(self.phi(np.eye(iota)), dtype=float) ** -np.arange(1.0, iota + 1)
 
-    def _norm_rows(self, rows: np.ndarray, point: bool = False) -> np.ndarray:
+    def _norm_rows(self, rows: np.ndarray) -> np.ndarray:
         """Norms of coordinate-first points ``(q, rows, ...)``: ``phi`` of
-        their layer-first magnitudes ``(iota, rows, ...)``.  A single
-        ``point`` hands ``phi`` its magnitudes as ``(iota,)``, as a single
-        point always has: a kind that reads numpy scalars or 0-d arrays off
-        them rounds its powers as before.
+        their layer-first magnitudes ``(iota, rows, ...)``.  A single point
+        is one row, so its norm rounds as it does inside a batch.
 
         Each magnitude is the square root of ``mc.sum_of_squares`` of its
         layer's coordinates, which is ``np.linalg.norm(..., axis=-1)`` of the
@@ -84,13 +82,13 @@ class HomogeneousDistance:
         mags = np.empty((self.group.step,) + rows.shape[1:])
         for j, layer in enumerate(self.group.layer_slices):
             np.sqrt(sum_of_squares(rows[layer]), out=mags[j])
-        return self.phi(mags[:, 0] if point else mags)
+        return self.phi(mags)
 
     def norm(self, x) -> np.ndarray:
         """Norms of points ``(..., q)``, evaluated in blocks."""
         x = np.asarray(x, dtype=float)
         self.group._check_dim(x)
-        return _blocked(lambda rows: self._norm_rows(rows, x.ndim == 1), (x,), reduce=True)
+        return _blocked(self._norm_rows, (x,), reduce=True)
 
     def distance(self, x, y) -> np.ndarray:
         """d(x, y) = ||x^-1 . y||; left invariant by construction.
@@ -107,13 +105,12 @@ class HomogeneousDistance:
         y = np.asarray(y, dtype=float)
         g._check_dim(x)
         g._check_dim(y)
-        point = x.ndim == y.ndim == 1
         if not np.any(x) and np.all(np.isfinite(y)):
             y = np.broadcast_to(y, np.broadcast_shapes(x.shape, y.shape))
-            return _blocked(lambda rows: self._norm_rows(rows, point), (y,), reduce=True)
+            return _blocked(self._norm_rows, (y,), reduce=True)
 
         def kernel(xb, yb):
-            return self._norm_rows(g._product_rows(xb, yb), point)
+            return self._norm_rows(g._product_rows(xb, yb))
 
         return _blocked(kernel, (g.inverse(x), y), reduce=True)
 
@@ -181,18 +178,27 @@ def euclidean_ball_distance(group: GradedGroup, radius: float) -> HomogeneousDis
             lo = np.max((t / r0) ** (1.0 / js) / np.sqrt(iota) ** (1.0 / js), axis=1)
             hi = np.max((np.sqrt(iota) * t / r0) ** (1.0 / js), axis=1)
             lo = np.minimum(lo, hi)
+            # 80 halvings, ended early once a step leaves every (lo, hi) as
+            # it found them, bit for bit: each later step would repeat it
             for _ in range(80):
                 mid = 0.5 * (lo + hi)
                 f = np.sum((t / mid[:, None] ** js) ** 2, axis=1) - r0 * r0
                 too_small = f > 0
-                lo = np.where(too_small, mid, lo)
-                hi = np.where(too_small, hi, mid)
+                new_lo, new_hi = np.where(too_small, mid, lo), np.where(too_small, hi, mid)
+                if _same_bits(new_lo, lo) and _same_bits(new_hi, hi):
+                    break
+                lo, hi = new_lo, new_hi
             out[active] = 0.5 * (lo + hi)
         return out.reshape(mags.shape[:-1])
 
     return HomogeneousDistance(
         group=group, kind="euclidean_ball", params=(r0,), phi=phi, convex_ball=True
     )
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether two float arrays hold the same bits (nan equal to the same nan)."""
+    return np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
 def cygan_koranyi_distance(group: GradedGroup) -> HomogeneousDistance:
@@ -205,9 +211,7 @@ def cygan_koranyi_distance(group: GradedGroup) -> HomogeneousDistance:
     c = 16.0 / s2
 
     def phi(mags: np.ndarray) -> np.ndarray:
-        # [0, ...] keeps a 0-d array for one point, whose ** 4 rounds like
-        # the array power; a numpy scalar's ** would round differently
-        return (mags[0, ...] ** 4 + c * mags[1, ...] ** 2) ** 0.25
+        return (mags[0] ** 4 + c * mags[1] ** 2) ** 0.25
 
     return HomogeneousDistance(
         group=group, kind="cygan_koranyi", params=(c,), phi=phi, convex_ball=True

@@ -112,20 +112,21 @@ def section_area_per_call(dist, space, u, samples=200_000, seed=0, tag="section"
 
 
 def concavity_per_call(body, space, segments=200, samples=20_000, seed=0) -> ConcavityReport:
-    """``section_concavity_check`` drawing each section's blocks anew."""
+    """``section_concavity_check`` drawing the call's ``concavity-points``
+    blocks anew for every section."""
     basis = space.orthonormal_basis()
     n = space.dim
     q = body.ambient_dim
     u_full, _, _ = np.linalg.svd(np.hstack([basis, np.eye(q)]))
     perp = u_full[:, n:q] if n < q else np.zeros((q, 0))
 
-    def psi(v, tag):
+    def psi(v):
         hits = _hits(
             lambda rng, count: shift_rows(v, uniform_ball_rows(rng, n, count, body.radius) @ basis.T),
             body.member,
             samples,
             seed,
-            f"concavity:{tag}",
+            "concavity-points",
         )
         if hits < 25:
             return None
@@ -142,13 +143,12 @@ def concavity_per_call(body, space, segments=200, samples=20_000, seed=0) -> Con
             break
         v = (rng.standard_normal(perp.shape[1]) * body.radius * 0.5) @ perp.T
         w = (rng.standard_normal(perp.shape[1]) * body.radius * 0.5) @ perp.T
-        tag = f"seg{attempts}"
-        ends = psi(v, tag), psi(w, tag)
+        ends = psi(v), psi(w)
         if ends[0] is None or ends[1] is None:
             continue
         done += 1
         for theta in (0.25, 0.5, 0.75):
-            mid = psi(theta * v + (1 - theta) * w, tag)
+            mid = psi(theta * v + (1 - theta) * w)
             if mid is None:
                 skipped += 1
                 continue

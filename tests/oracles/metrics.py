@@ -3,9 +3,11 @@
 Distances as first written: the whole product x^-1 . y, its layer
 magnitudes by ``np.linalg.norm`` stacked on a trailing axis ``(..., iota)``,
 and the norm function on that stack (the box and Cygan-Koranyi formulas
-written out from the distance's parameters).  The production kernel takes
-the product and the norm block by block on coordinate-first rows and must
-agree with it bit for bit.  ``ball_bounding_radius_loop`` makes one
+written out from the distance's parameters, the euclidean-ball bisection
+with all of its 80 steps in ``euclidean_ball_phi_loop``).  The production
+kernel takes the product and the norm block by block on coordinate-first
+rows, ends the bisection once it is settled, and must agree with it bit
+for bit.  ``ball_bounding_radius_loop`` makes one
 distance call per sweep level and per bisection step; the production sweep
 and bisection batch the calls and must return the same radius bit for bit.
 """
@@ -34,12 +36,43 @@ def phi(dist, mags: np.ndarray) -> np.ndarray:
     if dist.kind == "cygan_koranyi":
         (c,) = dist.params
         return (mags[..., 0] ** 4 + c * mags[..., 1] ** 2) ** 0.25
-    # euclidean_ball and multiradial evaluate on the trailing-axis stack inside
+    if dist.kind == "euclidean_ball":
+        return euclidean_ball_phi_loop(dist.params[0], np.moveaxis(mags, -1, 0))
+    # multiradial evaluates on the trailing-axis stack inside
     return dist.phi(np.moveaxis(mags, -1, 0))
 
 
+def euclidean_ball_phi_loop(r0: float, mags: np.ndarray) -> np.ndarray:
+    """The euclidean-ball ``phi`` of layer-first magnitudes ``(iota, ...)``
+    as first written: always 80 halvings of every row's bracket."""
+    mags = np.moveaxis(np.asarray(mags, dtype=float), 0, -1)
+    iota = mags.shape[-1]
+    js = np.arange(1, iota + 1, dtype=float)
+    flat = mags.reshape(-1, iota)
+    out = np.zeros(flat.shape[0])
+    active = np.any(flat > 0, axis=1)
+    if np.any(active):
+        t = flat[active]
+        lo = np.max((t / r0) ** (1.0 / js) / np.sqrt(iota) ** (1.0 / js), axis=1)
+        hi = np.max((np.sqrt(iota) * t / r0) ** (1.0 / js), axis=1)
+        lo = np.minimum(lo, hi)
+        for _ in range(80):
+            mid = 0.5 * (lo + hi)
+            f = np.sum((t / mid[:, None] ** js) ** 2, axis=1) - r0 * r0
+            too_small = f > 0
+            lo = np.where(too_small, mid, lo)
+            hi = np.where(too_small, hi, mid)
+        out[active] = 0.5 * (lo + hi)
+    return out.reshape(mags.shape[:-1])
+
+
 def norm(dist, x) -> np.ndarray:
-    return phi(dist, layer_magnitudes(dist, np.asarray(x, dtype=float)))
+    """Norms of points ``(..., q)``; a single point ``(q,)`` is a batch of
+    one row, so its powers round as they do inside a batch."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim == 1:
+        return norm(dist, x[None])[0]
+    return phi(dist, layer_magnitudes(dist, x))
 
 
 def distance(dist, x, y) -> np.ndarray:

@@ -134,16 +134,23 @@ def test_spherical_factor_is_invariant_under_first_layer_rotations(data):
     assert abs(turned.value - base.value) <= 4.0 * np.hypot(base.stderr, turned.stderr)
 
 
-def test_factor_search_draws_one_shared_sample_set(monkeypatch):
-    tags = []
+def _recorded_streams(monkeypatch) -> list[tuple[str, int]]:
+    """The (tag, block) of every stream opened from here on."""
+    opened = []
 
     def recording(seed, tag, block=0):
-        tags.append(tag)
+        opened.append((tag, block))
         return stream(seed, tag, block)
 
     monkeypatch.setattr(mc, "stream", recording)
     monkeypatch.setattr(measure, "stream", recording)
+    return opened
+
+
+def test_factor_search_draws_one_shared_sample_set(monkeypatch):
+    opened = _recorded_streams(monkeypatch)
     spherical_factor(BOX, VERTICAL, samples=20_000, seed=2, force_search=True)
+    tags = [tag for tag, _ in opened]
     assert tags.count("beta-search") == 1
     assert not [tag for tag in tags if tag.startswith("beta-search:")]
 
@@ -173,8 +180,8 @@ def test_factor_search_is_deterministic():
 @settings(max_examples=25)
 @given(data=st.data())
 def test_forced_search_agrees_with_the_shortcut(data):
-    # the Euclidean-ball kind is left out: its norm is an 80-step bisection
-    # per point, and one forced search on it takes several seconds
+    # the Euclidean-ball kind is left out: its norm is a bisection of about
+    # 54 steps per point, and one forced search on it takes seconds
     d = data.draw(st.sampled_from([k for k in ROTATION_KINDS if k.kind != "euclidean_ball"]), label="distance")
     seed = data.draw(st.integers(0, 2**16), label="seed")
     short = spherical_factor(d, VERTICAL, samples=20_000, seed=seed)
@@ -941,6 +948,32 @@ def test_concavity_bit_identical_to_per_call_draws(body, oracle_body, space, sam
     if body.label == "dumbbell":
         # a non-convex member exercises every field of the report
         assert got.violations > 0 and got.skipped > 0 and got.worst_deficit > 0
+
+
+def test_concavity_draws_one_shared_sample_set(monkeypatch):
+    opened = _recorded_streams(monkeypatch)
+    report = section_concavity_check(CUBE, PLANE12, segments=20, samples=40_000, seed=5)
+    assert report.segments == 20 and report.checks == 60
+    # one stream per block of the shared points, none per segment
+    assert [block for tag, block in opened if tag == "concavity-points"] == [0, 1, 2]
+    assert {tag for tag, _ in opened} == {"concavity-points", "concavity-segments"}
+
+
+def test_concavity_is_deterministic():
+    first, second = (
+        section_concavity_check(ConvexBody(3, 1.3, _dumbbell, "dumbbell"), PLANE12, segments=8, samples=20_000, seed=3)
+        for _ in range(2)
+    )
+    assert first == second and first.violations > 0
+
+
+def test_concavity_without_an_orthogonal_direction_draws_nothing(monkeypatch):
+    opened = _recorded_streams(monkeypatch)
+    draws = []
+    monkeypatch.setattr(measure, "uniform_ball", lambda *args: draws.append(args))
+    report = section_concavity_check(CUBE, Subspace(H1, np.eye(3)), segments=5, samples=20_000)
+    assert report.reason == "the subspace has no orthogonal direction"
+    assert draws == [] and not [tag for tag, _ in opened if tag != "concavity-segments"]
 
 
 @pytest.mark.parametrize("samples", MULTI_BLOCK)

@@ -342,14 +342,46 @@ def test_fused_kernel_is_bitwise_the_product_then_norm_oracle(data):
             assert _same(d.unit_normalize(pts), oracle.unit_normalize(d, pts))
 
 
+@settings(max_examples=200)
+@given(
+    iota=st.integers(1, 6),
+    radius=st.sampled_from([0.1, 0.5, 1.0, 3.0]),
+    data=st.data(),
+)
+def test_euclidean_ball_phi_is_bitwise_the_80_step_loop(iota, radius, data):
+    # magnitudes from 1e-300 to 1e300 with zeros, inf and nan among them
+    magnitude = st.one_of(
+        st.floats(0.0, 1e300, allow_subnormal=False),
+        st.sampled_from([0.0, np.inf, np.nan, 1e-300]),
+    )
+    rows = data.draw(st.integers(0, 40), label="rows")
+    mags = data.draw(arrays(float, (iota, rows), elements=magnitude), label="mags")
+    # [e1, e_k] = e_{k+1}: a group of step iota
+    chain = load_group({"name": "chain", "layers": [2] + [1] * (iota - 1),
+                        "brackets": [[1, k, k + 1, 1.0] for k in range(2, iota + 1)]})
+    d = euclidean_ball_distance(chain, radius)
+    with np.errstate(all="ignore"):
+        assert _same(d.phi(mags), oracle.euclidean_ball_phi_loop(radius, mags))
+
+
 @pytest.mark.parametrize("d", KERNEL_CASES, ids=lambda d: f"{d.group.name}-{d.kind}")
 def test_single_points_are_bitwise_the_oracle(d):
-    # a single point evaluates phi on (iota,) magnitudes, where powers of
-    # numpy scalars and of arrays round differently in a few percent of cases
     rng = stream(6, f"single:{d.group.name}:{d.kind}")
     for x, y in rng.uniform(-2.0, 2.0, (60, 2, d.group.q)):
         assert _same(d.distance(x, y), oracle.distance(d, x, y))
         assert _same(d.norm(y), oracle.norm(d, y))
+
+
+@pytest.mark.parametrize("d", KERNEL_CASES, ids=lambda d: f"{d.group.name}-{d.kind}")
+def test_single_points_round_like_batch_rows(d):
+    # powers of numpy scalars and of arrays round differently in a few
+    # percent of cases, so a point alone must reach phi as a row
+    rng = stream(7, f"rows:{d.group.name}:{d.kind}")
+    centre, pts = rng.uniform(-2.0, 2.0, d.group.q), rng.uniform(-2.0, 2.0, (200, d.group.q))
+    norms, distances = d.norm(pts), d.distance(centre, pts)
+    for p, n, dist in zip(pts, norms, distances):
+        assert _same(d.norm(p), n) and _same(d.norm(p[None])[0], n)
+        assert _same(d.distance(centre, p), dist)
 
 
 @pytest.mark.parametrize("d", KERNEL_CASES, ids=lambda d: f"{d.group.name}-{d.kind}")

@@ -395,7 +395,7 @@ OPTS = {
 # subspace's, and k any size from 1.
 KINDS = {
     "y": "n-vector", "y0": "n-vector", "ray": "n-vector", "region": "n×2 array", "probes": "k×n array",
-    "p": "q-vector", "domain": "q×2 array", "box": "d×2 array",
+    "p": "q-vector", "domain": "q×2 array", "box": "d×2 box",
     **dict.fromkeys(["samples", "centers_per_radius", "cloud_size", "graph_coord", "resolution", "segments"],
                     "positive integer"),
     "tolerance": "positive number", "delta": "positive number", "covering_delta": "positive number",
@@ -433,7 +433,7 @@ def _value(kind: str, value, ctx, dim):
         if not (finite and _SCALARS[kind](value)):
             raise _Malformed()
         return int(value) if kind.endswith("integer") else float(value)
-    if kind.endswith(("vector", "array")):
+    if kind.endswith(("vector", "array", "box")):
         shape = kind.replace("-", " ").split()[0].split("×")
         try:
             a = np.array(value, dtype=float) if _numbers(value) else np.array(np.nan)
@@ -444,6 +444,8 @@ def _value(kind: str, value, ctx, dim):
             for size, s in zip(a.shape, shape)
         ):
             raise _Malformed()
+        if kind.endswith("box") and not np.all(a[:, 0] < a[:, 1]):
+            raise _Malformed("rows [lo, hi] with lo < hi")
         return a
     if kind in _LISTS:
         if not isinstance(value, list) or not value:

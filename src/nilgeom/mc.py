@@ -4,7 +4,7 @@ Every stochastic result is an ``Estimate`` carrying its standard error,
 sample count and seed.  Randomness comes from Philox streams keyed by
 ``(seed, task tag, block index)``: sample blocks are indexed deterministically,
 so results do not depend on how work is partitioned across workers.
-``count_hits`` is the one hit-or-miss loop, for section and box volumes.
+``count_hits`` is the one hit-or-miss loop, for section volumes.
 Common random numbers are drawn once per block by ``draw_blocks`` and shared
 by every member that ``count_hits`` tests on that block.
 

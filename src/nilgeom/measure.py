@@ -946,20 +946,18 @@ def area_check(
         coeffs = chart.group.frame_coefficients(analysis.p, jac)
         raw = projected_wedge_norms(chart.group, coeffs, analysis.degree)
         gram = float(np.sqrt(np.linalg.det(jac.T @ jac)))
-        factor = 1.0
-        target = beta.value * factor
-        err = float(np.hypot(theta.stderr, beta.stderr * factor))
-        passed = abs(theta.value - target) <= theta_tolerance * max(target, 1e-12) + 3.0 * err
+        err = float(np.hypot(theta.stderr, beta.stderr))
+        passed = abs(theta.value - beta.value) <= theta_tolerance * max(beta.value, 1e-12) + 3.0 * err
         verdicts.append(
             Verdict(
                 name=f"theta-vs-beta:{key}",
                 passed=bool(passed),
                 advisory=False,
                 lhs=theta.value,
-                rhs=target,
+                rhs=beta.value,
                 tolerance=theta_tolerance,
                 detail={
-                    "density_factor": factor,
+                    "density_factor": 1.0,
                     "unit_tangent_projection_norm": raw / gram,
                     "beta_method": beta.method,
                     "radius": theta.meta.get("radius"),
@@ -1215,15 +1213,23 @@ def section_concavity_check(
 
 @dataclass(frozen=True)
 class TranslationReport:
+    """H^n(A) and H^n(p . A) for a box A of a vertical subgroup, and the
+    largest |det DF - 1| of the map that carries A onto p . A.  The check
+    passes when that is within the policy's rtol; ``reason`` says why not."""
+
     volume_before: Estimate
     volume_after: Estimate
+    max_det_deviation: float
     passed: bool
+    reason: str | None
 
     def as_dict(self) -> dict:
         return {
             "volume_before": self.volume_before.as_dict(),
             "volume_after": self.volume_after.as_dict(),
+            "max_det_deviation": self.max_det_deviation,
             "passed": self.passed,
+            "reason": self.reason,
         }
 
 
@@ -1236,59 +1242,48 @@ def vertical_translation_check(
     seed: int = 0,
     policy: NumericPolicy = DEFAULT_POLICY,
 ) -> TranslationReport:
-    """Compare H^n(A) with H^n(p . A) for a box A inside a vertical subgroup,
-    measuring the image inside the affine coset p . N = P_V(p) + N; p None
-    is the identity.  N is tested for verticality at ``policy.rtol``."""
+    """Compare H^n(A) with H^n(p . A) for a box A inside a vertical subgroup
+    N (vertical at ``policy.rtol``); p None is the identity.  In coordinates
+    of the coset p . N, the translation is F(a) = P_N(p . a - P_V p), and
+    H^n(p . A) = vol(A) * mean |det DF| over A by the area formula.  At step
+    2, d/dt p . (a + t v) = v + [p, v]/2 does not depend on a, so DF is one
+    exact matrix; at higher step det DF is evaluated at ``samples`` uniform
+    points of A, one block at a time."""
     require_counts(samples=samples)
-    cls = classify_subspace(group, nspace, policy.rtol)
-    if not cls.vertical:
-        raise NotVertical("translation invariance requires a vertical subgroup")
-    basis = nspace.orthonormal_basis()
     n = nspace.dim
     box = np.asarray(box if box is not None else np.stack([-np.ones(n), np.ones(n)], axis=1), dtype=float)
+    if box.shape != (n, 2) or not np.all(box[:, 0] < box[:, 1]):
+        raise ValueError(f"box must be {n} rows [lo, hi] with lo < hi")
+    if not classify_subspace(group, nspace, policy.rtol).vertical:
+        raise NotVertical("translation invariance requires a vertical subgroup")
+    basis = nspace.orthonormal_basis()
     p = np.asarray(p if p is not None else np.zeros(group.q), dtype=float)
 
-    # linear projection onto V = N^perp along N is the orthogonal projection
-    v_part = p - basis @ (basis.T @ p)
-
-    def in_a(zeta: np.ndarray) -> np.ndarray:
-        return _every_column(zeta, lambda x, k: (x >= box[k, 0]) & (x <= box[k, 1]))
+    def jacobian_dets(a: np.ndarray) -> np.ndarray:
+        # row k of DF^T is P_N of d/dt p . (a + t b_k); step 2 drops a
+        columns = group.product_derivative_y(p, (a @ basis.T)[:, None, :], basis.T)
+        return np.linalg.det(columns @ basis).reshape(-1)
 
     if not np.any(p):
-        image_box = box  # left translation by the identity is the identity
+        dets = np.ones(1)  # left translation by the identity is the identity
+    elif group.step == 2:
+        dets = jacobian_dets(box.mean(axis=1)[None])
     else:
-        # forward-map a dense sample of A to coset coordinates for a bounding box
-        rng = stream(seed, "translate-bounds")
-        dense = uniform_box(rng, box, 4096)
-        image = (group.product(p, dense @ basis.T) - v_part) @ basis
-        lo = image.min(axis=0)
-        hi = image.max(axis=0)
-        margin = 0.05 * (hi - lo) + 1e-9
-        image_box = np.stack([lo - margin, hi + margin], axis=1)
-
-    def in_image(unit: np.ndarray) -> np.ndarray:
-        # the image-box points are a temporary, so the product runs beside
-        # one unit block only
-        pts = _shifted(v_part, box_points(image_box, unit) @ basis.T)
-        back = group.product(group.inverse(p), pts)
-        return in_a(back @ basis)
-
-    # common random numbers across both volumes: each block of unit uniforms
-    # is drawn once and scaled into each box, so the p = 0 case reproduces
-    # exactly
-    hits = count_hits(
-        draw_blocks(lambda rng, count: rng.random((count, n)), samples, seed, "translate-mc"),
-        lambda unit: in_a(box_points(box, unit)),
-        in_image,
+        dets = np.concatenate([*draw_blocks(
+            lambda rng, count: jacobian_dets(box_points(box, rng.random((count, n)))), samples, seed, "translate-jacobian"
+        )])
+    dev = np.abs(dets) - 1.0
+    worst = float(np.abs(dets - 1.0).max())
+    vol = float(np.prod(box[:, 1] - box[:, 0]))
+    before = Estimate(value=vol, stderr=0.0, samples=0, seed=seed, method="box-volume")
+    rounding = n * group.q * float(np.finfo(float).eps)
+    after = Estimate(
+        vol * (1.0 + float(dev.mean())), vol * max(float(dev.std()) / sqrt(dets.size), rounding),
+        samples=dets.size, seed=seed, method="jacobian-mean",
     )
-    before, after = (
-        hit_fraction_estimate(h, samples, float(np.prod(b[:, 1] - b[:, 0])), seed, "mc-box")
-        for h, b in zip(hits, (box, image_box))
-    )
-    passed = abs(before.value - after.value) <= 3.0 * float(
-        np.hypot(before.stderr, after.stderr)
-    ) + 1e-12
-    return TranslationReport(volume_before=before, volume_after=after, passed=passed)
+    passed = worst <= policy.rtol
+    reason = None if passed else f"max |det DF - 1| = {worst:.3g} exceeds rtol {policy.rtol:g}"
+    return TranslationReport(before, after, max_det_deviation=worst, passed=passed, reason=reason)
 
 
 # ---------------------------------------------------------------------------

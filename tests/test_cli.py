@@ -159,6 +159,8 @@ def test_unexpected_task_error_is_recorded(tmp_path, bad_task):
         {"task": "analyze-point", "opts": {"y": "a"}},
         {"task": "spherical-factor", "opts": {"subspace": [[1, 0, 0], [0, 0, 1]], "samples": 0}},
         {"task": "translation-check", "opts": {"subspace": [[0, 1, 0], [0, 0, 1]], "p": [0.1, 0.2]}},
+        {"task": "translation-check", "opts": {"subspace": [[1, 0, 0], [0, 0, 1]], "box": [[1, -1], [-1, 1]]}},
+        {"task": "translation-check", "opts": {"subspace": [[1, 0, 0], [0, 0, 1]], "box": [[0, 0], [-1, 1]]}},
         {"task": "intrinsic-measure", "opts": {"resolution": 0}},
         {"task": "intrinsic-measure", "opts": {"region": [[-1, 1]]}},
         {"task": "covering-estimate", "opts": {"exponent": 3, "delta": 0.2, "cloud_size": 0}},
@@ -179,6 +181,7 @@ def test_unexpected_task_error_is_recorded(tmp_path, bad_task):
         "covering-delta-negative", "covering-exponent-text", "unknown-quadrature",
         "area-covering-delta-zero", "blowup-no-y0",
         "analyze-y-short", "analyze-y-text", "factor-samples-zero", "translation-p-short",
+        "translation-box-reversed", "translation-box-zero-width",
         "measure-resolution-zero", "measure-region-one-row", "covering-cloud-zero", "coarea-domain-two-rows",
         "constancy-family-empty", "props-samples-zero", "concavity-segments-zero", "concavity-samples-negative",
         "verify-samples-zero", "calibrate-samples-zero", "factor-samples-typo", "federer-centers-zero",
@@ -341,7 +344,7 @@ def _converted(kind: str, got, raw) -> bool:
         return [g.name for g in got] == raw
     if kind == "body":
         return isinstance(got, ConvexBody) and got.label == raw["kind"]
-    if kind.endswith(("vector", "array")):
+    if kind.endswith(("vector", "array", "box")):
         return got.dtype == float and np.array_equal(got, raw)
     if kind == "positive integer":
         return type(got) is int and got == raw
@@ -465,3 +468,16 @@ def test_numeric_rtol_reaches_the_subspace_class(tmp_path):
     assert run(path, out_dir=tmp_path / "default", quiet=True) == 1
     translation = json.loads((tmp_path / "default" / "report.json").read_text())["tasks"][0]
     assert translation["result"]["error"] == "NotVertical"
+
+
+@pytest.mark.parametrize("box", [[[1, -1], [-1, 1]], [[0, 0], [-1, 1]]], ids=["reversed", "zero-width"])
+def test_translation_box_rows_need_lo_below_hi(tmp_path, capsys, box):
+    # a reversed box once reported volume -0.0 and passed, and a zero-width
+    # one passed having tested nothing; both are now typed records
+    task = {"task": "translation-check", "opts": {"subspace": [[1, 0, 0], [0, 0, 1]], "p": [0.1, 0.2, 0.3], "box": box}}
+    path = write_config(tmp_path, {**BASE, "tasks": [task]})
+    assert run(path, out_dir=tmp_path / "out", quiet=True) == 1
+    record = json.loads((tmp_path / "out" / "report.json").read_text())["tasks"][0]
+    assert record["status"] == "error" and record["result"]["error"] == "ConfigError"
+    assert "opts.box" in record["result"]["message"] and "lo < hi" in record["result"]["message"]
+    assert capsys.readouterr().err == ""

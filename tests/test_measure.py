@@ -359,6 +359,9 @@ CUBE = box_body([1.0, 1.0, 1.0])
         (lambda: beta_constancy_check(BOX, [VERTICAL], samples=0), "samples"),
         (lambda: beta_constancy_check(BOX, []), "family is empty"),
         (lambda: vertical_translation_check(H1, VERTICAL, np.zeros(3), samples=-1), "samples"),
+        (lambda: vertical_translation_check(H1, VERTICAL, None, box=[[1, -1], [-1, 1]]), "box"),
+        (lambda: vertical_translation_check(H1, VERTICAL, [0.1, 0.2, 0.3], box=[[0, 0], [-1, 1]]), "box"),
+        (lambda: vertical_translation_check(H1, VERTICAL, None, box=[[-1, 1]]), "box"),
         (lambda: section_concavity_check(CUBE, VERTICAL, samples=0), "samples"),
         (lambda: section_concavity_check(CUBE, VERTICAL, segments=0), "segments"),
         (lambda: metrics.verify_distance_axioms(BOX, samples=0), "samples"),
@@ -370,6 +373,7 @@ CUBE = box_body([1.0, 1.0, 1.0])
     ],
     ids=[
         "section-samples", "factor-samples", "constancy-samples", "constancy-empty", "translation-samples",
+        "translation-box-reversed", "translation-box-zero-width", "translation-box-one-row",
         "concavity-samples", "concavity-segments", "axioms-samples", "calibrate-samples", "measure-samples",
         "measure-resolution", "coarea-resolution", "covering-cloud",
     ],
@@ -976,19 +980,91 @@ def test_concavity_without_an_orthogonal_direction_draws_nothing(monkeypatch):
     assert draws == [] and not [tag for tag, _ in opened if tag != "concavity-segments"]
 
 
-@pytest.mark.parametrize("samples", MULTI_BLOCK)
+ENGEL = engel()
+ENGEL_VERTICAL = Subspace(ENGEL, np.array([[0.6, 0.8, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]]).T)
+FILIFORM4 = load_group(
+    {"name": "filiform4", "layers": [2, 1, 1, 1], "brackets": [[1, k, k + 1, 1.0] for k in range(2, 5)]}
+)
+FILIFORM4_VERTICAL = Subspace(FILIFORM4, np.vstack([[0.6, 0.8, 0.0, 0.0, 0.0], np.eye(5)[2:]]).T)
+
+
 @pytest.mark.parametrize(
     "group, space",
-    [(H1, VERTICAL), (H1, CENTRE_LINE), (F3, F3_VERTICAL)],
-    ids=["h1-plane", "h1-line", "f3"],
+    [(H1, VERTICAL), (H1, CENTRE_LINE), (F3, F3_VERTICAL), (ENGEL, ENGEL_VERTICAL), (FILIFORM4, FILIFORM4_VERTICAL)],
+    ids=["h1-plane", "h1-line", "f3", "engel", "filiform4"],
 )
-def test_translation_bit_identical_to_per_call_draws(group, space, samples):
+def test_translation_agrees_with_the_hit_or_miss_oracle(group, space):
+    # the Jacobian route against two Monte-Carlo volumes that use no
+    # Jacobian; 20,000 points span two blocks at step >= 3
     rng = stream(19, f"translation-oracle:{group.name}:{space.dim}")
     for p in (np.zeros(group.q), rng.uniform(-1, 1, group.q), rng.uniform(-1, 1, group.q)):
         half = rng.uniform(0.5, 1.5, space.dim)
         box = np.stack([-half, half], axis=1)
-        got = vertical_translation_check(group, space, p, box=box, samples=samples, seed=21)
-        assert got == translation_per_call(group, space, p, box=box, samples=samples, seed=21)
+        got = vertical_translation_check(group, space, p, box=box, samples=20_000, seed=21)
+        before, after = translation_per_call(group, space, p, box=box, samples=40_000, seed=21)
+        assert got.passed and got.volume_before.value == before.value
+        assert 0 < got.volume_after.stderr < after.stderr or not np.any(p)
+        assert abs(got.volume_after.value - after.value) <= 3.0 * np.hypot(after.stderr, got.volume_after.stderr)
+
+
+def test_translation_opens_only_jacobian_streams(monkeypatch):
+    opened = _recorded_streams(monkeypatch)
+    p = np.linspace(-0.9, 0.8, 6)
+    report = vertical_translation_check(F3, F3_VERTICAL, p, samples=40_000, seed=3)
+    # step 2: one exact matrix, no stream
+    assert report.volume_after.samples == 1 and opened == []
+    report = vertical_translation_check(ENGEL, ENGEL_VERTICAL, p[:4], samples=40_000, seed=3)
+    assert report.volume_after.samples == 40_000
+    assert opened == [("translate-jacobian", block) for block in range(3)]
+    del opened[:]
+    vertical_translation_check(ENGEL, ENGEL_VERTICAL, np.zeros(4), samples=40_000, seed=3)
+    assert opened == []
+
+
+def test_translation_reports_a_failed_identity():
+    # span{e1, e3 + t e2} is vertical at rtol 1e-2 only; there det DF is
+    # 1 + t p1 / (1 + t^2) exactly, so p1 = 50 takes it 0.05 off 1: the check
+    # fails and says why, the volume follows the determinant, and its stderr
+    # stays at the rounding level
+    t = 1e-3
+    near = Subspace(H1, np.array([[1.0, 0.0, 0.0], [0.0, t, 1.0]]).T)
+    report = vertical_translation_check(H1, near, [50.0, 0.0, 0.0], policy=NumericPolicy(rtol=1e-2))
+    deviation = t * 50.0 / (1.0 + t * t)
+    assert not report.passed and report.max_det_deviation == pytest.approx(deviation, rel=1e-9)
+    assert report.reason == f"max |det DF - 1| = {deviation:.3g} exceeds rtol 0.01"
+    assert report.volume_after.value == pytest.approx(4.0 * (1.0 + deviation), rel=1e-12)
+    assert 0 < report.volume_after.stderr < 1e-12
+    assert report.as_dict()["reason"] == report.reason
+    assert report.as_dict()["max_det_deviation"] == report.max_det_deviation
+
+
+VERTICAL_GROUPS = [heisenberg(2), F3, ENGEL, h_type()]
+
+
+@settings(max_examples=60)
+@given(data=st.data())
+def test_translation_identity_holds_on_random_vertical_subgroups(data):
+    # N: a random part of the first layer plus every higher layer, in a
+    # rotated basis that mixes the layers; every such N is vertical
+    group = data.draw(st.sampled_from(VERTICAL_GROUPS), label="group")
+    seed = data.draw(st.integers(0, 2**16), label="seed")
+    rng = stream(seed, "translation-property")
+    m = group.layers[0]
+    k = data.draw(st.integers(0, m), label="first-layer dim")
+    first = np.zeros((group.q, k))
+    first[:m] = np.linalg.qr(rng.standard_normal((m, m)))[0][:, :k]
+    higher = np.eye(group.q)[:, m:]
+    spanning = np.hstack([first, higher])
+    basis = spanning @ np.linalg.qr(rng.standard_normal((spanning.shape[1],) * 2))[0]
+    space = Subspace(group, basis)
+    p = rng.uniform(-1.5, 1.5, group.q)
+    lo = rng.uniform(-1.5, 0.5, space.dim)
+    box = np.stack([lo, lo + rng.uniform(0.1, 2.0, space.dim)], axis=1)
+    report = vertical_translation_check(group, space, p, box=box, samples=2_000, seed=seed)
+    before, after = report.volume_before, report.volume_after
+    assert report.passed and report.reason is None
+    assert after.stderr > 0
+    assert abs(after.value - before.value) <= 3.0 * after.stderr
 
 
 # ---------------------------------------------------------------------------

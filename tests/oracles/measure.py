@@ -16,7 +16,8 @@ group product at every centre; the production estimators share each block
 and skip the identity product, and must agree with them bit for bit.  The
 hit-or-miss translation volumes measure H^n(p . A) with no Jacobian, and
 ``vertical_translation_check`` must agree with them within their
-Monte-Carlo error.  Every oracle here draws with the row-wise samplers of
+Monte-Carlo error; taken one point and one derivative call at a time, its
+Jacobian route must give the same report bit for bit.  Every oracle here draws with the row-wise samplers of
 ``oracles.mc``, shifts points by broadcasting (``shift_rows``), and is
 given bodies whose members are the row-wise box and ellipsoid formulas
 (``box_body_rows``, ``ellipsoid_body_rows``), so a bit that the library's
@@ -33,6 +34,7 @@ from nilgeom.measure import (
     ConcavityReport,
     ConvexBody,
     RadiusTracePoint,
+    TranslationReport,
     box_body,
     concavity_reason,
     ellipsoid_body,
@@ -202,6 +204,46 @@ def translation_per_call(group, nspace, p, box=None, samples=100_000, seed=0) ->
         return in_a(back @ basis)
 
     return mc_volume(box, in_a), mc_volume(image_box, in_image)
+
+
+def translation_jacobian_per_call(group, nspace, p, box=None, samples=100_000, seed=0, policy=DEFAULT_POLICY):
+    """``vertical_translation_check`` one point and one derivative call at a
+    time: row k of DF^T at a point a is P_N of d/dt p . (a + t b_k), taken
+    by its own ``product_derivative_y`` call.  The points are the box centre
+    at step 2 and each block's uniforms drawn anew at higher step."""
+    basis = nspace.orthonormal_basis()
+    n = nspace.dim
+    box = np.asarray(box if box is not None else np.stack([-np.ones(n), np.ones(n)], axis=1), dtype=float)
+    p = np.asarray(p, dtype=float)
+
+    def det_at(a):
+        rows = np.stack([group.product_derivative_y(p, basis @ a, b) for b in basis.T])
+        return float(np.linalg.det(rows @ basis))
+
+    if not np.any(p):
+        dets = np.ones(1)
+    elif group.step == 2:
+        dets = np.array([det_at(box.mean(axis=1))])
+    else:
+        dets = np.array([
+            det_at(a)
+            for b, count in blocks(samples)
+            for a in uniform_box_rows(stream(seed, "translate-jacobian", b), box, count)
+        ])
+    dev = np.abs(dets) - 1.0
+    worst = float(np.abs(dets - 1.0).max())
+    vol = float(np.prod(box[:, 1] - box[:, 0]))
+    rounding = n * group.q * float(np.finfo(float).eps)
+    after = Estimate(
+        vol * (1.0 + float(dev.mean())), vol * max(float(dev.std()) / np.sqrt(dets.size), rounding),
+        samples=dets.size, seed=seed, method="jacobian-mean",
+    )
+    passed = worst <= policy.rtol
+    return TranslationReport(
+        Estimate(value=vol, stderr=0.0, samples=0, seed=seed, method="box-volume"), after,
+        max_det_deviation=worst, passed=passed,
+        reason=None if passed else f"max |det DF - 1| = {worst:.3g} exceeds rtol {policy.rtol:g}",
+    )
 
 
 def farthest_point_loop(dist, cloud, radius):

@@ -53,6 +53,7 @@ from oracles.measure import (
     hypersurface_density_multivector,
     section_area_per_call,
     shift_rows,
+    translation_jacobian_per_call,
     translation_per_call,
 )
 
@@ -1004,6 +1005,24 @@ def test_translation_agrees_with_the_hit_or_miss_oracle(group, space):
         before, after = translation_per_call(group, space, p, box=box, samples=40_000, seed=21)
         assert got.passed and got.volume_before.value == before.value and got.volume_after.stderr > 0
         assert abs(got.volume_after.value - after.value) <= 3.0 * np.hypot(after.stderr, got.volume_after.stderr)
+
+
+@pytest.mark.parametrize("samples", MULTI_BLOCK)
+@pytest.mark.parametrize(
+    "group, space",
+    [(H1, VERTICAL), (H1, CENTRE_LINE), (F3, F3_VERTICAL)],
+    ids=["h1-plane", "h1-line", "f3"],
+)
+def test_translation_bit_identical_to_per_call_draws(group, space, samples):
+    # the batched Jacobian against one derivative call per point and basis
+    # vector; at step 2 the report does not depend on the sample count
+    rng = stream(19, f"translation-oracle:{group.name}:{space.dim}")
+    for p in (np.zeros(group.q), rng.uniform(-1, 1, group.q), rng.uniform(-1, 1, group.q)):
+        half = rng.uniform(0.5, 1.5, space.dim)
+        box = np.stack([-half, half], axis=1)
+        got = vertical_translation_check(group, space, p, box=box, samples=samples, seed=21)
+        assert got == translation_jacobian_per_call(group, space, p, box=box, samples=samples, seed=21)
+        assert got == vertical_translation_check(group, space, p, box=box, samples=1, seed=21)
 
 
 def test_translation_opens_only_jacobian_streams(monkeypatch):

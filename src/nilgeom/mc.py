@@ -156,19 +156,3 @@ def count_hits(sample_blocks, *members) -> list[int]:
             hits[i] += int(np.count_nonzero(member(pts)))
         del pts  # let a lazy block go before the next one is drawn
     return hits
-
-
-def hit_fraction_estimate(
-    hits: int, total: int, volume: float, seed: int, method: str, meta: dict | None = None
-) -> Estimate:
-    """Estimate `volume * P(hit)` with binomial standard error."""
-    p = hits / total
-    stderr = volume * float(np.sqrt(max(p * (1.0 - p), 0.0) / total))
-    return Estimate(
-        value=volume * p,
-        stderr=stderr,
-        samples=total,
-        seed=seed,
-        method=method,
-        meta=meta or {},
-    )

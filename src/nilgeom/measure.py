@@ -26,6 +26,7 @@ from .errors import (
     DegenerateTangent,
     EmptySection,
     LevelSetNotGraph,
+    NonFinite,
     NotVertical,
     RadiusTooSmall,
 )
@@ -39,12 +40,11 @@ from .manifold import (
     tangent_minors,
 )
 from .mc import (
+    BLOCK,
     Estimate,
-    blocks,
     box_points,
     count_hits,
     draw_blocks,
-    hit_fraction_estimate,
     require_counts,
     stream,
     sum_of_squares,
@@ -86,6 +86,24 @@ def unit_ball_volume(n: int, radius: float = 1.0) -> float:
 # Section area and spherical factor
 # ---------------------------------------------------------------------------
 
+def _section_points(basis: np.ndarray, radius: float, samples: int, seed: int, tag: str):
+    """The ``samples`` points of a section drawn lazily, block by block, on
+    stream ``tag``: uniform in the ball of ``radius`` of the span of the
+    orthonormal ``basis`` columns."""
+    return draw_blocks(
+        lambda rng, count: uniform_ball(rng, basis.shape[1], count, radius) @ basis.T, samples, seed, tag
+    )
+
+
+def _section_estimate(hits: int, samples: int, n: int, radius: float, seed: int, meta) -> Estimate:
+    """The H^n measure of a section from the ``hits`` among ``samples``
+    points of ``_section_points`` in its n-dimensional ball of ``radius``:
+    the ball's volume times the hit fraction, with binomial standard error."""
+    volume, p = unit_ball_volume(n, radius), hits / samples
+    stderr = volume * float(np.sqrt(max(p * (1.0 - p), 0.0) / samples))
+    return Estimate(volume * p, stderr, samples, seed, "mc-section", meta or {})
+
+
 def section_area(
     dist: HomogeneousDistance,
     space: Subspace,
@@ -106,19 +124,11 @@ def section_area(
         radius = ball_bounding_radius(dist, space, u)
     except EmptySection:
         return Estimate(0.0, 0.0, 0, seed, "empty-section")
-    basis = space.orthonormal_basis()
+    tag = f"{tag}:{(np.round(u, 12) + 0.0).tobytes().hex()}"
     (hits,) = count_hits(
-        draw_blocks(
-            lambda rng, count: uniform_ball(rng, n, count, radius) @ basis.T,
-            samples,
-            seed,
-            f"{tag}:{(np.round(u, 12) + 0.0).tobytes().hex()}",
-        ),
-        lambda pts: dist.ball_contains(u, pts),
+        _section_points(space.orthonormal_basis(), radius, samples, seed, tag), partial(dist.ball_contains, u)
     )
-    return hit_fraction_estimate(
-        hits, samples, unit_ball_volume(n, radius), seed, "mc-section", {"radius": radius}
-    )
+    return _section_estimate(hits, samples, n, radius, seed, {"radius": radius})
 
 
 # the factor search: multi-start count, simplex iterations per start, and
@@ -187,18 +197,13 @@ def spherical_factor(
     search_radius = ball_bounding_radius(dist, space, origin, ball_radius=2.0)
     basis = space.orthonormal_basis()
 
-    def points(count: int, tag: str):
-        return draw_blocks(
-            lambda r, size: uniform_ball(r, space.dim, size, search_radius) @ basis.T, count, seed, tag
-        )
-
     def project(u: np.ndarray) -> np.ndarray:
         nrm = float(dist.norm(u))
         if nrm > 1.0:
             return g.dilate(1.0 / nrm, u)
         return u
 
-    search_points = list(points(FACTOR_SEARCH_SAMPLES, "beta-search"))
+    search_points = list(_section_points(basis, search_radius, FACTOR_SEARCH_SAMPLES, seed, "beta-search"))
     evaluations = 0
 
     def objective(u: np.ndarray) -> float:
@@ -220,7 +225,8 @@ def spherical_factor(
     won = False
     if np.any(best_u):
         members = (partial(dist.ball_contains, c) for c in (best_u, origin))
-        at_best, at_origin = count_hits(points(samples, "beta-select"), *members)
+        select = _section_points(basis, search_radius, samples, seed, "beta-select")
+        at_best, at_origin = count_hits(select, *members)
         won = at_best > at_origin
     centre, tag = (best_u, "beta-final") if won else (origin, "beta0")
     final = section_area(dist, space, centre, samples, seed, tag=tag)
@@ -259,36 +265,22 @@ def intrinsic_measure(
         target = sampled_max_degree(chart, region, 5, policy, strict=True)
     widths = region[:, 1] - region[:, 0]
     volume = float(np.prod(widths))
+    density = partial(intrinsic_density, chart, target_degree=target)
 
     if quadrature == "mc":
-        total = 0.0
-        totalsq = 0.0
-        count = 0
-        for b, cnt in blocks(samples):
-            rng = stream(seed, "intrinsic-mc", b)
-            ys = uniform_box(rng, region, cnt)
-            vals = intrinsic_density(chart, ys, target)
+        total = totalsq = 0.0
+        for vals in draw_blocks(
+            lambda rng, count: density(uniform_box(rng, region, count)), samples, seed, "intrinsic-mc"
+        ):
             total += float(np.sum(vals))
             totalsq += float(np.sum(vals * vals))
-            count += cnt
-        mean = total / count
-        var = max(totalsq / count - mean * mean, 0.0)
-        return Estimate(
-            volume * mean,
-            volume * float(np.sqrt(var / count)),
-            count,
-            seed,
-            "mc",
-            {"degree": target},
-        )
+        mean = total / samples
+        var = max(totalsq / samples - mean * mean, 0.0)
+        stderr = volume * float(np.sqrt(var / samples))
+        return Estimate(volume * mean, stderr, samples, seed, "mc", {"degree": target})
 
     def midpoint(res: int) -> float:
-        ys = cell_centers(region, [res] * n)
-        cell = volume / res**n
-        total = 0.0
-        for lo in range(0, len(ys), 1 << 14):
-            total += float(np.sum(intrinsic_density(chart, ys[lo : lo + (1 << 14)], target)))
-        return total * cell
+        return _grid_sum(density, cell_centers(region, [res] * n)) * (volume / res**n)
 
     coarse = midpoint(max(resolution // 2, 1))
     fine = midpoint(resolution)
@@ -443,8 +435,8 @@ def federer_density(
         # the density takes those of the held samples; a block at a time,
         # so that the whole window's Jacobians are never held at once
         jacobians = np.concatenate([
-            chart.jacobian_batch(ys[lo : lo + (1 << 14)])[held[lo : lo + (1 << 14)]]
-            for lo in range(0, samples, 1 << 14)
+            chart.jacobian_batch(ys[lo : lo + BLOCK])[held[lo : lo + BLOCK]]
+            for lo in range(0, samples, BLOCK)
         ])
         dens = np.zeros(samples)
         if held.any():
@@ -558,59 +550,61 @@ def covering_estimate(
     (``tests/oracles/measure.py::covering_full_scan``).
 
     The spacing check asks of 256 probe points that each have a neighbour
-    within delta/4; a probe closes as soon as a point of its box at
-    D = delta/4 lies in (0, delta/4].  A probe still open searches the boxes
-    at D = delta/2, delta, 2 delta, ...: every point at computed distance
+    within delta/4.  Each probe searches the boxes at D = delta/4, delta/2,
+    delta, 2 delta, ... in turn: every point at computed distance
     0 < d <= D lies in the box at D, so the smallest nonzero distance in the
-    first box that holds one is the probe's exact nearest-neighbour
+    first box that holds one within D is the probe's exact nearest-neighbour
     distance, and a box that holds the whole cloud gives the full minimum
-    (inf when no point differs from the probe).  So the spacing reported by
-    ``CloudTooSparse`` is that of the full scan.
+    (inf when no point differs from the probe).  A probe stops at
+    D = delta/4 exactly when its spacing is at most delta/4, so the largest
+    spacing, which ``CloudTooSparse`` reports, is that of the full scan.
+
+    A ``(delta/2)^exponent`` beyond a float raises ``NonFinite`` before any
+    work.
     """
     if not delta > 0:
         raise ValueError("delta must be positive")
     require_counts(cloud_size=cloud_size)
+    radius = delta / 2.0
+    try:
+        unit = radius**exponent
+    except (OverflowError, ZeroDivisionError):  # 0.0 ** -1 raises too
+        unit = np.inf
+    if not np.isfinite(unit):
+        raise NonFinite(f"(delta/2)^exponent = {radius:.3g}^{exponent:g} is not finite")
     region = np.asarray(region if region is not None else chart.domain, dtype=float)
     rng = stream(seed, "cover-cloud")
     ys = uniform_box(rng, region, cloud_size)
     cloud = chart.value(ys)
-    radius = delta / 2.0
     reach = _coordinate_reach(dist, float(np.max(np.linalg.norm(cloud, axis=1))))
     index = _CoverIndex(cloud, dist.group, float(dist.layer_radii[0]) * radius)
 
     quarter = delta / 4.0
-    probes = rng.choice(cloud_size, size=min(256, cloud_size), replace=False)
-    pos, counts = index.near(cloud[probes], np.array([reach(quarter, cloud[p]) for p in probes]))
-    pairs = np.repeat(probes, counts)
-    d = np.asarray(dist.distance(cloud[pairs], index.rows(pos)))
-    close = np.zeros(cloud_size, dtype=bool)
-    close[pairs[(d > 0.0) & (d <= quarter)]] = True
-    still_open = probes[~close[probes]]
-    if len(still_open):
-        spacing = np.empty(len(still_open))
-        todo = np.arange(len(still_open))
-        bound = radius
-        while len(todo):
-            centres = cloud[still_open[todo]]
-            # a box too wide to compute holds the whole cloud
-            halves = np.array([reach(bound, c) for c in centres])
-            halves[~np.isfinite(halves)] = np.inf
-            pos, counts = index.near(centres, halves)
-            d = np.asarray(dist.distance(np.repeat(centres, counts, axis=0), index.rows(pos)))
-            d[d == 0.0] = np.inf
-            nearest = np.full(len(todo), np.inf)
-            np.minimum.at(nearest, np.repeat(np.arange(len(todo)), counts), d)
-            done = (nearest <= bound) | (counts == cloud_size)
-            spacing[todo[done]] = nearest[done]
-            todo = todo[~done]
-            bound *= 2.0
-        raise CloudTooSparse(
-            f"cloud spacing {float(np.max(spacing)):.3g} exceeds delta/4 = {quarter:.3g}"
-        )
+    probes = cloud[rng.choice(cloud_size, size=min(256, cloud_size), replace=False)]
+    spacing = np.empty(len(probes))
+    todo = np.arange(len(probes))
+    # doubling from above 0 reaches inf, where every probe stops
+    bound = max(quarter, 5e-324)
+    while len(todo):
+        centres = probes[todo]
+        # a box too wide to compute holds the whole cloud
+        halves = np.array([reach(bound, c) for c in centres])
+        halves[~np.isfinite(halves)] = np.inf
+        pos, counts = index.near(centres, halves)
+        d = np.asarray(dist.distance(np.repeat(centres, counts, axis=0), index.rows(pos)))
+        d[d == 0.0] = np.inf
+        nearest = np.full(len(todo), np.inf)
+        np.minimum.at(nearest, np.repeat(np.arange(len(todo)), counts), d)
+        done = (nearest <= bound) | (counts == cloud_size)
+        spacing[todo[done]] = nearest[done]
+        todo = todo[~done]
+        bound *= 2.0
+    if not np.all(spacing <= quarter):
+        raise CloudTooSparse(f"cloud spacing {float(np.max(spacing)):.3g} exceeds delta/4 = {quarter:.3g}")
 
     centres, _ = _farthest_point_net(dist, cloud, radius, reach, index)
     count = len(centres)
-    value = count * radius**exponent
+    value = count * unit
     return Estimate(
         value,
         0.0,
@@ -687,7 +681,8 @@ def _coordinate_reach(dist: HomogeneousDistance, scale: float):
     ``|x_k - c_k| <= reach[k]`` in floating point, for every coordinate k.
     ``scale`` bounds the Euclidean norm of every cloud point and of every
     centre: the rounding bound below holds x and c to it, and a centre need
-    not be a cloud point (``federer_density``'s are not).
+    not be a cloud point (``federer_density``'s are not).  A D whose powers
+    overflow a float gives infinite half-widths.
 
     With ``z = c^-1 . x`` and ``||z|| < D``, layer i of z has magnitude at
     most ``rho_i D^i`` (``dist.layer_radii``).  ``x = c . z``, so layer j of
@@ -745,11 +740,14 @@ def _coordinate_reach(dist: HomogeneousDistance, scale: float):
 
     def reach(d: float, center: np.ndarray) -> np.ndarray:
         d *= 1.0 + _REACH_SLACK
-        z = [r * d ** (j + 1) + e for j, (r, e) in enumerate(zip(rho, z_err))]
-        y_squares = list(accumulate(v * v for v in z))
         c_squares = np.add.reduceat(center * center, starts).cumsum().tolist()
-        for j, k, half_x, half_y, weight in words:
-            z[j] += weight * c_squares[k] ** half_x * y_squares[k] ** half_y
+        try:
+            z = [r * d ** (j + 1) + e for j, (r, e) in enumerate(zip(rho, z_err))]
+            y_squares = list(accumulate(v * v for v in z))
+            for j, k, half_x, half_y, weight in words:
+                z[j] += weight * c_squares[k] ** half_x * y_squares[k] ** half_y
+        except OverflowError:  # a power beyond a float bounds nothing
+            return np.full(g.q, np.inf)
         return (np.array(z) * (1.0 + _REACH_SLACK) + err)[coordinate_layer]
 
     return reach
@@ -887,13 +885,13 @@ def area_check(
     theta_tolerance: float = 0.05,
     covering_delta: float | None = None,
     samples: int = 40_000,
-    factor_samples: int = 200_000,
     seed: int = 0,
     policy: NumericPolicy = DEFAULT_POLICY,
 ) -> AreaReport:
     """Assemble mu, beta and theta and check the density identity
     theta = beta * (density factor); the factor is 1 for the intrinsic
-    measure itself and is recorded explicitly in each verdict."""
+    measure itself and is recorded explicitly in each verdict.  Each beta
+    takes ``spherical_factor``'s default samples and each theta ``samples``."""
     if covering_delta is not None and not covering_delta > 0:
         raise ValueError("covering_delta must be positive")
     require_counts(samples=samples)
@@ -932,7 +930,7 @@ def area_check(
             )
             continue
 
-        beta = spherical_factor(dist, analysis.htangent, samples=factor_samples, seed=seed, policy=policy)
+        beta = spherical_factor(dist, analysis.htangent, seed=seed, policy=policy)
         theta, trace = federer_density(
             chart, dist, y, samples=samples, seed=seed, policy=policy
         )
@@ -1155,7 +1153,7 @@ def section_concavity_check(
     def psi(hits: int) -> tuple[float, float] | None:
         if hits < min_hits:
             return None
-        area = hit_fraction_estimate(hits, samples, unit_ball_volume(n, body.radius), seed, "mc-section")
+        area = _section_estimate(hits, samples, n, body.radius, seed, None)
         val = area.value ** (1.0 / n)
         err = area.stderr / (n * area.value ** ((n - 1.0) / n))
         return val, err
@@ -1168,14 +1166,7 @@ def section_concavity_check(
     worst = 0.0
     done = 0
     attempts = 0
-    shared = list(
-        draw_blocks(
-            lambda rng, count: uniform_ball(rng, n, count, body.radius) @ basis.T,
-            samples,
-            seed,
-            "concavity-points",
-        )
-    ) if perp.shape[1] else []
+    shared = list(_section_points(basis, body.radius, samples, seed, "concavity-points") if perp.shape[1] else ())
     while perp.shape[1] and done < segments and attempts < 20 * segments:
         attempts += 1
         v = (rng.standard_normal(perp.shape[1]) * body.radius * 0.5) @ perp.T
@@ -1483,7 +1474,13 @@ def coarea_check(
 def _box_midpoint(fn, box: np.ndarray, per_axis: int) -> float:
     ys = cell_centers(box, [max(2, per_axis)] * box.shape[0])
     vol = float(np.prod(box[:, 1] - box[:, 0]))
+    return _grid_sum(fn, ys) * vol / len(ys)
+
+
+def _grid_sum(fn, ys: np.ndarray) -> float:
+    """The sum of ``fn`` over the rows of a grid ``ys``, ``BLOCK`` rows at a
+    time, so that a fine grid's Jacobians are never held at once."""
     total = 0.0
-    for lo in range(0, len(ys), 1 << 14):
-        total += float(np.sum(fn(ys[lo : lo + (1 << 14)])))
-    return total * vol / len(ys)
+    for lo in range(0, len(ys), BLOCK):
+        total += float(np.sum(fn(ys[lo : lo + BLOCK])))
+    return total

@@ -30,6 +30,7 @@ from .mc import require_counts, stream, sum_of_squares
 from .optimize import bisect_largest_passing, nelder_mead
 
 TRIANGLE_SLACK = 1e-12
+BOX_WEIGHT_FLOOR = 1e-3  # the smallest box weight that calibrate_box tries
 
 
 @dataclass(frozen=True)
@@ -47,12 +48,6 @@ class HomogeneousDistance:
     phi: Callable[[np.ndarray], np.ndarray] = field(repr=False)
     convex_ball: bool | None = None
     multiradial: bool = True
-
-    @property
-    def n_vertically_symmetric(self) -> bool:
-        """Declared metadata, never inferred: multiradial distances are
-        n-vertically symmetric for every n."""
-        return self.multiradial
 
     @cached_property
     def layer_radii(self) -> np.ndarray:
@@ -394,12 +389,10 @@ def _quotient_group(group: GradedGroup, step: int) -> GradedGroup:
     )
 
 
-def calibrate_box(
-    group: GradedGroup, samples: int = 20000, seed: int = 0, floor: float = 1e-3
-) -> BoxCalibration:
+def calibrate_box(group: GradedGroup, samples: int = 20000, seed: int = 0) -> BoxCalibration:
     """Calibrate box weights layer by layer: eps_1 = 1 and each eps_j is the
-    largest value in (floor, 1] passing a zero-violation triangle check on the
-    step-j quotient group, holding the earlier weights fixed."""
+    largest value in (BOX_WEIGHT_FLOOR, 1] passing a zero-violation triangle
+    check on the step-j quotient group, holding the earlier weights fixed."""
     require_counts(samples=samples)
     eps = [1.0]
     for j in range(2, group.step + 1):
@@ -409,10 +402,10 @@ def calibrate_box(
             d = box_distance(quotient, eps + [candidate])
             return verify_distance_axioms(d, samples=samples, seed=seed).passed
 
-        best = bisect_largest_passing(passes, floor, 1.0, iters=24)
+        best = bisect_largest_passing(passes, BOX_WEIGHT_FLOOR, 1.0)
         if best is None:
             raise CalibrationFailed(
-                f"no box weight above {floor} passes the triangle check for layer {j}"
+                f"no box weight above {BOX_WEIGHT_FLOOR} passes the triangle check for layer {j}"
             )
         eps.append(round(best, 6))
     report = verify_distance_axioms(box_distance(group, eps), samples=samples, seed=seed)

@@ -60,10 +60,9 @@ def nelder_mead(
     return simplex[i], values[i]
 
 
-def bisect_largest_passing(
-    predicate: Callable[[float], bool], lo: float, hi: float, iters: int = 40
-) -> float | None:
-    """Largest x in [lo, hi] with predicate(x) true, assuming monotone predicate.
+def bisect_largest_passing(predicate: Callable[[float], bool], lo: float, hi: float) -> float | None:
+    """Largest x in [lo, hi] with predicate(x) true, assuming monotone
+    predicate, to 24 halvings of [lo, hi].
 
     Returns None when even `lo` fails.
     """
@@ -71,7 +70,7 @@ def bisect_largest_passing(
         return hi
     if not predicate(lo):
         return None
-    for _ in range(iters):
+    for _ in range(24):
         mid = 0.5 * (lo + hi)
         if predicate(mid):
             lo = mid

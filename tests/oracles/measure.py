@@ -17,7 +17,12 @@ and skip the identity product, and must agree with them bit for bit.  The
 hit-or-miss translation volumes measure H^n(p . A) with no Jacobian, and
 ``vertical_translation_check`` must agree with them within their
 Monte-Carlo error; taken one point and one derivative call at a time, its
-Jacobian route must give the same report bit for bit.  Every oracle here draws with the row-wise samplers of
+Jacobian route must give the same report bit for bit.  The per-block
+intrinsic Monte-Carlo loop and the chunked midpoint sums
+(``intrinsic_mc_per_block``, ``intrinsic_tensor_chunked``,
+``box_midpoint_chunked``) are the grid and sample sums of
+``intrinsic_measure`` and ``coarea_check`` as plain loops, and must agree
+with them bit for bit.  Every oracle here draws with the row-wise samplers of
 ``oracles.mc``, shifts points by broadcasting (``shift_rows``), and is
 given bodies whose members are the row-wise box and ellipsoid formulas
 (``box_body_rows``, ``ellipsoid_body_rows``), so a bit that the library's
@@ -25,11 +30,13 @@ column-wise kernels moved would show.
 """
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
 from nilgeom.errors import BoundaryTooClose, CloudTooSparse, DegenerateTangent, EmptySection, RadiusTooSmall
-from nilgeom.manifold import classify_point, degree_echelon
-from nilgeom.mc import Estimate, blocks, hit_fraction_estimate, stream
+from nilgeom.manifold import cell_centers, classify_point, degree_echelon
+from nilgeom.mc import Estimate, blocks, stream
 from nilgeom.measure import (
     ConcavityReport,
     ConvexBody,
@@ -83,6 +90,14 @@ def hypersurface_density_multivector(chart, y) -> float:
     return raw / gram
 
 
+def hit_fraction(hits, total, volume, seed, method, meta=None) -> Estimate:
+    """``volume`` times the fraction of ``total`` points hit, with binomial
+    standard error."""
+    p = hits / total
+    stderr = volume * float(np.sqrt(max(p * (1.0 - p), 0.0) / total))
+    return Estimate(value=volume * p, stderr=stderr, samples=total, seed=seed, method=method, meta=meta or {})
+
+
 def _hits(draw, member, samples, seed, tag) -> int:
     return sum(
         int(np.sum(member(draw(stream(seed, tag, b), count)))) for b, count in blocks(samples)
@@ -109,7 +124,7 @@ def section_area_per_call(dist, space, u, samples=200_000, seed=0, tag="section"
         seed,
         f"{tag}:{(np.round(u, 12) + 0.0).tobytes().hex()}",
     )
-    return hit_fraction_estimate(
+    return hit_fraction(
         hits, samples, unit_ball_volume(n, radius), seed, "mc-section", {"radius": radius}
     )
 
@@ -133,7 +148,7 @@ def concavity_per_call(body, space, segments=200, samples=20_000, seed=0) -> Con
         )
         if hits < 25:
             return None
-        area = hit_fraction_estimate(hits, samples, unit_ball_volume(n, body.radius), seed, "mc-section")
+        area = hit_fraction(hits, samples, unit_ball_volume(n, body.radius), seed, "mc-section")
         return area.value ** (1.0 / n), area.stderr / (n * area.value ** ((n - 1.0) / n))
 
     rng = stream(seed, "concavity-segments")
@@ -197,7 +212,7 @@ def translation_per_call(group, nspace, p, box=None, samples=100_000, seed=0) ->
             lambda rng, count: uniform_box_rows(rng, target_box, count), member, samples, seed, "translate-mc"
         )
         vol = float(np.prod(target_box[:, 1] - target_box[:, 0]))
-        return hit_fraction_estimate(hits, samples, vol, seed, "mc-box")
+        return hit_fraction(hits, samples, vol, seed, "mc-box")
 
     def in_image(zeta):
         back = group.product(group.inverse(p), shift_rows(v_part, zeta @ basis.T))
@@ -371,3 +386,54 @@ def federer_full_window(chart, dist, y0, radii=None, centers_per_radius=8, sampl
     meta = {"radius": chosen.radius, "degree": n_deg, "flat_window_found": flat_found,
             "classification": analysis.classification}
     return Estimate(chosen.ratio, chosen.stderr, samples, seed, "federer-flat-radius", meta), trace
+
+
+def intrinsic_mc_per_block(chart, region, samples, seed, degree) -> Estimate:
+    """``intrinsic_measure(quadrature="mc")`` at a given degree, drawing each
+    block on its own ``intrinsic-mc`` stream in a plain loop."""
+    region = np.asarray(region, dtype=float)
+    volume = float(np.prod(region[:, 1] - region[:, 0]))
+    total = totalsq = 0.0
+    count = 0
+    for b, cnt in blocks(samples):
+        vals = intrinsic_density(chart, uniform_box_rows(stream(seed, "intrinsic-mc", b), region, cnt), degree)
+        total += float(np.sum(vals))
+        totalsq += float(np.sum(vals * vals))
+        count += cnt
+    mean = total / count
+    var = max(totalsq / count - mean * mean, 0.0)
+    return Estimate(volume * mean, volume * float(np.sqrt(var / count)), count, seed, "mc", {"degree": degree})
+
+
+def chunked_sum(fn, ys) -> float:
+    """The sum of ``fn`` over the rows of ``ys``, 16,384 rows at a time."""
+    total = 0.0
+    for lo in range(0, len(ys), 1 << 14):
+        total += float(np.sum(fn(ys[lo : lo + (1 << 14)])))
+    return total
+
+
+def intrinsic_tensor_chunked(chart, region, resolution, degree, seed=0) -> Estimate:
+    """``intrinsic_measure``'s tensor route at a given degree, each midpoint
+    rule summed by ``chunked_sum``."""
+    region = np.asarray(region, dtype=float)
+    volume = float(np.prod(region[:, 1] - region[:, 0]))
+    n = chart.n
+
+    density = partial(intrinsic_density, chart, target_degree=degree)
+
+    def midpoint(res):
+        cell = volume / res**n
+        return chunked_sum(density, cell_centers(region, [res] * n)) * cell
+
+    coarse, fine = midpoint(max(resolution // 2, 1)), midpoint(resolution)
+    meta = {"degree": degree, "coarse": coarse, "fine": fine, "richardson_delta": abs(fine - coarse) / 3.0}
+    samples = resolution**n + max(resolution // 2, 1) ** n
+    return Estimate(fine + (fine - coarse) / 3.0, 0.0, samples, seed, "tensor-midpoint-richardson", meta)
+
+
+def box_midpoint_chunked(fn, box, per_axis) -> float:
+    """``measure._box_midpoint``: the midpoint rule of ``fn`` on a grid of
+    ``max(2, per_axis)`` cells per axis of ``box``, summed by ``chunked_sum``."""
+    ys = cell_centers(box, [max(2, per_axis)] * box.shape[0])
+    return chunked_sum(fn, ys) * float(np.prod(box[:, 1] - box[:, 0])) / len(ys)

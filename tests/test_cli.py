@@ -481,3 +481,22 @@ def test_translation_box_rows_need_lo_below_hi(tmp_path, capsys, box):
     assert record["status"] == "error" and record["result"]["error"] == "ConfigError"
     assert "opts.box" in record["result"]["message"] and "lo < hi" in record["result"]["message"]
     assert capsys.readouterr().err == ""
+
+
+def test_a_covering_delta_beyond_a_float_is_a_typed_record(tmp_path, capsys):
+    # delta = 1e300 once ended each of these in an OverflowError and a
+    # traceback: the spacing boxes now grow to the whole cloud, and a
+    # (delta/2)^exponent beyond a float is NonFinite
+    line = {"n": 1, "exprs": "0; 0; y1", "domain": [[-1, 1]]}
+    tasks = [
+        {"task": "covering-estimate", "opts": {"exponent": 0, "delta": 1e300}},
+        {"task": "covering-estimate", "opts": {"exponent": 2, "delta": 1e300}},
+        {"task": "area-check", "opts": {"probes": [[0.2]], "covering_delta": 1e300}},
+    ]
+    path = write_config(tmp_path, {**BASE, "submanifold": line, "tasks": tasks})
+    assert run(path, out_dir=tmp_path / "out", quiet=True) == 1
+    passing, power, area = json.loads((tmp_path / "out" / "report.json").read_text())["tasks"]
+    assert passing["status"] == "pass"
+    assert passing["result"]["covering"]["meta"]["balls"] == 1 and passing["result"]["covering"]["value"] == 1.0
+    assert power["result"]["error"] == area["result"]["error"] == "NonFinite"
+    assert capsys.readouterr().err == ""

@@ -1,3 +1,4 @@
+import warnings
 from itertools import product
 from unittest.mock import patch
 
@@ -13,6 +14,7 @@ from nilgeom.errors import (
     CloudTooSparse,
     DegenerateTangent,
     LevelSetNotGraph,
+    NonFinite,
     NotVertical,
     RadiusTooSmall,
 )
@@ -45,12 +47,15 @@ from nilgeom.policy import NumericPolicy
 from oracles.mc import box_points_rows, uniform_ball_rows, uniform_box_rows
 from oracles.measure import (
     box_body_rows,
+    box_midpoint_chunked,
     concavity_per_call,
     covering_full_scan,
     ellipsoid_body_rows,
     farthest_point_loop,
     federer_full_window,
     hypersurface_density_multivector,
+    intrinsic_mc_per_block,
+    intrinsic_tensor_chunked,
     section_area_per_call,
     shift_rows,
     translation_jacobian_per_call,
@@ -678,6 +683,56 @@ def test_federer_density_on_a_transformed_chart_is_the_full_window(translate, sa
     assert federer_density(chart, BOX, y0, **kwargs) == federer_full_window(chart, BOX, y0, **kwargs)
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    case=st.sampled_from([
+        ("0; 0; y1", 1, [[-1, 1]]),
+        ("y1; 0; y2", 2, [[0, 1], [0, 1]]),
+        ("y1; y2; y1*y2", 2, [[0, 1], [0, 1]]),
+    ]),
+    delta=st.floats(0.1, 2.0) | st.floats(1e100, 1e300),
+    exponent=st.sampled_from([0.0, 1.0, 2.0]),
+    cloud_size=st.integers(16, 3000),
+    seed=st.integers(0, 2**16),
+)
+def test_covering_is_the_full_scan_over_deltas_clouds_and_seeds(case, delta, exponent, cloud_size, seed):
+    # the hand-picked charts above at drawn deltas (some so large that the
+    # spacing boxes overflow a float), cloud sizes and seeds
+    expr, n, region = case
+    args = (parse_parametrization(expr, n, region, H1), BOX, region, exponent, delta)
+    try:
+        want = covering_full_scan(*args, cloud_size=cloud_size, seed=seed)
+    except CloudTooSparse as err:
+        with pytest.raises(CloudTooSparse) as got:
+            covering_estimate(*args, cloud_size=cloud_size, seed=seed)
+        assert str(got.value) == str(err)
+    except OverflowError:  # (delta/2)^exponent beyond a float
+        with pytest.raises(NonFinite):
+            covering_estimate(*args, cloud_size=cloud_size, seed=seed)
+    else:
+        assert covering_estimate(*args, cloud_size=cloud_size, seed=seed) == want
+
+
+VERTICAL_LINE = parse_parametrization("0; 0; y1", 1, [[-1, 1]], H1)
+
+
+def test_covering_at_a_delta_beyond_the_reach_is_one_ball():
+    # every power of delta in the spacing boxes overflows; the boxes hold
+    # the whole cloud, as at delta = 1e120
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        est = covering_estimate(VERTICAL_LINE, BOX, [[-1, 1]], exponent=0.0, delta=1e300)
+    assert est.meta["balls"] == 1 and est.value == 1.0
+    assert est == covering_estimate(VERTICAL_LINE, BOX, [[-1, 1]], exponent=0.0, delta=1e120)
+
+
+@pytest.mark.parametrize("exponent, delta", [(2.0, 1e300), (-2.0, 1e-300), (-1.0, 5e-324), (1.0, np.inf)])
+def test_covering_with_a_measure_beyond_a_float_raises_before_any_work(monkeypatch, exponent, delta):
+    monkeypatch.setattr(measure, "uniform_box", lambda *args: pytest.fail("drew a cloud"))
+    with pytest.raises(NonFinite, match="not finite"):
+        covering_estimate(VERTICAL_LINE, BOX, [[-1, 1]], exponent=exponent, delta=delta)
+
+
 def test_covering_empty_region_is_zero_balls():
     seg = parse_parametrization("y1; 0; 0", 1, [[0, 1e-9]], H1)
     est = covering_estimate(seg, BOX, [[0, 1e-9]], exponent=1.0, delta=0.5, cloud_size=64, seed=7)
@@ -953,6 +1008,42 @@ def test_concavity_bit_identical_to_per_call_draws(body, oracle_body, space, sam
     if body.label == "dumbbell":
         # a non-convex member exercises every field of the report
         assert got.violations > 0 and got.skipped > 0 and got.worst_deficit > 0
+
+
+INTRINSIC_CHARTS = [
+    parse_parametrization("y1; y2; y1^2 + y2^2", 2, [[-1, 1], [-0.5, 1]], H1),
+    parse_parametrization("y1; y1^2; y1^3; 0.5*y1^2", 1, [[-0.5, 1.0]], engel()),
+]
+
+
+@pytest.mark.parametrize("samples", MULTI_BLOCK)
+@pytest.mark.parametrize("chart", INTRINSIC_CHARTS, ids=["h1-paraboloid", "engel-curve"])
+def test_intrinsic_mc_is_bitwise_the_per_block_loop(chart, samples):
+    got = intrinsic_measure(chart, quadrature="mc", samples=samples, seed=7)
+    want = intrinsic_mc_per_block(chart, chart.domain, samples, 7, got.meta["degree"])
+    assert got == want and got.meta == want.meta
+
+
+@pytest.mark.parametrize("chart, resolution", [(INTRINSIC_CHARTS[0], 160), (INTRINSIC_CHARTS[1], 20_000)],
+                         ids=["h1-paraboloid", "engel-curve"])
+def test_intrinsic_tensor_is_bitwise_the_chunked_loop(chart, resolution):
+    # 25,600 and 20,000 cells span two blocks of mc.BLOCK
+    got = intrinsic_measure(chart, resolution=resolution)
+    want = intrinsic_tensor_chunked(chart, chart.domain, resolution, got.meta["degree"])
+    assert got == want and got.meta == want.meta
+
+
+@pytest.mark.parametrize(
+    "group, coord, g_expr, box, resolution",
+    [(abelian(2), 2, "0.5*y1", [[0, 1], [0, 1]], 130), (H1, 1, "0.3*y2", [[0, 1]] * 3, 26)],
+    ids=["abelian2-130", "h1-26"],
+)
+def test_coarea_is_bitwise_the_chunked_loop(group, coord, g_expr, box, resolution):
+    # the 130^2 and 26^3 grids of the left side span two blocks of mc.BLOCK
+    got = coarea_check(group, coord, g_expr, "1 + x1", box, resolution=resolution)
+    with patch.object(measure, "_box_midpoint", box_midpoint_chunked):
+        want = coarea_check(group, coord, g_expr, "1 + x1", box, resolution=resolution)
+    assert got == want
 
 
 def test_concavity_draws_one_shared_sample_set(monkeypatch):

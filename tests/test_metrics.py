@@ -160,12 +160,6 @@ def test_horizontal_subgroup_norm_is_a_vector_norm():
         assert float(d.norm(x + y)) <= float(d.norm(x)) + float(d.norm(y)) + 1e-12
 
 
-def test_vertical_symmetry_metadata_is_declared():
-    g = heisenberg(1)
-    assert box_distance(g, [1, 1]).n_vertically_symmetric
-    assert multiradial_distance(g, "max(t1, t2^0.5)").n_vertically_symmetric
-
-
 def test_bounding_radius_covers_sampled_ball_points():
     # sweep: u inside B(0,1) never yields an empty section, and the returned
     # radius dominates the sampled section

@@ -10,7 +10,7 @@ Points live in graded exponential coordinates and are plain numpy arrays of
 length ``q``; all operations broadcast over leading axes, so ``(N, q)``
 batches are first-class.
 
-The group law is compiled once per group and step, and ``bracket``,
+The group law is compiled once per group and term list, and ``bracket``,
 ``product``, ``product_derivative_y`` and ``frame`` all run on it: a sparse
 bracket kernel over the nonzero structure constants, a schedule that builds
 each distinct right-nested Dynkin suffix once per call and drops it after its
@@ -21,15 +21,29 @@ multiplications and additions of the word-by-word evaluator ``nested`` in
 ``tests/oracles/algebra.py`` (the test oracle) in the same order, so results
 are bit-identical to it; no matmul, einsum or expanded polynomial may enter
 this path, since each would reorder the sums.
+
+Each term list compiles to a full plan and a graded plan.  A letter may be
+nonzero anywhere; ``[a, s]`` only on the targets of table pairs with an index
+in the support of ``s`` (in a stratified group, the layers >= its length).
+The graded plan keeps a pair's half ``u_i v_j`` only if j is in that support
+and ``u_j v_i`` only if i is, and adds each term after the first only on the
+hull of its support.  For finite letters this gives the full plan's bits: a
+dropped half is ``u * (+0.0) = ±0``, added to an output that starts at +0.0
+and so is never -0.0; a dropped row would only have received ``coeff *
+(+0.0)``, which turns -0.0 into +0.0 when ``coeff > 0``, and that commutes
+with the later additions, so one ``+= 0.0`` on those rows at the end does it.
+``inf * 0`` is nan, so a block with a non-finite letter runs the full plan,
+as does, unchecked, every block where the graded plan drops no pair half
+(every step-2 group).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from itertools import combinations
 from math import factorial
-from typing import Iterable
+from typing import NamedTuple
 
 import numpy as np
 
@@ -98,7 +112,6 @@ V = 2  # the direction letter of product_derivative_y
 BLOCK_ROWS = 2048  # rows per block of the compiled evaluator
 
 
-@lru_cache(maxsize=None)
 def _derivative_terms(step: int, y_is_zero: bool) -> tuple[tuple[float, tuple[int, ...]], ...]:
     """Terms of d/dt (x . (y + t v)): each word of ``bch_plan(step)`` with
     one Y replaced by V, per position.  At y = 0 only words with one Y remain."""
@@ -111,7 +124,6 @@ def _derivative_terms(step: int, y_is_zero: bool) -> tuple[tuple[float, tuple[in
     return tuple(terms)
 
 
-@lru_cache(maxsize=None)
 def _schedule(terms: tuple) -> tuple:
     """Evaluation steps for ``sum coeff * [w0, [w1, ... wk]]`` over ``terms``.
 
@@ -138,6 +150,46 @@ def _schedule(terms: tuple) -> tuple:
     for s, t in last_use.items():
         drops[t].append(s)
     return tuple((c, w, b, tuple(d)) for (c, w, b), d in zip(steps, drops))
+
+
+class _Plan(NamedTuple):
+    """Steps ``(coeff, word, builds, drops, rows)``: ``builds`` are the
+    ``(suffix, pairs)`` first bracketed there, ``rows`` the coordinate rows
+    the term is added on in place (``None``: the first term makes a new sum,
+    as ``acc`` may be a letter).  ``graded`` is None if it drops no pair half;
+    ``zero_rows`` get ``+= 0.0`` after it; ``reads`` are the words' letters."""
+
+    full: tuple
+    graded: tuple | None
+    zero_rows: list
+    reads: frozenset
+
+
+def _bracket_rows(pairs: tuple, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Bracket of coordinate-first blocks ``(q, rows)`` over ``pairs``.
+
+    Each pair ``(a, b, both, entries)`` does the arithmetic of the dense
+    table loop: ``w = u_a v_b``, less ``u_b v_a`` when ``both``, then ``out_k
+    += w c`` from ``out = +0.0``; the zero entries it skips only ever added a
+    signed zero to a sum that cannot be -0.0.  ``w * 1.0`` is ``w`` and ``out +
+    w * -1.0`` is ``out - w`` exactly, so those multiplications are left out.
+    A graded plan's pair with one live half is ``both=False``: ``u_i v_j``
+    as ``(i, j)``, or ``u_j v_i`` as ``(j, i)`` with every ``c`` negated,
+    which is ``out - (u_j v_i) c`` exactly.
+    """
+    out = np.zeros(v.shape)
+    for a, b, both, entries in pairs:
+        w = u[a] * v[b]
+        if both:
+            w -= u[b] * v[a]
+        for k, c in entries:
+            if c == 1.0:
+                out[k] += w
+            elif c == -1.0:
+                out[k] -= w
+            else:
+                out[k] += w * c
+    return out
 
 
 def _blocked(kernel, letters: tuple, reduce: bool = False) -> np.ndarray:
@@ -219,50 +271,78 @@ class GradedGroup:
 
     @cached_property
     def _bracket_kernel(self) -> tuple:
-        """``(i, j, ((k, c), ...))`` per table pair, in table order."""
+        """``(i, j, True, ((k, c), ...))`` per table pair, in table order: the
+        full plan's pairs."""
         return tuple(
-            (i, j, tuple((int(k), float(vec[k])) for k in np.nonzero(vec)[0]))
+            (i, j, True, tuple((int(k), float(vec[k])) for k in np.nonzero(vec)[0]))
             for (i, j), vec in self._table.items()
         )
 
-    def _bracket_rows(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """Bracket of coordinate-first blocks ``(q, rows)``.
+    def _live_pairs(self, inner: set) -> tuple:
+        """The pairs of ``[a, s]`` whose halves can be nonzero when ``s`` is
+        zero off the coordinates ``inner``, in table order."""
+        pairs = []
+        for i, j, _, entries in self._bracket_kernel:
+            if i in inner and j in inner:
+                pairs.append((i, j, True, entries))
+            elif j in inner:
+                pairs.append((i, j, False, entries))
+            elif i in inner:
+                pairs.append((j, i, False, tuple((k, -c) for k, c in entries)))
+        return tuple(pairs)
 
-        Does the arithmetic of the dense table loop, pair by pair: ``w = u_i
-        v_j - u_j v_i``, then ``out_k += w c`` from ``out = +0.0``; the zero
-        entries it skips only ever added a signed zero to a sum that cannot be
-        -0.0.  ``w * 1.0`` is ``w`` and ``out + w * -1.0`` is ``out - w``
-        exactly, so those multiplications are left out.
-        """
-        out = np.zeros(v.shape)
-        for i, j, entries in self._bracket_kernel:
-            w = u[i] * v[j] - u[j] * v[i]
-            for k, c in entries:
-                if c == 1.0:
-                    out[k] += w
-                elif c == -1.0:
-                    out[k] -= w
-                else:
-                    out[k] += w * c
-        return out
-
-    def _sum_terms(self, schedule: tuple, acc: np.ndarray, letters: tuple) -> np.ndarray:
-        """``acc + coeff * [w0, [w1, ... wk]]`` term by term, blocks ``(q, rows)``."""
-        values = {}
-        for coeff, word, builds, drops in schedule:
+    def _compile(self, terms: tuple) -> _Plan:
+        """The full and graded plans of ``sum coeff * [w0, [w1, ... wk]]``."""
+        everything = set(range(self.q))
+        support, full, graded, zero_rows, prunes = {}, [], [], set(), False
+        for coeff, word, builds, drops in _schedule(terms):
+            graded_builds = []
             for s in builds:
+                pairs = self._live_pairs(support[s[1:]] if len(s) > 2 else everything)
+                support[s] = {k for _, _, _, entries in pairs for k, _ in entries}
+                graded_builds.append((s, pairs))
+                prunes |= pairs != self._bracket_kernel
+            rows = hull = None
+            if full:
+                rows, live = slice(None), support[word]
+                hull = slice(min(live), max(live) + 1) if live else slice(0)
+                if coeff > 0:
+                    zero_rows |= everything - set(range(self.q)[hull])
+            full.append((coeff, word, tuple((s, self._bracket_kernel) for s in builds), drops, rows))
+            graded.append((coeff, word, tuple(graded_builds), drops, hull))
+        reads = frozenset(s for _, word in terms for s in word)
+        return _Plan(tuple(full), tuple(graded) if prunes else None, sorted(zero_rows), reads)
+
+    def _sum_terms(self, plan: _Plan, acc: np.ndarray, letters: tuple) -> np.ndarray:
+        """``acc + coeff * [w0, [w1, ... wk]]`` term by term, blocks ``(q, rows)``.
+
+        Runs the graded plan when there is one and every letter the words
+        read is finite on this block, and the full plan otherwise; both give
+        the full plan's bits (module docstring).
+        """
+        steps = plan.full
+        if plan.graded is not None and all(np.isfinite(letters[s]).all() for s in plan.reads):
+            steps = plan.graded
+        values = {}
+        for coeff, word, builds, drops, rows in steps:
+            for s, pairs in builds:
                 inner = values[s[1:]] if len(s) > 2 else letters[s[1]]
-                values[s] = self._bracket_rows(letters[s[0]], inner)
-            acc = acc + coeff * values[word]
+                values[s] = _bracket_rows(pairs, letters[s[0]], inner)
+            if rows is None:
+                acc = acc + coeff * values[word]
+            else:
+                acc[rows] += coeff * values[word][rows]
             for s in drops:
                 del values[s]
+        if steps is plan.graded and plan.zero_rows:
+            acc[plan.zero_rows] += 0.0
         return acc
 
     def bracket(self, u, v) -> np.ndarray:
         """Lie bracket of coordinate vectors; broadcasts over leading axes."""
         u = np.asarray(u, dtype=float)
         v = np.asarray(v, dtype=float)
-        return _blocked(self._bracket_rows, (u, v))
+        return _blocked(partial(_bracket_rows, self._bracket_kernel), (u, v))
 
     def product(self, x, y) -> np.ndarray:
         """Group product x . y by the truncated BCH series."""
@@ -273,12 +353,12 @@ class GradedGroup:
         return _blocked(self._product_rows, (x, y))
 
     @cached_property
-    def _product_schedule(self) -> tuple:
-        return _schedule(bch_plan(self.step))
+    def _product_plan(self) -> _Plan:
+        return self._compile(bch_plan(self.step))
 
     def _product_rows(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Group product of coordinate-first blocks ``(q, rows)``."""
-        return self._sum_terms(self._product_schedule, x + y, (x, y))
+        return self._sum_terms(self._product_plan, x + y, (x, y))
 
     def inverse(self, x) -> np.ndarray:
         """Group inverse; equals -x in exponential coordinates."""
@@ -301,12 +381,14 @@ class GradedGroup:
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
         v = np.asarray(v, dtype=float)
-        y_is_zero = not np.any(y)
-        terms = _derivative_terms(self.step, y_is_zero)
-        used_y = any(Y in word for _, word in terms)
-        letters = (x, y if used_y else None, v)
-        schedule = _schedule(terms)
-        return _blocked(lambda *xyv: self._sum_terms(schedule, xyv[-1], xyv), letters)
+        plan = self._derivative_plans[not np.any(y)]
+        letters = (x, y if Y in plan.reads else None, v)
+        return _blocked(lambda *xyv: self._sum_terms(plan, xyv[-1], xyv), letters)
+
+    @cached_property
+    def _derivative_plans(self) -> tuple[_Plan, _Plan]:
+        """The plans of ``product_derivative_y`` at y != 0 and at y = 0."""
+        return tuple(self._compile(_derivative_terms(self.step, y_is_zero)) for y_is_zero in (False, True))
 
     # -- left-invariant frame --------------------------------------------------
 

@@ -559,19 +559,14 @@ def covering_estimate(
     D = delta/4 exactly when its spacing is at most delta/4, so the largest
     spacing, which ``CloudTooSparse`` reports, is that of the full scan.
 
-    A ``(delta/2)^exponent`` beyond a float raises ``NonFinite`` before any
-    work.
+    A ``(delta/2)^exponent`` beyond a float, or a delta/4 below the smallest
+    normal float, raises ``NonFinite`` before any work (``_cover_unit``).
     """
     if not delta > 0:
         raise ValueError("delta must be positive")
     require_counts(cloud_size=cloud_size)
     radius = delta / 2.0
-    try:
-        unit = radius**exponent
-    except (OverflowError, ZeroDivisionError):  # 0.0 ** -1 raises too
-        unit = np.inf
-    if not np.isfinite(unit):
-        raise NonFinite(f"(delta/2)^exponent = {radius:.3g}^{exponent:g} is not finite")
+    unit = _cover_unit(delta, exponent)
     region = np.asarray(region if region is not None else chart.domain, dtype=float)
     rng = stream(seed, "cover-cloud")
     ys = uniform_box(rng, region, cloud_size)
@@ -583,8 +578,8 @@ def covering_estimate(
     probes = cloud[rng.choice(cloud_size, size=min(256, cloud_size), replace=False)]
     spacing = np.empty(len(probes))
     todo = np.arange(len(probes))
-    # doubling from above 0 reaches inf, where every probe stops
-    bound = max(quarter, 5e-324)
+    # doubling from quarter > 0 reaches inf, where every probe stops
+    bound = quarter
     while len(todo):
         centres = probes[todo]
         # a box too wide to compute holds the whole cloud
@@ -613,6 +608,22 @@ def covering_estimate(
         "greedy-cover",
         {"delta": delta, "balls": count, "upper_proxy": True},
     )
+
+
+def _cover_unit(delta: float, exponent: float) -> float:
+    """``(delta/2)^exponent``, one ball of a cover at delta.  ``NonFinite``
+    if that is beyond a float, or if delta/4 is below the smallest normal
+    float, where the spacing boxes and ``_CoverIndex`` cell keys overflow."""
+    radius = delta / 2.0
+    try:
+        unit = radius**exponent
+    except (OverflowError, ZeroDivisionError):  # 0.0 ** -1 raises too
+        unit = np.inf
+    if not np.isfinite(unit):
+        raise NonFinite(f"(delta/2)^exponent = {radius:.3g}^{exponent:g} is not finite")
+    if delta / 4.0 < np.finfo(float).tiny:
+        raise NonFinite(f"delta/4 = {delta / 4.0:.3g} is below the smallest normal float, so cell keys are not finite")
+    return unit
 
 
 # The farthest-point net keeps at least COVER_POOL points in its pool and
@@ -896,6 +907,16 @@ def area_check(
         raise ValueError("covering_delta must be positive")
     require_counts(samples=samples)
     region = np.asarray(region if region is not None else chart.domain, dtype=float)
+    analyses = [classify_point(chart, np.asarray(y, dtype=float), policy) for y in probes]
+    hypotheses = ("horizontal", "transversal", "vertical_regular")
+    covered = [a.regular and (a.classification in hypotheses or chart.group.step == 2 or chart.n == 1) for a in analyses]
+    n_sigma = None
+    if covering_delta is not None and any(covered):
+        # the covering exponent is known before any work, so covers at delta
+        # and delta/2 that cannot be measured in floats are refused now
+        n_sigma = float(sampled_max_degree(chart, region, 5, policy, strict=True))
+        for delta in (covering_delta, covering_delta / 2.0):
+            _cover_unit(delta, n_sigma)
     mu = intrinsic_measure(chart, region, seed=seed, policy=policy)
     verdicts: list[Verdict] = []
     betas: dict[str, Estimate] = {}
@@ -903,16 +924,10 @@ def area_check(
     traces: dict[str, list[RadiusTracePoint]] = {}
     beta_values: list[Estimate] = []
 
-    for idx, y in enumerate(probes):
+    for idx, (y, analysis) in enumerate(zip(probes, analyses)):
         key = f"probe{idx}"
         y = np.asarray(y, dtype=float)
-        analysis = classify_point(chart, y, policy)
-        covered = analysis.regular and (
-            analysis.classification in ("horizontal", "transversal", "vertical_regular")
-            or chart.group.step == 2
-            or chart.n == 1
-        )
-        if not covered:
+        if not covered[idx]:
             verdicts.append(
                 Verdict(
                     name=f"theta-vs-beta:{key}",
@@ -965,10 +980,9 @@ def area_check(
         beta_values.append(beta)
 
     covering = None
-    if covering_delta is not None and beta_values:
-        n_sigma = float(sampled_max_degree(chart, region, 5, policy, strict=True))
+    if n_sigma is not None:
 
-        def covered(delta: float, base_cloud: int) -> Estimate:
+        def cover(delta: float, base_cloud: int) -> Estimate:
             # the consistency band tolerates auto-growing the sample cloud;
             # the standalone estimator stays strict about CloudTooSparse
             for attempt in range(7):
@@ -981,8 +995,8 @@ def area_check(
                     if attempt == 6:
                         raise
 
-        covering = covered(covering_delta, 4000)
-        half = covered(covering_delta / 2.0, 8000)
+        covering = cover(covering_delta, 4000)
+        half = cover(covering_delta / 2.0, 8000)
         beta_ref = beta_values[0].value
         stable = abs(covering.value - half.value) <= 0.15 * max(half.value, 1e-12)
         traces["covering"] = [(covering_delta, covering.value), (covering_delta / 2.0, half.value)]

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from nilgeom import cli
+from nilgeom import cli, measure
 from nilgeom.cli import load_config, main, run, task_catalog
 from nilgeom.errors import ConfigError
 from nilgeom.measure import ConvexBody
@@ -483,10 +483,11 @@ def test_translation_box_rows_need_lo_below_hi(tmp_path, capsys, box):
     assert capsys.readouterr().err == ""
 
 
-def test_a_covering_delta_beyond_a_float_is_a_typed_record(tmp_path, capsys):
+def test_a_covering_delta_beyond_a_float_is_a_typed_record(tmp_path, capsys, monkeypatch):
     # delta = 1e300 once ended each of these in an OverflowError and a
     # traceback: the spacing boxes now grow to the whole cloud, and a
-    # (delta/2)^exponent beyond a float is NonFinite
+    # (delta/2)^exponent beyond a float is NonFinite, in area-check before mu
+    monkeypatch.setattr(measure, "intrinsic_measure", lambda *args, **kwargs: pytest.fail("measured mu"))
     line = {"n": 1, "exprs": "0; 0; y1", "domain": [[-1, 1]]}
     tasks = [
         {"task": "covering-estimate", "opts": {"exponent": 0, "delta": 1e300}},
@@ -499,4 +500,19 @@ def test_a_covering_delta_beyond_a_float_is_a_typed_record(tmp_path, capsys):
     assert passing["status"] == "pass"
     assert passing["result"]["covering"]["meta"]["balls"] == 1 and passing["result"]["covering"]["value"] == 1.0
     assert power["result"]["error"] == area["result"]["error"] == "NonFinite"
+    assert capsys.readouterr().err == ""
+
+
+def test_a_subnormal_covering_delta_is_a_typed_record(tmp_path, capsys):
+    # delta = 1e-323 once printed numpy overflow warnings on stderr and ended
+    # in CloudTooSparse with spacing inf
+    line = {"n": 1, "exprs": "0; 0; y1", "domain": [[-1, 1]]}
+    tasks = [
+        {"task": "covering-estimate", "opts": {"exponent": 1, "delta": delta}} for delta in (1e-323, 5e-324)
+    ] + [{"task": "area-check", "opts": {"probes": [[0.2]], "covering_delta": delta}} for delta in (1e-323, 5e-324)]
+    path = write_config(tmp_path, {**BASE, "submanifold": line, "tasks": tasks})
+    assert run(path, out_dir=tmp_path / "out", quiet=True) == 1
+    for record in json.loads((tmp_path / "out" / "report.json").read_text())["tasks"]:
+        assert record["status"] == "error" and record["result"]["error"] == "NonFinite"
+        assert "smallest normal float" in record["result"]["message"]
     assert capsys.readouterr().err == ""

@@ -25,7 +25,15 @@ def filiform(step: int) -> dict:
 
 
 CATALOG = ["abelian(3)", "heisenberg(1)", "heisenberg(2)", "h_type", "engel", "free2(3)", "free2(4)"]
-GROUPS = {name: catalog_group(name) for name in CATALOG} | {"filiform6": load_group(filiform(6))}
+FILIFORM = {f"filiform{s}": load_group(filiform(s)) for s in range(3, 7)}
+# graded but not generated by its first layer: e4 is no bracket, so no
+# suffix's support holds it, and the pair [e3, e4] keeps only its u_4 v_3 half
+UNSTRATIFIED = {
+    "name": "unstratified",
+    "layers": [2, 2, 1, 1],
+    "brackets": [[1, 2, 3, 1.0], [1, 3, 5, 1.0], [1, 5, 6, 1.0], [2, 4, 5, 2.0], [3, 4, 6, 2.0]],
+}
+GROUPS = {name: catalog_group(name) for name in CATALOG} | FILIFORM | {"unstratified": load_group(UNSTRATIFIED)}
 
 
 # ---------------------------------------------------------------------------
@@ -69,8 +77,18 @@ def word_frame(g, x):
 
 def assert_identical(got, want):
     assert got.shape == want.shape
-    assert np.array_equal(got, want)
+    assert np.array_equal(got, want, equal_nan=True)
     assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def check_law(g, x, y, v):
+    """``product``, ``product_derivative_y`` (at y and at 0) and ``frame``
+    against the word-by-word references."""
+    assert_identical(g.product(x, y), word_product(g, x, y))
+    assert_identical(g.product_derivative_y(x, y, v), word_derivative(g, x, y, v))
+    zero = np.zeros(g.q)
+    assert_identical(g.product_derivative_y(x, zero, v), word_derivative(g, x, zero, v))
+    assert_identical(g.frame(x), word_frame(g, x))
 
 
 def points(rng, shape):
@@ -101,19 +119,30 @@ def test_compiled_law_is_bit_identical_to_words(name, shapes):
     sx, sy = shapes
     x, y, v = points(rng, sx + (g.q,)), points(rng, sy + (g.q,)), points(rng, sy + (g.q,))
     assert_identical(g.bracket(x, y), dense_bracket(g, x, y))
-    assert_identical(g.product(x, y), word_product(g, x, y))
-    assert_identical(g.product_derivative_y(x, y, v), word_derivative(g, x, y, v))
-    zero = np.zeros(g.q)
-    assert_identical(g.product_derivative_y(x, zero, v), word_derivative(g, x, zero, v))
-    assert_identical(g.frame(x), word_frame(g, x))
+    check_law(g, x, y, v)
     assert_identical(g.frame(y), word_frame(g, y))
+
+
+@pytest.mark.parametrize("name", GROUPS)
+def test_graded_and_full_plans_in_one_call_are_bit_identical_to_words(name):
+    # an outer product spans three blocks of x rows: one holds an inf, one a
+    # nan, so those two run the full plan and the third the graded plan
+    g = GROUPS[name]
+    assert g.step < 3 or g._product_plan.graded is not None
+    rng = np.random.default_rng(len(name) + 1)
+    x, y, v = points(rng, (A, 1, g.q)), points(rng, (1, B, g.q)), points(rng, (1, B, g.q))
+    per_block = BLOCK_ROWS // B
+    assert A > 2 * per_block
+    x[3, 0, 0], x[per_block + 3, 0, -1] = np.inf, np.nan
+    with np.errstate(invalid="ignore"):
+        check_law(g, x, y, v)
 
 
 # ---------------------------------------------------------------------------
 # identities on random graded groups
 # ---------------------------------------------------------------------------
 
-BASES = [GROUPS[name] for name in CATALOG] + [load_group(filiform(s)) for s in range(3, 7)]
+BASES = list(GROUPS.values())
 
 
 @st.composite
@@ -154,6 +183,15 @@ def relative(a, b) -> float:
 
 SEEDS = st.integers(0, 2**32 - 1)
 SCALES = st.floats(0.5, 2.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(graded_groups(), SEEDS)
+def test_random_group_law_is_bit_identical_to_words(g, seed):
+    # denser tables than the catalog's: pairs with one live half, and
+    # structure constants other than +-1
+    rng = np.random.default_rng(seed)
+    check_law(g, *(points(rng, (40, g.q)) for _ in range(3)))
 
 
 @settings(max_examples=40)

@@ -726,11 +726,25 @@ def test_covering_at_a_delta_beyond_the_reach_is_one_ball():
     assert est == covering_estimate(VERTICAL_LINE, BOX, [[-1, 1]], exponent=0.0, delta=1e120)
 
 
-@pytest.mark.parametrize("exponent, delta", [(2.0, 1e300), (-2.0, 1e-300), (-1.0, 5e-324), (1.0, np.inf)])
+@pytest.mark.parametrize(
+    "exponent, delta", [(2.0, 1e300), (-2.0, 1e-300), (-1.0, 5e-324), (1.0, np.inf), (2.0, 1e-323), (2.0, 5e-324)]
+)
 def test_covering_with_a_measure_beyond_a_float_raises_before_any_work(monkeypatch, exponent, delta):
     monkeypatch.setattr(measure, "uniform_box", lambda *args: pytest.fail("drew a cloud"))
     with pytest.raises(NonFinite, match="not finite"):
         covering_estimate(VERTICAL_LINE, BOX, [[-1, 1]], exponent=exponent, delta=delta)
+
+
+@pytest.mark.parametrize("delta", [1e300, 1e-323, 5e-324])
+def test_area_check_refuses_a_covering_delta_out_of_float_range_before_mu(monkeypatch, delta):
+    # the covering exponent is sampled first, so neither (delta/2)^N beyond
+    # a float nor a subnormal delta (whose cell keys once overflowed, with
+    # numpy warnings and a CloudTooSparse of spacing inf) costs mu and beta
+    monkeypatch.setattr(measure, "intrinsic_measure", lambda *args, **kwargs: pytest.fail("measured mu"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFinite, match="not finite"):
+            area_check(VERTICAL_LINE, BOX, probes=[[0.2]], covering_delta=delta)
 
 
 def test_covering_empty_region_is_zero_balls():

@@ -767,9 +767,12 @@ def test_area_check_plane_passes_and_paraboloid_advisory():
     assert verdict.detail["density_factor"] == 1.0
 
     parab = parse_parametrization("y1; y2; y1^2 + y2^2", 2, [[-1, 1], [-1, 1]], H1)
-    rep2 = area_check(parab, BOX, probes=[[0.0, 0.0]], samples=5_000, seed=8)
+    # no probe meets the hypotheses, so no cover is made and its delta is
+    # never judged, even one beyond a float
+    rep2 = area_check(parab, BOX, probes=[[0.0, 0.0]], samples=5_000, seed=8, covering_delta=1e300)
     assert rep2.verdicts[0].advisory
     assert rep2.passed  # advisory does not fail the report
+    assert rep2.covering is None
 
 
 # ---------------------------------------------------------------------------

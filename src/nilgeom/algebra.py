@@ -546,6 +546,12 @@ def _check_jacobi(group: GradedGroup, tol: float = 1e-12) -> None:
 # Subspaces
 # ---------------------------------------------------------------------------
 
+def _orthonormal(bases: np.ndarray) -> np.ndarray:
+    """Orthonormal bases of the column spans of a ``(..., q, n)`` stack of
+    independent columns, one SVD over the stack."""
+    return np.linalg.svd(bases, full_matrices=False)[0]
+
+
 @dataclass(frozen=True)
 class Subspace:
     """Linear subspace of the group, spanned by the columns of ``basis``."""
@@ -572,8 +578,7 @@ class Subspace:
         return self.basis.shape[1]
 
     def orthonormal_basis(self) -> np.ndarray:
-        u, _, _ = np.linalg.svd(self.basis, full_matrices=False)
-        return u[:, : self.dim]
+        return _orthonormal(self.basis)
 
     def project(self, v) -> np.ndarray:
         u = self.orthonormal_basis()
@@ -600,44 +605,61 @@ def classify_subspace(
     group: GradedGroup, space: Subspace, tol: float = DEFAULT_POLICY.rtol
 ) -> SubspaceClassification:
     """Classify a subspace: homogeneous / subalgebra / horizontal / vertical."""
-    policy = NumericPolicy(rtol=tol)
-    b = space.orthonormal_basis()
-    n = space.dim
+    return classify_subspaces(group, space.basis[None], tol)[0]
 
-    # dim(S ∩ H^j) via rank of the stacked bases
-    eye = np.eye(group.q)
-    inter_dims = []
-    for j in range(1, group.step + 1):
-        hbasis = eye[:, group.layer_slice(j)]
-        inter = n + hbasis.shape[1] - policy.rank(np.hstack([b, hbasis]))
-        inter_dims.append(int(inter))
-    homogeneous = sum(inter_dims) == n
 
-    # subalgebra: the brackets of all basis pairs, in one batch, stay in the
-    # span up to a projection residual relative to each bracket's largest entry
-    pairs = np.array(list(combinations(range(n), 2)), dtype=int).reshape(-1, 2)
-    w = group.bracket(*b.T[pairs.T])
-    residual = np.abs(w - (w @ b) @ b.T).max(axis=-1, initial=0.0)
-    subalgebra = bool((residual <= tol * np.abs(w).max(axis=-1, initial=0.0)).all())
+def classify_subspaces(
+    group: GradedGroup, bases: np.ndarray, tol: float = DEFAULT_POLICY.rtol
+) -> list[SubspaceClassification]:
+    """``classify_subspace`` of each basis of a ``(B, q, n)`` stack of
+    independent columns, in one batched pass.
 
-    horizontal = bool(np.max(np.abs(b[group.layer_slice(1).stop :, :]), initial=0.0) <= tol)
+    Each step is one numpy call over the whole stack: an SVD for the
+    orthonormal bases, an SVD per distinct layer width for the ranks of the
+    bases beside each layer, one run of the bracket kernel over every basis
+    pair and two matmuls for the subalgebra residuals.  numpy hands each
+    stacked matrix to the same LAPACK or BLAS routine as a single one, so
+    every subspace classifies exactly as it would alone.
+    """
+    b = _orthonormal(bases)
+    n = b.shape[-1]
 
-    vertical = False
-    if homogeneous:
-        nonzero = [j for j, dj in enumerate(inter_dims, start=1) if dj > 0]
-        if nonzero:
-            low = nonzero[0]
-            vertical = all(
-                inter_dims[j - 1] == group.layers[j - 1] for j in range(low + 1, group.step + 1)
-            ) and all(inter_dims[j - 1] == 0 for j in range(1, low))
+    # dim(S ∩ H^j) = n + h_j - rank [b, e_{H^j}], counting the singular
+    # values above tol times the largest
+    dims = np.empty((group.step, len(b)), dtype=int)
+    for h in set(group.layers):
+        js = [j for j, hj in enumerate(group.layers) if hj == h]
+        stacked = np.zeros((len(js),) + b.shape[:-1] + (n + h,))
+        stacked[..., :n] = b
+        eye = np.eye(h)
+        for a, j in enumerate(js):
+            stacked[a, :, group.layer_slices[j], n:] = eye
+        s = np.linalg.svd(stacked, compute_uv=False)
+        dims[js] = n + h - (s > tol * s[..., :1]).sum(axis=-1)
 
-    return SubspaceClassification(
-        homogeneous=homogeneous,
-        subalgebra=subalgebra,
-        horizontal=horizontal,
-        vertical=vertical,
-        layer_dims=tuple(inter_dims),
-    )
+    # subalgebra: the brackets of all basis pairs stay in the span up to a
+    # projection residual relative to each bracket's largest entry.  The
+    # kernel runs on the letters coordinate-first, (q, B, pairs), as
+    # ``bracket`` would run it, without its per-call blocking.
+    i, j = np.array(list(combinations(range(n), 2)), dtype=int).reshape(-1, 2).T
+    cols = b.transpose(1, 0, 2)
+    w = _bracket_rows(group._bracket_kernel, cols[..., i], cols[..., j])
+    w = np.ascontiguousarray(w.transpose(1, 2, 0))
+    residual = np.abs(w - (w @ b) @ np.swapaxes(b, -1, -2)).max(axis=-1, initial=0.0)
+    subalgebra = (residual <= tol * np.abs(w).max(axis=-1, initial=0.0)).all(axis=-1)
+
+    horizontal = np.abs(b[:, group.layers[0] :]).max(axis=(1, 2), initial=0.0) <= tol
+
+    out = []
+    for layer_dims, sub, hor in zip(dims.T.tolist(), subalgebra.tolist(), horizontal.tolist()):
+        homogeneous = sum(layer_dims) == n
+        # vertical: homogeneous, and holding every layer above its lowest one
+        low = next((k for k, d in enumerate(layer_dims) if d), group.step)
+        vertical = (
+            homogeneous and low < group.step and layer_dims[low + 1 :] == list(group.layers[low + 1 :])
+        )
+        out.append(SubspaceClassification(homogeneous, sub, hor, vertical, tuple(layer_dims)))
+    return out
 
 
 # ---------------------------------------------------------------------------

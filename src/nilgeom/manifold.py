@@ -6,7 +6,9 @@ left-invariant frame has, on X_I, the n x n minor of the frame-coefficient
 matrix on the rows I; the pointwise degree is read off its degree-graded
 projections, the homogeneous tangent space is the kernel of the wedge map
 with its top-degree part, and the point is classified (horizontal /
-transversal / low degree / irregular).  ``degree_echelon``, the
+transversal / low degree / irregular).  A batch of points (a degree map's
+grid, or one point) builds each h-tangent on its own and classifies them
+all in one ``classify_subspaces`` call.  ``degree_echelon``, the
 degree-ordered echelon reduction of the frame-coefficient matrix, is
 production code for the alpha profile, blow-up rates and Federer exponents;
 its degree identity against the minors route is a consistency check.
@@ -14,12 +16,13 @@ its degree identity against the minors route is a consistency check.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import combinations
 from typing import NamedTuple
 
 import numpy as np
 
-from .algebra import GradedGroup, Subspace, classify_subspace
+from .algebra import GradedGroup, Subspace, classify_subspace, classify_subspaces
 from .errors import (
     DegenerateTangent,
     DomainViolation,
@@ -280,26 +283,20 @@ def homogeneous_tangent(
 ) -> tuple[Subspace, bool]:
     """Lie h-tangent space A = {X : X ^ pi_N(xi) = 0} and its regularity flag."""
     t = _tangent_at(chart, y, policy)
-    return _htangent_from_top(chart.group, t.top[0], chart.n, policy)
+    space = _htangent_from_top(chart.group, t.top[0], chart.n, policy)
+    return space, classify_subspace(chart.group, space, max(policy.rtol, 1e-8)).subalgebra
 
 
-def _htangent_from_top(
-    group: GradedGroup, top, n: int, policy: NumericPolicy
-) -> tuple[Subspace, bool]:
+def _htangent_from_top(group: GradedGroup, top, n: int, policy: NumericPolicy) -> Subspace:
     """Kernel of the wedge map X -> X ^ xi_top, from the dense top-degree
     coefficients of xi over the increasing n-tuples."""
     q = group.q
     top = np.asarray(top, dtype=float)
     cut = policy.rtol * float(np.max(np.abs(top), initial=0.0))
-    row_of = {key: r for r, key in enumerate(combinations(range(q), n + 1))}
-    mat = np.zeros((len(row_of), q))
-    for key, c in zip(combinations(range(q), n), top):
-        if abs(c) <= cut:
-            continue
-        for i in range(q):
-            if i not in key:
-                sign = -1.0 if sum(k < i for k in key) % 2 else 1.0
-                mat[row_of[tuple(sorted(key + (i,)))], i] = sign * c
+    count, tup, row, col, sign = _wedge_table(q, n)
+    live = ~(np.abs(top[tup]) <= cut)  # only coefficients at most the cut drop; nan stays
+    mat = np.zeros((count, q))
+    mat[row[live], col[live]] = sign[live] * top[tup[live]]
     mat = mat[np.any(mat != 0.0, axis=1)]
     if mat.size == 0:
         raise NonSimpleProjection("top-degree projection is zero")
@@ -310,10 +307,26 @@ def _htangent_from_top(
             f"wedge kernel has dimension {kernel_dim}, expected {n}: "
             "top-degree projection is not simple"
         )
-    basis = vt[q - kernel_dim :].T
-    space = Subspace(group, basis)
-    regular = classify_subspace(group, space, tol=max(policy.rtol, 1e-8)).subalgebra
-    return space, regular
+    return Subspace(group, vt[q - kernel_dim :].T)
+
+
+@lru_cache(maxsize=None)
+def _wedge_table(q: int, n: int) -> tuple:
+    """The entries of the wedge map X -> X ^ xi, cached per (q, n): the number
+    of increasing (n+1)-tuples, and for each increasing n-tuple I (by its
+    index) and coordinate i not in I, the row of I + {i}, the column i and
+    the sign of moving i into place."""
+    row_of = {key: r for r, key in enumerate(combinations(range(q), n + 1))}
+    table = np.array(
+        [
+            (t, row_of[tuple(sorted(key + (i,)))], i, (-1) ** sum(k < i for k in key))
+            for t, key in enumerate(combinations(range(q), n))
+            for i in range(q)
+            if i not in key
+        ],
+        dtype=float,
+    ).reshape(-1, 4)
+    return (len(row_of), *table[:, :3].T.astype(int), table[:, 3])
 
 
 def q_n_max_degree(group: GradedGroup, n: int) -> int:
@@ -447,22 +460,39 @@ def sampled_max_degree(
 def classify_point(chart, y, policy: NumericPolicy = DEFAULT_POLICY) -> PointAnalysis:
     y = np.asarray(y, dtype=float)
     chart.check_domain(y)
-    return _analyse(chart, y, _tangents(chart, y[None, :], policy), 0, policy)
+    t = _tangents(chart, y[None, :], policy)
+    return _analyse(chart, y, t, 0, _htangents(chart, t, policy)[0], policy)
 
 
-def _analyse(chart, y, t: _Tangents, b: int, policy: NumericPolicy) -> PointAnalysis:
-    """Classify row ``b`` of a tangent batch at parameter point ``y``."""
+def _htangents(chart, t: _Tangents, policy: NumericPolicy) -> list:
+    """``(space, kinds, notes)`` for every full-rank row of a tangent batch
+    (None on the others): the row's h-tangent and its classification, all
+    classified in one ``classify_subspaces`` call, or no space and the note
+    that says why."""
+    out: list = [None] * len(t.full)
+    spaces = {}
+    for b in np.flatnonzero(t.full).tolist():
+        try:
+            spaces[b] = _htangent_from_top(chart.group, t.top[b], chart.n, policy)
+        except NonSimpleProjection as err:
+            out[b] = (None, None, [f"non_simple_projection: {err}"])
+    if spaces:
+        bases = np.stack([space.basis for space in spaces.values()])
+        for (b, space), kinds in zip(spaces.items(), classify_subspaces(chart.group, bases, max(policy.rtol, 1e-8))):
+            out[b] = (space, kinds, [])
+    return out
+
+
+def _analyse(chart, y, t: _Tangents, b: int, htangent: tuple | None, policy: NumericPolicy) -> PointAnalysis:
+    """Classify row ``b`` of a tangent batch at parameter point ``y``, given
+    the row's entry of ``_htangents``."""
     group = chart.group
     _require_full(t, b)
     p, coeffs, degree = t.p[b], t.coeffs[b], int(t.degree[b])
     qn = q_n_max_degree(group, chart.n)
 
-    notes: list[str] = []
-    try:
-        space, regular = _htangent_from_top(group, t.top[b], chart.n, policy)
-    except NonSimpleProjection as err:
-        space, regular = None, False
-        notes.append(f"non_simple_projection: {err}")
+    space, kinds, notes = htangent
+    regular = kinds is not None and kinds.subalgebra
 
     ech = degree_echelon(group, coeffs, policy)
     implied = sum((j + 1) * a for j, a in enumerate(ech.alpha))
@@ -480,27 +510,24 @@ def _analyse(chart, y, t: _Tangents, b: int, policy: NumericPolicy) -> PointAnal
         stacked = np.hstack([coeffs, horiz])
         characteristic = policy.rank(stacked) == chart.n
 
-    cls = None
     if not regular:
         cls = "irregular"
     elif degree < sampled_max_degree(chart, policy=policy):
         # the point sits in the characteristic set of the submanifold; its
         # own h-tangent structure is still reported via the other fields
         cls = "low_degree"
+    elif kinds.horizontal:
+        cls = "horizontal"
+    elif degree == qn:
+        cls = "transversal"
+        if not kinds.vertical:
+            notes.append("degree equals Q_n but h-tangent space is not vertical")
+    elif kinds.vertical:
+        cls = "vertical_regular"
     else:
-        kinds = classify_subspace(group, space, tol=max(policy.rtol, 1e-8))
-        if kinds.horizontal:
-            cls = "horizontal"
-        elif degree == qn:
-            cls = "transversal"
-            if not kinds.vertical:
-                notes.append("degree equals Q_n but h-tangent space is not vertical")
-        elif kinds.vertical:
-            cls = "vertical_regular"
-        else:
-            # regular point of maximum degree whose h-tangent space is neither
-            # horizontal nor vertical; possible from step 3 on
-            cls = "regular"
+        # regular point of maximum degree whose h-tangent space is neither
+        # horizontal nor vertical; possible from step 3 on
+        cls = "regular"
 
     return PointAnalysis(
         y=y,
@@ -686,6 +713,7 @@ def degree_map(chart, grid_counts, policy: NumericPolicy = DEFAULT_POLICY) -> De
         t = _tangents(chart, ys, policy)
     except NonFinite:
         t = None  # the batch fails as a whole; classify the cells one by one
+    htangents = None if t is None else _htangents(chart, t, policy)
     analyses = []
     failures = []
     for b, y in enumerate(ys):
@@ -693,7 +721,7 @@ def degree_map(chart, grid_counts, policy: NumericPolicy = DEFAULT_POLICY) -> De
             if t is None:
                 analyses.append(classify_point(chart, y, policy))
             else:
-                analyses.append(_analyse(chart, y, t, b, policy))
+                analyses.append(_analyse(chart, y, t, b, htangents[b], policy))
         except (DegenerateTangent, NonFinite, InconsistentDegree) as err:
             failures.append((tuple(float(v) for v in y), type(err).__name__))
     if not analyses:

@@ -392,15 +392,19 @@ def _quotient_group(group: GradedGroup, step: int) -> GradedGroup:
 def calibrate_box(group: GradedGroup, samples: int = 20000, seed: int = 0) -> BoxCalibration:
     """Calibrate box weights layer by layer: eps_1 = 1 and each eps_j is the
     largest value in (BOX_WEIGHT_FLOOR, 1] passing a zero-violation triangle
-    check on the step-j quotient group, holding the earlier weights fixed."""
+    check on the step-j quotient group, holding the earlier weights fixed.
+    The last layer's quotient is the group itself, so its check at the final
+    weights, when rounding left them as checked, is the final check."""
     require_counts(samples=samples)
     eps = [1.0]
+    checked: dict[tuple[float, ...], AxiomReport] = {}
     for j in range(2, group.step + 1):
         quotient = _quotient_group(group, j)
 
         def passes(candidate: float) -> bool:
-            d = box_distance(quotient, eps + [candidate])
-            return verify_distance_axioms(d, samples=samples, seed=seed).passed
+            weights = (*eps, candidate)
+            checked[weights] = verify_distance_axioms(box_distance(quotient, weights), samples=samples, seed=seed)
+            return checked[weights].passed
 
         best = bisect_largest_passing(passes, BOX_WEIGHT_FLOOR, 1.0)
         if best is None:
@@ -408,7 +412,7 @@ def calibrate_box(group: GradedGroup, samples: int = 20000, seed: int = 0) -> Bo
                 f"no box weight above {BOX_WEIGHT_FLOOR} passes the triangle check for layer {j}"
             )
         eps.append(round(best, 6))
-    report = verify_distance_axioms(box_distance(group, eps), samples=samples, seed=seed)
+    report = checked.get(tuple(eps)) or verify_distance_axioms(box_distance(group, eps), samples=samples, seed=seed)
     if not report.passed:
         raise CalibrationFailed("final full-group verification failed after calibration")
     return BoxCalibration(

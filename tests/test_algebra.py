@@ -1,12 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nilgeom.algebra import (
     Subspace,
+    _orthonormal,
     abelian,
     bch_plan,
     catalog_group,
     classify_subspace,
+    classify_subspaces,
     engel,
     free2,
     h_type,
@@ -15,8 +19,9 @@ from nilgeom.algebra import (
 )
 from nilgeom.errors import BadDimensions, GradingViolation, JacobiViolation, NonPositiveScale
 from nilgeom.mc import stream
-from oracles.algebra import nested, subalgebra_pairwise
+from oracles.algebra import classify_one, nested, orthonormal_basis, subalgebra_pairwise
 from oracles.exterior import basis_vector, wedge
+from test_group_law import BASES, SEEDS, graded_groups
 
 ALL_CATALOG = ["abelian(3)", "heisenberg(1)", "heisenberg(2)", "h_type", "engel", "free2(3)"]
 
@@ -333,6 +338,94 @@ def test_classify_subspace_batched_subalgebra_matches_pairwise_oracle():
                 assert verdict == subalgebra_pairwise(g, space, tol), (g.name, basis, tol)
                 verdicts.add(verdict)
     assert verdicts == {True, False}
+
+
+def _layer_columns(g, j: int, d: int, rng) -> np.ndarray:
+    """d columns inside layer j: coordinate vectors half the time (zeroed
+    coordinates), random ones otherwise."""
+    sl = g.layer_slice(j)
+    cols = np.zeros((g.q, d))
+    if rng.random() < 0.5:
+        cols[sl.start + rng.choice(sl.stop - sl.start, d, replace=False), range(d)] = 1.0
+    else:
+        cols[sl] = rng.standard_normal((sl.stop - sl.start, d))
+    return cols
+
+
+def _subspace_basis(g, n: int, kind: str, rng) -> np.ndarray | None:
+    """A basis of an n-dimensional subspace of the given kind under a random
+    change of basis, or None when g has no such subspace.  A "near" subspace
+    is a homogeneous, horizontal or vertical one moved by 1e-11 to 1e-6, so
+    that its decisions fall on either side of the tolerance."""
+    layers = list(g.layers)
+    if kind == "near":
+        basis = _subspace_basis(g, n, KINDS[1 + rng.integers(3)], rng)
+        return None if basis is None else basis + 10.0 ** rng.uniform(-11, -6) * rng.standard_normal(basis.shape)
+    if kind == "random":
+        basis = rng.standard_normal((g.q, n))
+        basis[rng.choice(g.q, rng.integers(g.q - n + 1), replace=False)] = 0.0  # zeroed coordinates
+        return basis @ rng.standard_normal((n, n))
+    if kind == "horizontal":
+        if n > layers[0]:
+            return None
+        dims = [n] + [0] * (g.step - 1)
+    elif kind == "vertical":
+        # part of the lowest layer it meets and every layer above it
+        low, above = g.step, 0
+        while n > above + layers[low - 1]:
+            above += layers[low - 1]
+            low -= 1
+        dims = [0] * (low - 1) + [n - above] + layers[low:]
+    else:
+        dims = [0] * g.step
+        for _ in range(n):
+            room = [j for j in range(g.step) if dims[j] < layers[j]]
+            dims[room[rng.integers(len(room))]] += 1
+    basis = np.hstack([_layer_columns(g, j + 1, d, rng) for j, d in enumerate(dims) if d])
+    return basis @ rng.standard_normal((n, n))
+
+
+KINDS = ("random", "homogeneous", "horizontal", "vertical", "near")
+
+
+@settings(max_examples=80)
+@given(st.one_of(st.sampled_from(BASES), graded_groups()), SEEDS, st.integers(1, 20), st.sampled_from([1e-9, 1e-8]))
+def test_batched_classification_is_the_one_subspace_oracle(g, seed, count, tol):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, g.q + 1))
+    spaces = []
+    while len(spaces) < count:
+        basis = _subspace_basis(g, n, KINDS[rng.integers(len(KINDS))], rng)
+        if basis is None:
+            continue
+        try:
+            spaces.append(Subspace(g, basis))
+        except BadDimensions:
+            continue  # the draw made dependent columns
+    bases = np.stack([space.basis for space in spaces])
+    got = classify_subspaces(g, bases, tol)
+    assert got == [classify_one(g, space, tol) for space in spaces]
+    assert got == [classify_subspace(g, space, tol) for space in spaces]
+    for u, space in zip(_orthonormal(bases), spaces):
+        want = orthonormal_basis(space)
+        assert u.shape == want.shape and u.tobytes() == want.tobytes()
+
+
+def test_batched_classification_sweep_covers_every_verdict():
+    # every catalog and filiform group, dimension and kind, eight draws of
+    # each in one stack per dimension, at both tolerances; the verdicts
+    # reach both values of every flag
+    rng = np.random.default_rng(3)
+    seen = set()
+    for g in BASES:
+        for n in range(1, g.q + 1):
+            bases = [_subspace_basis(g, n, kind, rng) for kind in KINDS for _ in range(8)]
+            spaces = [Subspace(g, basis) for basis in bases if basis is not None]
+            for tol in (1e-9, 1e-8):
+                got = classify_subspaces(g, np.stack([space.basis for space in spaces]), tol)
+                assert got == [classify_one(g, space, tol) for space in spaces]
+                seen |= {(flag, getattr(cls, flag)) for cls in got for flag in ("homogeneous", "subalgebra", "horizontal", "vertical")}
+    assert len(seen) == 8
 
 
 def test_subspace_rejects_dependent_columns():

@@ -1,9 +1,11 @@
+import dataclasses
 from itertools import combinations
 
 import numpy as np
 import pytest
 
-from nilgeom.algebra import Subspace, abelian, catalog_group, engel, heisenberg
+from nilgeom import manifold
+from nilgeom.algebra import Subspace, abelian, catalog_group, engel, heisenberg, load_group
 from nilgeom.errors import (
     DegenerateTangent,
     DomainViolation,
@@ -11,6 +13,7 @@ from nilgeom.errors import (
     ParseError,
 )
 from nilgeom.manifold import (
+    PointAnalysis,
     TransformedChart,
     _htangent_from_top,
     alpha_profile,
@@ -25,7 +28,7 @@ from nilgeom.manifold import (
 )
 from nilgeom.mc import stream
 from nilgeom.policy import DEFAULT_POLICY, NumericPolicy
-from oracles.manifold import q_n_bruteforce
+from oracles.manifold import classify_point_per_cell, degree_map_per_cell, q_n_bruteforce
 
 H1 = heisenberg(1)
 
@@ -340,3 +343,94 @@ def test_dilated_chart_consistency(plane):
     a = classify_point(chart, [0.2, 0.3])
     assert a.degree == 3
     assert np.allclose(a.p, H1.dilate(2.0, plane.value([0.2, 0.3])))
+
+
+# ---------------------------------------------------------------------------
+# the batched h-tangent classification against the per-cell analysis
+# ---------------------------------------------------------------------------
+
+FILIFORM6 = load_group(
+    {"name": "filiform6", "layers": [2, 1, 1, 1, 1, 1], "brackets": [[1, k, k + 1, 1.0] for k in range(2, 7)]}
+)
+SQUARE = [[-1, 1], [-1, 1]]
+IDENTITY_CHARTS = {
+    # the highstep benchmark chart: transversal, regular and low-degree cells
+    "filiform6": (FILIFORM6, "y1; y2; y1*y2; y1^2*y2/2; 0; y2^3; y1^4", 2, SQUARE),
+    "readme-plane": (H1, "y1; 0; y2", 2, SQUARE),
+    "paraboloid": (H1, "y1; y2; y1^2 + y2^2", 2, SQUARE),
+    # horizontal at its middle cell, so a regular low-degree point
+    "cubic-curve": (H1, "y1; 0; y1^3", 1, [[-1, 1]]),
+    "horizontal-line": (H1, "y1; 0; 0", 1, [[-1, 1]]),
+    # neither horizontal nor vertical, below Q_1 = 3
+    "engel-line": (engel(), "0; 0; y1; 0", 1, [[-1, 1]]),
+    # n = q: no (n+1)-tuples, so every top-degree projection is zero
+    "non-simple": (H1, "y1; y2; y3", 3, [[-1, 1]] * 3),
+    # rank deficient on the middle column of cells
+    "degenerate": (H1, "y1^3; y2; y1*y2", 2, SQUARE),
+    # non-finite on a column of cells: the batch fails and cells go one by one
+    "non-finite": (H1, "1 / y1; 0; y2", 2, SQUARE),
+}
+
+
+def _bits(a) -> tuple:
+    a = np.asarray(a)
+    return a.shape, a.dtype, a.tobytes()
+
+
+def assert_same_analysis(got: PointAnalysis, want: PointAnalysis) -> None:
+    for field in dataclasses.fields(PointAnalysis):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        if field.name in ("y", "p"):
+            assert _bits(a) == _bits(b), field.name
+        elif field.name == "htangent":
+            assert (a is None) == (b is None)
+            if a is not None:
+                assert _bits(a.basis) == _bits(b.basis)
+        else:
+            assert a == b, field.name
+
+
+@pytest.mark.parametrize("name", IDENTITY_CHARTS)
+def test_degree_map_is_the_per_cell_analysis(name):
+    group, exprs, n, domain = IDENTITY_CHARTS[name]
+    chart = parse_parametrization(exprs, n, domain, group)
+    counts = 3 if n == 3 else 9
+    got = degree_map(chart, counts)
+    want = degree_map_per_cell(parse_parametrization(exprs, n, domain, group), counts)
+    assert len(got.points) == len(want.points)
+    for a, b in zip(got.points, want.points):
+        assert_same_analysis(a, b)
+    assert (got.max_degree, got.low_degree_fraction, got.failures) == (
+        want.max_degree,
+        want.low_degree_fraction,
+        want.failures,
+    )
+    for y in [p.y for p in got.points[:: max(1, len(got.points) // 7)]]:
+        assert_same_analysis(classify_point(chart, y), classify_point_per_cell(chart, y))
+
+
+def test_identity_charts_reach_every_path():
+    # the charts above cover notes, failures, the fallback and every class
+    maps = {name: degree_map(parse_parametrization(e, n, d, g), 3 if n == 3 else 9)
+            for name, (g, e, n, d) in IDENTITY_CHARTS.items()}
+    notes = {note.split(":")[0] for m in maps.values() for a in m.points for note in a.notes}
+    assert notes == {"non_simple_projection"}
+    assert {kind for _, kind in maps["degenerate"].failures} == {"DegenerateTangent"}
+    assert {kind for _, kind in maps["non-finite"].failures} == {"NonFinite"}
+    classes = {a.classification for m in maps.values() for a in m.points}
+    assert classes == {"irregular", "low_degree", "transversal", "horizontal", "regular"}
+
+
+def test_degree_map_classifies_in_one_call(monkeypatch):
+    calls = []
+
+    def counted(group, bases, tol):
+        calls.append(len(bases))
+        return real(group, bases, tol)
+
+    real = manifold.classify_subspaces
+    monkeypatch.setattr(manifold, "classify_subspaces", counted)
+    monkeypatch.setattr(manifold, "classify_subspace", None)  # no one-subspace call either
+    chart = parse_parametrization(*IDENTITY_CHARTS["filiform6"][1:3], SQUARE, FILIFORM6)
+    result = degree_map(chart, 9)
+    assert calls == [81] and len(result.points) == 81

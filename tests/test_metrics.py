@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from nilgeom.algebra import BLOCK_ROWS, Subspace, abelian, catalog_group, engel, h_type, heisenberg, load_group
+from nilgeom import metrics
 from nilgeom.errors import BadDimensions, EmptySection
 from nilgeom.metrics import (
     ball_bounding_radius,
@@ -124,6 +125,49 @@ def test_calibrate_box_abelian_and_engel_monotone():
     assert calibrate_box(abelian(2), samples=5_000, seed=2).epsilons == (1.0,)
     eps = calibrate_box(engel(), samples=20_000, seed=2).epsilons
     assert all(eps[i] >= eps[i + 1] for i in range(len(eps) - 1))
+
+
+FILIFORM6 = {
+    "name": "filiform6",
+    "layers": [2, 1, 1, 1, 1, 1],
+    "brackets": [[1, k, k + 1, 1.0] for k in range(2, 7)],
+}
+
+
+def _counted_checks(monkeypatch) -> list:
+    """Record the weights of every ``verify_distance_axioms`` call that
+    ``calibrate_box`` makes."""
+    weights = []
+
+    def counted(dist, samples=20000, seed=0):
+        weights.append(dist.params)
+        return verify_distance_axioms(dist, samples=samples, seed=seed)
+
+    monkeypatch.setattr(metrics, "verify_distance_axioms", counted)
+    return weights
+
+
+def test_calibrate_box_reuses_the_last_layer_check(monkeypatch):
+    # every filiform6 weight passes at 1.0, so each layer makes one check,
+    # and the last one, on the whole group, is the final check
+    g = load_group(FILIFORM6)
+    weights = _counted_checks(monkeypatch)
+    cal = calibrate_box(g, samples=20_000, seed=1)
+    assert cal.epsilons == (1.0,) * 6
+    assert weights == [(1.0,) * j for j in range(2, 7)]
+    assert cal.report == verify_distance_axioms(box_distance(g, cal.epsilons), samples=20_000, seed=1)
+
+
+def test_calibrate_box_checks_a_rounded_weight_again(monkeypatch):
+    # a large bracket constant bisects the last weight below 1.0, and its
+    # six-decimal rounding was never checked, so the final check runs
+    g = load_group({"name": "steep-heisenberg", "layers": [2, 1], "brackets": [[1, 2, 3, 10.0]]})
+    weights = _counted_checks(monkeypatch)
+    cal = calibrate_box(g, samples=5_000, seed=0)
+    assert cal.epsilons[1] < 1.0
+    assert len(weights) == 27  # 1.0, the floor, 24 halvings and the final check
+    assert weights.index(cal.epsilons) == 26
+    assert cal.report == verify_distance_axioms(box_distance(g, cal.epsilons), samples=5_000, seed=0)
 
 
 def test_ball_bounding_radius_examples():

@@ -48,7 +48,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import BadDimensions, GradingViolation, JacobiViolation, NonPositiveScale
-from .policy import DEFAULT_POLICY, NumericPolicy
+from .policy import DEFAULT_POLICY
 
 MAX_STEP = 6
 
@@ -460,7 +460,7 @@ def _degrees(layers: tuple[int, ...]) -> np.ndarray:
 # Construction and validation
 # ---------------------------------------------------------------------------
 
-def load_group(spec: dict, policy: NumericPolicy = DEFAULT_POLICY) -> GradedGroup:
+def load_group(spec: dict) -> GradedGroup:
     """Build a validated GradedGroup from a definition document.
 
     ``spec`` is JSON-compatible: ``{"name": str, "layers": [h_1, ...],
@@ -529,14 +529,14 @@ def _count(value) -> int:
     raise ValueError(f"{value!r} is not an integer")
 
 
-def _check_jacobi(group: GradedGroup, tol: float = 1e-12) -> None:
+def _check_jacobi(group: GradedGroup) -> None:
     triples = np.array(list(combinations(range(group.q), 3)), dtype=int).reshape(-1, 3)
     basis = np.eye(group.q)
     a, b, c = basis[triples[:, 0]], basis[triples[:, 1]], basis[triples[:, 2]]
     br = group.bracket
     res = br(a, br(b, c)) + br(b, br(c, a)) + br(c, br(a, b))
     scale = max((float(np.max(np.abs(v))) for v in group._table.values()), default=1.0)
-    bad = np.nonzero(np.max(np.abs(res), axis=-1, initial=0.0) > tol * max(scale * scale, 1.0))[0]
+    bad = np.nonzero(np.max(np.abs(res), axis=-1, initial=0.0) > 1e-12 * max(scale * scale, 1.0))[0]
     if bad.size:
         i, j, k = triples[bad[0]] + 1
         raise JacobiViolation(f"Jacobi identity fails on basis triple ({i},{j},{k})")

@@ -394,8 +394,8 @@ OPTS = {
 # its shape: n is the chart's dimension, q the group's, d the task
 # subspace's, and k any size from 1.
 KINDS = {
-    "y": "n-vector", "y0": "n-vector", "ray": "n-vector", "region": "n×2 array", "probes": "k×n array",
-    "p": "q-vector", "domain": "q×2 array", "box": "d×2 box",
+    "y": "n-vector", "y0": "n-vector", "ray": "n-vector", "region": "n×2 box", "probes": "k×n array",
+    "p": "q-vector", "domain": "q×2 box", "box": "d×2 box",
     **dict.fromkeys(["samples", "centers_per_radius", "cloud_size", "graph_coord", "resolution", "segments"],
                     "positive integer"),
     "tolerance": "positive number", "delta": "positive number", "covering_delta": "positive number",

@@ -252,7 +252,6 @@ def _tokenize(src: str) -> list[_Token]:
 
 class _Parser:
     def __init__(self, src: str, variables: Sequence[str]):
-        self.src = src
         self.tokens = _tokenize(src)
         self.i = 0
         self.varmap = {name: idx for idx, name in enumerate(variables)}

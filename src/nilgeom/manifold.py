@@ -46,13 +46,12 @@ class ParamMap:
     exprs: tuple
     derivs: tuple  # derivs[j][i] = d expr_j / d y_i
     domain: np.ndarray  # (n, 2)
-    src: str = ""
     _cache: dict = field(default_factory=dict, repr=False)
 
-    def contains(self, y, tol: float = 1e-12) -> bool:
+    def contains(self, y) -> bool:
         y = np.asarray(y, dtype=float)
         lo, hi = self.domain[:, 0], self.domain[:, 1]
-        return bool(np.all(y >= lo - tol) and np.all(y <= hi + tol))
+        return bool(np.all(y >= lo - 1e-12) and np.all(y <= hi + 1e-12))
 
     def check_domain(self, y) -> None:
         if not self.contains(y):
@@ -94,7 +93,7 @@ def parse_parametrization(src: str, n: int, domain, group: GradedGroup) -> Param
     dom = np.asarray(domain, dtype=float).reshape(n, 2)
     if np.any(dom[:, 0] >= dom[:, 1]):
         raise DomainViolation("domain intervals must have positive length")
-    return ParamMap(group=group, n=n, exprs=tuple(exprs), derivs=derivs, domain=dom, src=src)
+    return ParamMap(group=group, n=n, exprs=tuple(exprs), derivs=derivs, domain=dom)
 
 
 class TransformedChart:
@@ -129,8 +128,8 @@ class TransformedChart:
         u = np.asarray(u, dtype=float)
         return u if self.mat is None else self.shift + u @ self.mat.T
 
-    def contains(self, u, tol: float = 1e-12) -> bool:
-        return self.base.contains(self._params(u), tol)
+    def contains(self, u) -> bool:
+        return self.base.contains(self._params(u))
 
     def check_domain(self, u) -> None:
         self.base.check_domain(self._params(u))
@@ -357,7 +356,6 @@ class Echelon:
     alpha: tuple[int, ...]
     pivots: tuple[int, ...]          # pivot row per column, in column order
     column_transform: np.ndarray     # V with C @ V in echelon form
-    matrix: np.ndarray               # C @ V
 
 
 def degree_echelon(group: GradedGroup, coeffs: np.ndarray, policy: NumericPolicy) -> Echelon:
@@ -391,22 +389,24 @@ def degree_echelon(group: GradedGroup, coeffs: np.ndarray, policy: NumericPolicy
     for piv, row in pivot_of_col.items():
         alpha[int(deg[row]) - 1] += 1
     pivots = tuple(pivot_of_col[j] for j in range(n))
-    return Echelon(alpha=tuple(alpha), pivots=pivots, column_transform=v, matrix=c)
+    return Echelon(alpha=tuple(alpha), pivots=pivots, column_transform=v)
+
+
+def _checked_echelon(group: GradedGroup, coeffs, degree: int, policy: NumericPolicy, where: str) -> Echelon:
+    """``degree_echelon`` of ``coeffs``, checked to imply the multivector ``degree``."""
+    ech = degree_echelon(group, coeffs, policy)
+    implied = sum((j + 1) * a for j, a in enumerate(ech.alpha))
+    if implied != degree:
+        raise InconsistentDegree(f"echelon degree {implied} != multivector degree {degree}{where}")
+    return ech
 
 
 def alpha_profile(chart, y, policy: NumericPolicy = DEFAULT_POLICY) -> tuple[int, ...]:
     """Layer profile alpha_1..alpha_iota with sum alpha_j = n and
     sum j*alpha_j = pointwise degree (cross-checked)."""
     t = _tangent_at(chart, y, policy)
-    ech = degree_echelon(chart.group, t.coeffs[0], policy)
-    degree = int(t.degree[0])
-    implied = sum((j + 1) * a for j, a in enumerate(ech.alpha))
-    if implied != degree:
-        raise InconsistentDegree(
-            f"echelon degree {implied} != multivector degree {degree}; "
-            "the point is too ill-conditioned for this tolerance"
-        )
-    return ech.alpha
+    where = "; the point is too ill-conditioned for this tolerance"
+    return _checked_echelon(chart.group, t.coeffs[0], int(t.degree[0]), policy, where).alpha
 
 
 # ---------------------------------------------------------------------------
@@ -494,12 +494,7 @@ def _analyse(chart, y, t: _Tangents, b: int, htangent: tuple | None, policy: Num
     space, kinds, notes = htangent
     regular = kinds is not None and kinds.subalgebra
 
-    ech = degree_echelon(group, coeffs, policy)
-    implied = sum((j + 1) * a for j, a in enumerate(ech.alpha))
-    if implied != degree:
-        raise InconsistentDegree(
-            f"echelon degree {implied} != multivector degree {degree} at y={y}"
-        )
+    ech = _checked_echelon(group, coeffs, degree, policy, f" at y={y}")
 
     m = group.layers[0]
     # characteristic: the horizontal fiber is contained in the tangent space
@@ -615,13 +610,8 @@ def blowup_rates(
     rot = np.eye(group.q)
     if analysis.htangent is not None:
         a_basis = analysis.htangent.orthonormal_basis()
-        for j in range(1, group.step + 1):
-            sl = group.layer_slice(j)
-            block = a_basis[sl]
-            u, s, _ = np.linalg.svd(block, full_matrices=True)
-            rank = int(np.sum(s > policy.rtol * s[0])) if s.size and s[0] > 0 else 0
-            cols = np.hstack([u[:, :rank], u[:, rank:]]) if rank else u
-            rot[sl, sl] = cols
+        for sl in group.layer_slices:
+            rot[sl, sl] = np.linalg.svd(a_basis[sl], full_matrices=True)[0]
 
     ech = degree_echelon(group, rot.T @ coeffs, policy)
     exponents = np.array([group.degrees[ech.pivots[j]] for j in range(chart.n)])

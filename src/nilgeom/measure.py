@@ -144,16 +144,12 @@ def _factor_shortcut(
     cls = classify_subspace(dist.group, space, policy.rtol)
     if dist.convex_ball and cls.vertical:
         return "convex-ball-vertical"
-    if dist.multiradial and cls.horizontal:
+    # every kind is multiradial: phi sees only the layer magnitudes
+    if cls.horizontal:
         return "multiradial-horizontal"
-    if dist.multiradial and dist.group.step == 2 and cls.homogeneous:
+    if dist.group.step == 2 and cls.homogeneous:
         return "multiradial-step2-homogeneous"
-    if (
-        dist.multiradial
-        and space.dim == 1
-        and cls.homogeneous
-        and sum(1 for d in cls.layer_dims if d) == 1
-    ):
+    if space.dim == 1 and cls.homogeneous and sum(1 for d in cls.layer_dims if d) == 1:
         return "multiradial-single-layer-line"
     return None
 
@@ -239,6 +235,14 @@ def spherical_factor(
 # Intrinsic measure
 # ---------------------------------------------------------------------------
 
+def _box(rows, n: int, what: str) -> np.ndarray:
+    """``rows`` as an ``(n, 2)`` array of rows [lo, hi] with lo < hi, else ValueError."""
+    box = np.asarray(rows, dtype=float)
+    if box.shape != (n, 2) or not np.all(box[:, 0] < box[:, 1]):
+        raise ValueError(f"{what} must be {n} rows [lo, hi] with lo < hi")
+    return box
+
+
 def intrinsic_measure(
     chart,
     region=None,
@@ -246,7 +250,6 @@ def intrinsic_measure(
     resolution: int = 64,
     samples: int = 200_000,
     seed: int = 0,
-    degree: int | None = None,
     policy: NumericPolicy = DEFAULT_POLICY,
 ) -> Estimate:
     """mu_Sigma of the image of a parameter region.
@@ -258,11 +261,9 @@ def intrinsic_measure(
     require_counts(resolution=resolution, samples=samples)
     if quadrature not in ("tensor", "mc"):
         raise ValueError(f"unknown quadrature kind {quadrature!r}")
-    region = np.asarray(region if region is not None else chart.domain, dtype=float)
+    region = _box(chart.domain if region is None else region, chart.n, "region")
     n = chart.n
-    target = degree
-    if target is None:
-        target = sampled_max_degree(chart, region, 5, policy, strict=True)
+    target = sampled_max_degree(chart, region, 5, policy, strict=True)
     widths = region[:, 1] - region[:, 0]
     volume = float(np.prod(widths))
     density = partial(intrinsic_density, chart, target_degree=target)
@@ -338,6 +339,10 @@ def _parameter_window(chart, y0, p, dist, radius, exponents) -> np.ndarray:
     raise BoundaryTooClose("parameter window would not close around the metric ball")
 
 
+# how many consecutive radii must agree within their stderrs (a flat window)
+FLAT_WINDOW = 5
+
+
 def federer_density(
     chart,
     dist: HomogeneousDistance,
@@ -347,7 +352,6 @@ def federer_density(
     samples: int = 40_000,
     seed: int = 0,
     policy: NumericPolicy = DEFAULT_POLICY,
-    flat_window: int = 5,
 ) -> tuple[Estimate, list[RadiusTracePoint]]:
     """Spherical Federer density of mu_Sigma at Psi(y0).
 
@@ -463,8 +467,8 @@ def federer_density(
 
     chosen = trace[-1]
     flat_found = False
-    for k in range(len(trace) - 1, flat_window - 2, -1):
-        window_pts = trace[k - flat_window + 1 : k + 1]
+    for k in range(len(trace) - 1, FLAT_WINDOW - 2, -1):
+        window_pts = trace[k - FLAT_WINDOW + 1 : k + 1]
         ref = window_pts[-1]
         flat = all(
             abs(t.ratio - ref.ratio) <= 3.0 * float(np.hypot(t.stderr, ref.stderr))
@@ -567,7 +571,7 @@ def covering_estimate(
     require_counts(cloud_size=cloud_size)
     radius = delta / 2.0
     unit = _cover_unit(delta, exponent)
-    region = np.asarray(region if region is not None else chart.domain, dtype=float)
+    region = _box(chart.domain if region is None else region, chart.n, "region")
     rng = stream(seed, "cover-cloud")
     ys = uniform_box(rng, region, cloud_size)
     cloud = chart.value(ys)
@@ -710,8 +714,8 @@ def _coordinate_reach(dist: HomogeneousDistance, scale: float):
 
     - The computed distance is ``phi`` of the computed product ``z~``; the
       norm of ``z~`` exceeds the computed norm by a few ulps at most (sums
-      of squares, roots and powers of nonnegative numbers, or a bisection
-      converged to the ulp), so D is widened by ``_REACH_SLACK``.
+      of squares, roots and powers of nonnegative numbers, or a Newton
+      solve stopped a few ulps from its root), so D is widened by ``_REACH_SLACK``.
     - ``z~`` differs from z in each coordinate by at most ``E = gamma_m
       S`` (Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd
       ed., sec. 3.1): m bounds the roundings along any one chain of the
@@ -854,15 +858,7 @@ class Verdict:
     detail: dict = field(default_factory=dict)
 
     def as_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "passed": self.passed,
-            "advisory": self.advisory,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "tolerance": self.tolerance,
-            "detail": self.detail,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -906,7 +902,7 @@ def area_check(
     if covering_delta is not None and not covering_delta > 0:
         raise ValueError("covering_delta must be positive")
     require_counts(samples=samples)
-    region = np.asarray(region if region is not None else chart.domain, dtype=float)
+    region = _box(chart.domain if region is None else region, chart.n, "region")
     analyses = [classify_point(chart, np.asarray(y, dtype=float), policy) for y in probes]
     hypotheses = ("horizontal", "transversal", "vertical_regular")
     covered = [a.regular and (a.classification in hypotheses or chart.group.step == 2 or chart.n == 1) for a in analyses]
@@ -922,7 +918,6 @@ def area_check(
     betas: dict[str, Estimate] = {}
     thetas: dict[str, Estimate] = {}
     traces: dict[str, list[RadiusTracePoint]] = {}
-    beta_values: list[Estimate] = []
 
     for idx, (y, analysis) in enumerate(zip(probes, analyses)):
         key = f"probe{idx}"
@@ -977,7 +972,6 @@ def area_check(
                 },
             )
         )
-        beta_values.append(beta)
 
     covering = None
     if n_sigma is not None:
@@ -997,7 +991,7 @@ def area_check(
 
         covering = cover(covering_delta, 4000)
         half = cover(covering_delta / 2.0, 8000)
-        beta_ref = beta_values[0].value
+        beta_ref = next(iter(betas.values())).value
         stable = abs(covering.value - half.value) <= 0.15 * max(half.value, 1e-12)
         traces["covering"] = [(covering_delta, covering.value), (covering_delta / 2.0, half.value)]
         verdicts.append(
@@ -1114,16 +1108,7 @@ class ConcavityReport:
         return self.violations == 0 and not self.advisory
 
     def as_dict(self) -> dict:
-        return {
-            "segments": self.segments,
-            "checks": self.checks,
-            "violations": self.violations,
-            "skipped": self.skipped,
-            "worst_deficit": self.worst_deficit,
-            "passed": self.passed,
-            "advisory": self.advisory,
-            "reason": self.reason,
-        }
+        return {**asdict(self), "passed": self.passed, "advisory": self.advisory}
 
 
 def concavity_reason(orthogonal_dim: int, segments: int, checks: int) -> str | None:
@@ -1256,9 +1241,7 @@ def vertical_translation_check(
     points of A, one block at a time."""
     require_counts(samples=samples)
     n = nspace.dim
-    box = np.asarray(box if box is not None else np.stack([-np.ones(n), np.ones(n)], axis=1), dtype=float)
-    if box.shape != (n, 2) or not np.all(box[:, 0] < box[:, 1]):
-        raise ValueError(f"box must be {n} rows [lo, hi] with lo < hi")
+    box = _box(np.stack([-np.ones(n), np.ones(n)], axis=1) if box is None else box, n, "box")
     if not classify_subspace(group, nspace, policy.rtol).vertical:
         raise NotVertical("translation invariance requires a vertical subgroup")
     basis = nspace.orthonormal_basis()
@@ -1425,7 +1408,7 @@ def coarea_check(
     j0 = graph_coord - 1
     if not 0 <= j0 < q:
         raise LevelSetNotGraph(f"graph coordinate {graph_coord} out of range")
-    domain = np.asarray(domain, dtype=float).reshape(q, 2)
+    domain = _box(np.reshape(domain, (q, 2)), q, "domain")
     others = [i for i in range(q) if i != j0]
 
     u_node = parse_expression(u_expr, [f"x{i + 1}" for i in range(q)])

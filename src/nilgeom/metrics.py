@@ -17,7 +17,7 @@ magnitudes of the whole product, the oracle in ``tests/oracles/metrics.py``.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import cached_property
 from typing import Callable
 
@@ -47,7 +47,6 @@ class HomogeneousDistance:
     params: tuple[float, ...]
     phi: Callable[[np.ndarray], np.ndarray] = field(repr=False)
     convex_ball: bool | None = None
-    multiradial: bool = True
 
     @cached_property
     def layer_radii(self) -> np.ndarray:
@@ -109,8 +108,8 @@ class HomogeneousDistance:
 
         return _blocked(kernel, (g.inverse(x), y), reduce=True)
 
-    def ball_contains(self, center, x, radius: float = 1.0) -> np.ndarray:
-        return self.distance(center, x) <= radius * (1.0 + 1e-14)
+    def ball_contains(self, center, x) -> np.ndarray:
+        return self.distance(center, x) <= 1.0 + 1e-14
 
     def unit_normalize(self, x) -> np.ndarray:
         """Dilate x onto the unit sphere of the norm."""
@@ -155,45 +154,42 @@ def box_distance(group: GradedGroup, epsilons) -> HomogeneousDistance:
 
 def euclidean_ball_distance(group: GradedGroup, radius: float) -> HomogeneousDistance:
     """Homogeneous norm whose unit ball is the Euclidean ball of the given
-    (suitably small) radius: ||x|| solves |delta_{1/r} x| = radius."""
+    (suitably small) radius: ||x|| solves |delta_{1/r} x| = radius.
+
+    With ``w_j = |x_j| / radius``, m solves ``sum_j (w_j / m^j)^2 = 1``, a
+    convex decreasing left side: Newton's method from below rises to the
+    root and never passes it (Ortega & Rheinboldt, 1970).  A row starts just
+    below its largest ``w_j^(1/j)`` and stops at its first step that does not
+    grow, which it would take again, so it does not depend on its batch.
+    ``m^j = f^j 2^(jk)`` with ``f, k = frexp(m)`` never under- or overflows.
+    A nan magnitude gives nan, an inf one inf."""
     if radius <= 0:
         raise BadDimensions("euclidean_ball radius must be positive")
     r0 = float(radius)
     iota = group.step
-    js = np.arange(1, iota + 1, dtype=float)
 
     def phi(mags: np.ndarray) -> np.ndarray:
-        mags = np.moveaxis(np.asarray(mags, dtype=float), 0, -1)
-        flat = mags.reshape(-1, iota)
-        out = np.zeros(flat.shape[0])
-        active = np.any(flat > 0, axis=1)
-        if np.any(active):
-            t = flat[active]
-            # bracket: largest single-layer bound below, sqrt(iota)-inflated above
-            lo = np.max((t / r0) ** (1.0 / js) / np.sqrt(iota) ** (1.0 / js), axis=1)
-            hi = np.max((np.sqrt(iota) * t / r0) ** (1.0 / js), axis=1)
-            lo = np.minimum(lo, hi)
-            # 80 halvings, ended early once a step leaves every (lo, hi) as
-            # it found them, bit for bit: each later step would repeat it
-            for _ in range(80):
-                mid = 0.5 * (lo + hi)
-                f = np.sum((t / mid[:, None] ** js) ** 2, axis=1) - r0 * r0
-                too_small = f > 0
-                new_lo, new_hi = np.where(too_small, mid, lo), np.where(too_small, hi, mid)
-                if _same_bits(new_lo, lo) and _same_bits(new_hi, hi):
-                    break
-                lo, hi = new_lo, new_hi
-            out[active] = 0.5 * (lo + hi)
-        return out.reshape(mags.shape[:-1])
+        mags = np.asarray(mags, dtype=float)
+        w = mags.reshape(iota, -1) / r0
+        m = np.max([w[j] ** (1.0 / (j + 1)) for j in range(iota)], axis=0)
+        live = np.isfinite(m) & (m > 0)
+        w, root = w[:, live], m[live] * (1.0 - 2.0**-40)
+        for _ in range(32):  # a bound only: rows settle within about ten steps
+            f, k = np.frexp(root)
+            total = moment = 0.0
+            for j, wj in enumerate(w, start=1):
+                a = (np.ldexp(wj, -j * k) / f**j) ** 2
+                total, moment = total + a, moment + j * a
+            new = root + root * (total - 1.0) / (2.0 * moment)
+            if not np.any(new > root):
+                break
+            root = np.where(new > root, new, root)
+        m[live] = root
+        return np.where(np.isnan(m), np.nan, m + 0.0).reshape(mags.shape[1:])
 
     return HomogeneousDistance(
         group=group, kind="euclidean_ball", params=(r0,), phi=phi, convex_ball=True
     )
-
-
-def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
-    """Whether two float arrays hold the same bits (nan equal to the same nan)."""
-    return np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
 def cygan_koranyi_distance(group: GradedGroup) -> HomogeneousDistance:
@@ -324,13 +320,7 @@ class AxiomReport:
         return self.triangle_violations == 0
 
     def as_dict(self) -> dict:
-        return {
-            "triangle_violations": self.triangle_violations,
-            "worst_ratio": self.worst_ratio,
-            "samples": self.samples,
-            "seed": self.seed,
-            "passed": self.passed,
-        }
+        return {**asdict(self), "passed": self.passed}
 
 
 def verify_distance_axioms(

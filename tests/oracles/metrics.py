@@ -3,11 +3,13 @@
 Distances as first written: the whole product x^-1 . y, its layer
 magnitudes by ``np.linalg.norm`` stacked on a trailing axis ``(..., iota)``,
 and the norm function on that stack (the box and Cygan-Koranyi formulas
-written out from the distance's parameters, the euclidean-ball bisection
-with all of its 80 steps in ``euclidean_ball_phi_loop``).  The production
-kernel takes the product and the norm block by block on coordinate-first
-rows, ends the bisection once it is settled, and must agree with it bit
-for bit.  ``ball_bounding_radius_loop`` makes one
+written out from the distance's parameters; the multiradial and
+euclidean-ball kinds through their own ``phi``).  The production kernel
+takes the product and the norm block by block on coordinate-first rows and
+must agree with it bit for bit.  ``euclidean_ball_phi_loop`` is the
+euclidean-ball norm as first written, an 80-step bisection; the Newton
+solve must agree with it within a few ulps where no power of its midpoint
+under- or overflows.  ``ball_bounding_radius_loop`` makes one
 distance call per sweep level and per bisection step; the production sweep
 and bisection batch the calls and must return the same radius bit for bit.
 """
@@ -36,15 +38,16 @@ def phi(dist, mags: np.ndarray) -> np.ndarray:
     if dist.kind == "cygan_koranyi":
         (c,) = dist.params
         return (mags[..., 0] ** 4 + c * mags[..., 1] ** 2) ** 0.25
-    if dist.kind == "euclidean_ball":
-        return euclidean_ball_phi_loop(dist.params[0], np.moveaxis(mags, -1, 0))
-    # multiradial evaluates on the trailing-axis stack inside
+    # multiradial evaluates on the trailing-axis stack inside, and the
+    # euclidean ball is checked against its bisection in test_metrics
     return dist.phi(np.moveaxis(mags, -1, 0))
 
 
 def euclidean_ball_phi_loop(r0: float, mags: np.ndarray) -> np.ndarray:
     """The euclidean-ball ``phi`` of layer-first magnitudes ``(iota, ...)``
-    as first written: always 80 halvings of every row's bracket."""
+    as first written: always 80 halvings of every row's bracket.  A power
+    of the midpoint that under- or overflows makes it wrong, and a row with
+    no positive magnitude, nan ones included, gives 0."""
     mags = np.moveaxis(np.asarray(mags, dtype=float), 0, -1)
     iota = mags.shape[-1]
     js = np.arange(1, iota + 1, dtype=float)

@@ -175,6 +175,10 @@ def test_unexpected_task_error_is_recorded(tmp_path, bad_task):
         {"task": "federer-density", "opts": {"y0": [0.1, -0.2], "centers_per_radius": 0}},
         {"task": "area-check", "opts": {}},
         {"task": "analyze-point", "opts": {"y": ["0.1", "-0.2"]}},
+        {"task": "intrinsic-measure", "opts": {"region": [[1, -1], [-1, 1]]}},
+        {"task": "area-check", "opts": {"probes": [[0.1, -0.2]], "region": [[-1, 1], [0.5, 0.5]]}},
+        {"task": "covering-estimate", "opts": {"exponent": 3, "delta": 0.2, "region": [[-1, 1], [1, -1]]}},
+        {"task": "coarea-check", "opts": {"domain": [[1, -1], [-1, 1], [-1, 1]]}},
     ],
     ids=[
         "coarea-no-domain", "covering-no-exponent", "covering-no-delta", "covering-delta-zero",
@@ -185,7 +189,8 @@ def test_unexpected_task_error_is_recorded(tmp_path, bad_task):
         "measure-resolution-zero", "measure-region-one-row", "covering-cloud-zero", "coarea-domain-two-rows",
         "constancy-family-empty", "props-samples-zero", "concavity-segments-zero", "concavity-samples-negative",
         "verify-samples-zero", "calibrate-samples-zero", "factor-samples-typo", "federer-centers-zero",
-        "area-no-probes", "analyze-y-numeric-text",
+        "area-no-probes", "analyze-y-numeric-text", "measure-region-reversed", "area-region-zero-width",
+        "covering-region-reversed", "coarea-domain-reversed",
     ],
 )
 def test_bad_opts_are_config_errors_before_any_work(tmp_path, capsys, monkeypatch, bad_task):

@@ -380,26 +380,62 @@ def test_fused_kernel_is_bitwise_the_product_then_norm_oracle(data):
             assert _same(d.unit_normalize(pts), oracle.unit_normalize(d, pts))
 
 
+def _chain(iota: int):
+    """[e1, e_k] = e_{k+1}: a group of step iota."""
+    return load_group({"name": "chain", "layers": [2] + [1] * (iota - 1),
+                       "brackets": [[1, k, k + 1, 1.0] for k in range(2, iota + 1)]})
+
+
 @settings(max_examples=200)
 @given(
     iota=st.integers(1, 6),
     radius=st.sampled_from([0.1, 0.5, 1.0, 3.0]),
     data=st.data(),
 )
-def test_euclidean_ball_phi_is_bitwise_the_80_step_loop(iota, radius, data):
-    # magnitudes from 1e-300 to 1e300 with zeros, inf and nan among them
-    magnitude = st.one_of(
-        st.floats(0.0, 1e300, allow_subnormal=False),
-        st.sampled_from([0.0, np.inf, np.nan, 1e-300]),
-    )
+def test_euclidean_ball_phi_agrees_with_the_80_step_loop(iota, radius, data):
+    # on magnitudes 0 or in [1e-40, 1e40] no power of the loop's midpoint
+    # under- or overflows, and the Newton solve is within 8 ulps of it
+    magnitude = st.one_of(st.just(0.0), st.floats(1e-40, 1e40))
     rows = data.draw(st.integers(0, 40), label="rows")
     mags = data.draw(arrays(float, (iota, rows), elements=magnitude), label="mags")
-    # [e1, e_k] = e_{k+1}: a group of step iota
-    chain = load_group({"name": "chain", "layers": [2] + [1] * (iota - 1),
-                        "brackets": [[1, k, k + 1, 1.0] for k in range(2, iota + 1)]})
-    d = euclidean_ball_distance(chain, radius)
-    with np.errstate(all="ignore"):
-        assert _same(d.phi(mags), oracle.euclidean_ball_phi_loop(radius, mags))
+    d = euclidean_ball_distance(_chain(iota), radius)
+    got, want = d.phi(mags), oracle.euclidean_ball_phi_loop(radius, mags)
+    assert got.shape == want.shape and np.all(np.abs(got - want) <= 8 * np.spacing(want))
+    # a row with a nan magnitude gives the canonical nan (the loop gave 0
+    # where no magnitude was positive), one with an inf magnitude inf, and
+    # every other row its value in the clean batch
+    marks = data.draw(arrays(np.int8, (iota, rows), elements=st.integers(0, 5)), label="marks")
+    bad = np.where(marks == 0, np.nan, np.where(marks == 1, np.inf, mags))
+    with np.errstate(invalid="ignore"):
+        got_bad = d.phi(bad)
+    nan_rows, inf_rows = np.any(marks == 0, axis=0), np.any(marks == 1, axis=0)
+    assert got_bad[nan_rows].tobytes() == np.full(np.sum(nan_rows), np.nan).tobytes()
+    assert np.all(got_bad[inf_rows & ~nan_rows] == np.inf)
+    assert _same(got_bad[~nan_rows & ~inf_rows], got[~nan_rows & ~inf_rows])
+
+
+def test_euclidean_ball_norm_where_the_bisection_failed():
+    # the bisection's midpoint powers underflowed, 0/0 made nan and the
+    # bracket drifted to its lower end; a nan point had norm 0
+    d = euclidean_ball_distance(_chain(6), 0.5)
+    assert abs(float(d.norm(1e-60 * np.eye(7)[0])) - 2e-60) <= 2 * np.spacing(2e-60)
+    h = euclidean_ball_distance(heisenberg(1), 0.5)
+    assert abs(float(h.phi(np.array([1e-200, 0.0]))) - 2e-200) <= 2 * np.spacing(2e-200)
+    # phi(delta_lam t) = lam phi(t) at lam = 1e+-100, on magnitudes whose
+    # layers above the third are zero, so that every dilate is a float
+    rng = stream(9, "euclidean-ball-homogeneity")
+    for iota in range(1, 7):
+        d = euclidean_ball_distance(_chain(iota), 0.5)
+        t = np.zeros((iota, 64))
+        t[:3] = rng.uniform(0.1, 2.0, (min(iota, 3), 64))
+        for lam in (1e-100, 1e100):
+            want = lam * d.phi(t)
+            dilated = t.copy()
+            dilated[:3] *= lam ** np.arange(1.0, min(iota, 3) + 1)[:, None]
+            got = d.phi(dilated)
+            assert np.all(np.abs(got - want) <= 8 * np.spacing(want))
+        nan_point = np.full(d.group.q, np.nan)
+        assert np.isnan(d.norm(nan_point)) and not d.ball_contains(np.zeros(d.group.q), nan_point)
 
 
 @pytest.mark.parametrize("d", KERNEL_CASES, ids=lambda d: f"{d.group.name}-{d.kind}")

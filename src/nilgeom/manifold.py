@@ -392,12 +392,13 @@ def degree_echelon(group: GradedGroup, coeffs: np.ndarray, policy: NumericPolicy
     return Echelon(alpha=tuple(alpha), pivots=pivots, column_transform=v)
 
 
-def _checked_echelon(group: GradedGroup, coeffs, degree: int, policy: NumericPolicy, where: str) -> Echelon:
-    """``degree_echelon`` of ``coeffs``, checked to imply the multivector ``degree``."""
+def _checked_echelon(group: GradedGroup, coeffs, degree: int, policy: NumericPolicy, y, where: str) -> Echelon:
+    """``degree_echelon`` of ``coeffs`` at y, checked to imply ``degree``; the error ends in
+    ``where.format(y)``, formatted only on failure: an array's text costs more than the echelon."""
     ech = degree_echelon(group, coeffs, policy)
     implied = sum((j + 1) * a for j, a in enumerate(ech.alpha))
     if implied != degree:
-        raise InconsistentDegree(f"echelon degree {implied} != multivector degree {degree}{where}")
+        raise InconsistentDegree(f"echelon degree {implied} != multivector degree {degree}" + where.format(y))
     return ech
 
 
@@ -406,7 +407,7 @@ def alpha_profile(chart, y, policy: NumericPolicy = DEFAULT_POLICY) -> tuple[int
     sum j*alpha_j = pointwise degree (cross-checked)."""
     t = _tangent_at(chart, y, policy)
     where = "; the point is too ill-conditioned for this tolerance"
-    return _checked_echelon(chart.group, t.coeffs[0], int(t.degree[0]), policy, where).alpha
+    return _checked_echelon(chart.group, t.coeffs[0], int(t.degree[0]), policy, y, where).alpha
 
 
 # ---------------------------------------------------------------------------
@@ -494,7 +495,7 @@ def _analyse(chart, y, t: _Tangents, b: int, htangent: tuple | None, policy: Num
     space, kinds, notes = htangent
     regular = kinds is not None and kinds.subalgebra
 
-    ech = _checked_echelon(group, coeffs, degree, policy, f" at y={y}")
+    ech = _checked_echelon(group, coeffs, degree, policy, y, " at y={}")
 
     m = group.layers[0]
     # characteristic: the horizontal fiber is contained in the tangent space

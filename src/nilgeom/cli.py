@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import hashlib
 import json
 import math
@@ -34,7 +35,7 @@ from .manifold import (
     q_n_max_degree,
 )
 from .measure import (
-    ConvexBody,
+    RadiusTracePoint,
     area_check,
     ball_body,
     beta_constancy_check,
@@ -48,7 +49,7 @@ from .measure import (
     spherical_factor,
     vertical_translation_check,
 )
-from .metrics import box_distance, calibrate_box, distance_from_spec, verify_distance_axioms
+from .metrics import calibrate_box, distance_from_spec, verify_distance_axioms
 from .policy import NumericPolicy
 
 SCHEMA_VERSION = 1
@@ -129,9 +130,7 @@ def _write_csv(path: Path, header: list, rows) -> str:
 
 def _radius_trace(trace) -> tuple[list, list]:
     """Header and rows of a Federer radius trace."""
-    return ["radius", "ratio", "stderr", "hits"], [
-        (t.radius, t.ratio, t.stderr, t.hits) for t in trace
-    ]
+    return [f.name for f in dataclasses.fields(RadiusTracePoint)], [dataclasses.astuple(t) for t in trace]
 
 
 # ---------------------------------------------------------------------------
@@ -239,23 +238,9 @@ def task_coarea_check(ctx: RunContext, opts: dict):
 
 def task_blowup_check(ctx: RunContext, opts: dict):
     report = blowup_rates(ctx.chart, **opts, policy=ctx.policy)
-    record = {
-        "case": report.case,
-        "advisory": report.advisory,
-        "tangent_rows": list(report.tangent_rows),
-        "rates": [
-            {
-                "index": r.index,
-                "expected_exponent": r.expected_exponent,
-                "in_tangent_set": r.in_tangent_set,
-                "identically_zero": r.identically_zero,
-                "fitted_slope": r.fitted_slope,
-                "passed": r.passed,
-            }
-            for r in report.rates
-        ],
-        "passed": report.passed,
-    }
+    record = {**dataclasses.asdict(report), "passed": report.passed}
+    for rate in record["rates"]:
+        del rate["ratios"]
     return record, report.passed or report.advisory
 
 

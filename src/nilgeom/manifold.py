@@ -30,7 +30,7 @@ from .errors import (
     NonFinite,
     NonSimpleProjection,
 )
-from .exprparse import Node, parse_expression_list
+from .exprparse import parse_expression_list
 from .policy import DEFAULT_POLICY, NumericPolicy
 
 # ---------------------------------------------------------------------------
@@ -603,7 +603,7 @@ def blowup_rates(
     case = _blowup_case(group, analysis)
     advisory = case == "not_covered"
 
-    p = chart.value(y0)
+    p = analysis.p
     coeffs = group.frame_coefficients(p, chart.jacobian(y0))
 
     # per-layer rotation sending the h-tangent layer components to the leading
@@ -629,14 +629,13 @@ def blowup_rates(
         ts = t0 * scales / scales[0]
         u = ech.column_transform @ _eta(ts, ray, exponents)
         ys = y0[None, :] + u.T
-        if all(chart.contains(yy) for yy in ys):
+        if chart.contains(ys):
             break
         t0 *= 0.5
     else:
         raise DomainViolation("could not fit blow-up scales inside the chart domain")
 
-    pts = np.stack([chart.value(yy) for yy in ys])
-    gamma = group.product(-p, pts) @ rot  # components in the adapted basis
+    gamma = group.product(-p, chart.value(ys)) @ rot  # components in the adapted basis
 
     deg = group.degrees
     log_t = np.log(ts)

@@ -17,7 +17,7 @@ holds the one summation order that makes the Euclidean norms agree.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -42,15 +42,10 @@ class Estimate:
             raise ValueError("stderr must be nonnegative")
 
     def as_dict(self) -> dict:
-        d = {
-            "value": self.value,
-            "stderr": self.stderr,
-            "samples": self.samples,
-            "seed": self.seed,
-            "method": self.method,
-        }
-        if self.meta:
-            d["meta"] = self.meta
+        """The fields as a record; an empty ``meta`` is left out."""
+        d = asdict(self)
+        if not self.meta:
+            del d["meta"]
         return d
 
 

@@ -194,10 +194,7 @@ def spherical_factor(
     basis = space.orthonormal_basis()
 
     def project(u: np.ndarray) -> np.ndarray:
-        nrm = float(dist.norm(u))
-        if nrm > 1.0:
-            return g.dilate(1.0 / nrm, u)
-        return u
+        return dist.unit_normalize(u) if dist.norm(u) > 1.0 else u
 
     search_points = list(_section_points(basis, search_radius, FACTOR_SEARCH_SAMPLES, seed, "beta-search"))
     evaluations = 0
@@ -306,9 +303,6 @@ class RadiusTracePoint:
     ratio: float
     stderr: float
     hits: int
-
-    def as_dict(self) -> dict:
-        return asdict(self)
 
 
 def _parameter_window(chart, y0, p, dist, radius, exponents) -> np.ndarray:
@@ -1214,13 +1208,8 @@ class TranslationReport:
     reason: str | None
 
     def as_dict(self) -> dict:
-        return {
-            "volume_before": self.volume_before.as_dict(),
-            "volume_after": self.volume_after.as_dict(),
-            "max_det_deviation": self.max_det_deviation,
-            "passed": self.passed,
-            "reason": self.reason,
-        }
+        volumes = {"volume_before": self.volume_before.as_dict(), "volume_after": self.volume_after.as_dict()}
+        return {**asdict(self), **volumes}
 
 
 def vertical_translation_check(
@@ -1301,15 +1290,7 @@ class ConstancyReport:
         return self.max_pairwise_z <= 3.0 and not self.advisory
 
     def as_dict(self) -> dict:
-        return {
-            "values": list(self.values),
-            "stderrs": list(self.stderrs),
-            "spread": self.spread,
-            "max_pairwise_z": self.max_pairwise_z,
-            "passed": self.passed,
-            "advisory": self.advisory,
-            "reason": self.reason,
-        }
+        return {**asdict(self), "passed": self.passed, "advisory": self.advisory, "reason": self.reason}
 
 
 def beta_constancy_check(
@@ -1383,7 +1364,7 @@ class CoareaReport:
         return abs(self.lhs - self.rhs) <= self.tolerance * scale
 
     def as_dict(self) -> dict:
-        return {"lhs": self.lhs, "rhs": self.rhs, "tolerance": self.tolerance, "passed": self.passed}
+        return {**asdict(self), "passed": self.passed}
 
 
 def coarea_check(

@@ -278,7 +278,7 @@ def multiradial_distance(group: GradedGroup, phi_expr: str) -> HomogeneousDistan
     )
 
 
-_DISTANCE_KEYS = {"kind", "params", "phi", "phi_expr", "seed"}
+_DISTANCE_KEYS = {"kind", "params", "phi", "seed"}
 
 
 def distance_from_spec(group: GradedGroup, spec: dict) -> HomogeneousDistance:
@@ -297,10 +297,9 @@ def distance_from_spec(group: GradedGroup, spec: dict) -> HomogeneousDistance:
     if kind == "cygan_koranyi":
         return cygan_koranyi_distance(group)
     if kind == "multiradial":
-        expr = spec.get("phi", spec.get("phi_expr"))
-        if expr is None:
+        if "phi" not in spec:
             raise BadDimensions("multiradial distance needs a 'phi' expression")
-        return multiradial_distance(group, expr)
+        return multiradial_distance(group, spec["phi"])
     raise BadDimensions(f"unknown distance kind {kind!r}")
 
 

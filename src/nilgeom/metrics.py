@@ -17,6 +17,7 @@ magnitudes of the whole product, the oracle in ``tests/oracles/metrics.py``.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, field
 from functools import cached_property
 from typing import Callable
@@ -127,9 +128,9 @@ def box_distance(group: GradedGroup, epsilons) -> HomogeneousDistance:
     """Box norm max_j eps_j |x_j|^(1/j); the unit ball is a product of
     per-layer Euclidean balls, hence convex."""
     eps = np.asarray(epsilons, dtype=float).reshape(-1)
-    if eps.size != group.step or np.any(eps <= 0):
+    if eps.size != group.step or not np.all(np.isfinite(eps) & (eps > 0)):
         raise BadDimensions(
-            f"box distance needs {group.step} positive weights, got {epsilons!r}"
+            f"box distance needs {group.step} finite positive weights, got {epsilons!r}"
         )
     powers = 1.0 / np.arange(1, group.step + 1)
 
@@ -163,8 +164,8 @@ def euclidean_ball_distance(group: GradedGroup, radius: float) -> HomogeneousDis
     grow, which it would take again, so it does not depend on its batch.
     ``m^j = f^j 2^(jk)`` with ``f, k = frexp(m)`` never under- or overflows.
     A nan magnitude gives nan, an inf one inf."""
-    if radius <= 0:
-        raise BadDimensions("euclidean_ball radius must be positive")
+    if not (radius > 0 and np.isfinite(radius)):
+        raise BadDimensions(f"euclidean_ball radius must be finite and positive, got {radius!r}")
     r0 = float(radius)
     iota = group.step
 
@@ -282,25 +283,34 @@ _DISTANCE_KEYS = {"kind", "params", "phi", "seed"}
 
 
 def distance_from_spec(group: GradedGroup, spec: dict) -> HomogeneousDistance:
-    """Build a distance from a {kind, params?, phi?} block."""
+    """Build a distance from a {kind, params?, seed?, phi?} block; a box
+    without params is calibrated at ``seed``.  A malformed block is
+    BadDimensions."""
+    if not isinstance(spec, dict):
+        raise BadDimensions(f"a distance must be an object, got {spec!r}")
     unknown = set(spec) - _DISTANCE_KEYS
     if unknown:
         raise BadDimensions(f"unknown distance keys: {sorted(unknown)}")
-    kind = spec.get("kind")
+    kind, params, seed = spec.get("kind"), spec.get("params"), spec.get("seed", 0)
+    counts = {"box": group.step, "euclidean_ball": 1, "cygan_koranyi": 0, "multiradial": 0}
+    if not isinstance(kind, str) or kind not in counts:
+        raise BadDimensions(f"unknown distance kind {kind!r}")
+    numbers = isinstance(params, list) and all(type(v) in (int, float) for v in params)
+    if params is not None and not (numbers and len(params) == counts[kind] > 0):
+        raise BadDimensions(f"{kind} distance takes {counts[kind]} params as a list of numbers, got {params!r}")
+    if type(seed) is not int:
+        raise BadDimensions(f"distance seed must be an integer, got {seed!r}")
     if kind == "box":
-        params = spec.get("params")
         if params is None:
-            params = calibrate_box(group, samples=20000, seed=int(spec.get("seed", 0))).epsilons
+            params = calibrate_box(group, samples=20000, seed=seed).epsilons
         return box_distance(group, params)
     if kind == "euclidean_ball":
-        return euclidean_ball_distance(group, float(spec.get("params", [0.5])[0]))
+        return euclidean_ball_distance(group, 0.5 if params is None else params[0])
     if kind == "cygan_koranyi":
         return cygan_koranyi_distance(group)
-    if kind == "multiradial":
-        if "phi" not in spec:
-            raise BadDimensions("multiradial distance needs a 'phi' expression")
-        return multiradial_distance(group, spec["phi"])
-    raise BadDimensions(f"unknown distance kind {kind!r}")
+    if not isinstance(spec.get("phi"), str):
+        raise BadDimensions(f"multiradial distance needs a 'phi' expression string, got {spec.get('phi')!r}")
+    return multiradial_distance(group, spec["phi"])
 
 
 # ---------------------------------------------------------------------------
@@ -378,12 +388,18 @@ def _quotient_group(group: GradedGroup, step: int) -> GradedGroup:
     )
 
 
+def _six_decimals(weight: float) -> float:
+    """The weight floored to six decimals."""
+    return math.floor(weight * 1e6) / 1e6
+
+
 def calibrate_box(group: GradedGroup, samples: int = 20000, seed: int = 0) -> BoxCalibration:
     """Calibrate box weights layer by layer: eps_1 = 1 and each eps_j is the
-    largest value in (BOX_WEIGHT_FLOOR, 1] passing a zero-violation triangle
-    check on the step-j quotient group, holding the earlier weights fixed.
-    The last layer's quotient is the group itself, so its check at the final
-    weights, when rounding left them as checked, is the final check."""
+    largest value in (BOX_WEIGHT_FLOOR, 1], floored to six decimals, passing
+    a zero-violation triangle check on the step-j quotient group, holding the
+    earlier weights fixed.  The bisection checks each candidate as floored,
+    so every returned weight was checked; the last layer's quotient is the
+    group itself, so from step 2 on its check is the final check."""
     require_counts(samples=samples)
     eps = [1.0]
     checked: dict[tuple[float, ...], AxiomReport] = {}
@@ -391,8 +407,9 @@ def calibrate_box(group: GradedGroup, samples: int = 20000, seed: int = 0) -> Bo
         quotient = _quotient_group(group, j)
 
         def passes(candidate: float) -> bool:
-            weights = (*eps, candidate)
-            checked[weights] = verify_distance_axioms(box_distance(quotient, weights), samples=samples, seed=seed)
+            weights = (*eps, _six_decimals(candidate))
+            if weights not in checked:
+                checked[weights] = verify_distance_axioms(box_distance(quotient, weights), samples=samples, seed=seed)
             return checked[weights].passed
 
         best = bisect_largest_passing(passes, BOX_WEIGHT_FLOOR, 1.0)
@@ -400,13 +417,11 @@ def calibrate_box(group: GradedGroup, samples: int = 20000, seed: int = 0) -> Bo
             raise CalibrationFailed(
                 f"no box weight above {BOX_WEIGHT_FLOOR} passes the triangle check for layer {j}"
             )
-        eps.append(round(best, 6))
+        eps.append(_six_decimals(best))
     report = checked.get(tuple(eps)) or verify_distance_axioms(box_distance(group, eps), samples=samples, seed=seed)
     if not report.passed:
         raise CalibrationFailed("final full-group verification failed after calibration")
-    return BoxCalibration(
-        epsilons=tuple(eps), samples=samples, seed=seed, report=report
-    )
+    return BoxCalibration(epsilons=tuple(eps), samples=samples, seed=seed, report=report)
 
 
 # ---------------------------------------------------------------------------

@@ -521,3 +521,97 @@ def test_a_subnormal_covering_delta_is_a_typed_record(tmp_path, capsys):
         assert record["status"] == "error" and record["result"]["error"] == "NonFinite"
         assert "smallest normal float" in record["result"]["message"]
     assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize(
+    "distance",
+    [
+        {"kind": "euclidean_ball", "params": []},
+        {"kind": "euclidean_ball", "params": 0.5},
+        {"kind": "euclidean_ball", "params": ["a"]},
+        {"kind": "box", "params": ["a", 1]},
+        {"kind": "box", "seed": "a"},
+        {"kind": "multiradial", "phi": 5},
+        5,
+        {"kind": "box", "params": [1.0, float("nan")]},
+        {"kind": "euclidean_ball", "params": [float("nan")]},
+        {"kind": "euclidean_ball", "params": [float("inf")]},
+    ],
+    ids=[
+        "ball-params-empty", "ball-params-number", "ball-params-text", "box-params-text", "box-seed-text",
+        "multiradial-phi-number", "distance-number", "box-nan-weight", "ball-nan-radius", "ball-inf-radius",
+    ],
+)
+def test_malformed_distance_blocks_are_typed_records(tmp_path, capsys, distance):
+    # each of these once ended verify-distance in an untyped error with a
+    # traceback, or passed it having tested nothing (every norm nan or 0)
+    path = write_config(tmp_path, {**BASE, "distance": distance, "tasks": [{"task": "verify-distance"}]})
+    assert run(path, out_dir=tmp_path / "out", quiet=True) == 1
+    record = json.loads((tmp_path / "out" / "report.json").read_text())["tasks"][0]
+    assert record["status"] == "error" and record["result"]["error"] == "BadDimensions"
+    assert capsys.readouterr().err == ""
+
+
+ESTIMATE = {"value", "stderr", "samples", "seed", "method"}
+# one entry per task, two for concavity-check (a ball and an ellipsoid body)
+# and intrinsic-measure (tensor and mc quadrature), with its record's keys
+EVERY_TASK = [
+    ({"task": "validate-group"}, "group q step layers hom_dimension q_n valid"),
+    ({"task": "catalog"}, "groups distances"),
+    ({"task": "analyze-point", "opts": {"y": [0.1, -0.2]}},
+     "y p degree alpha regular classification q_n characteristic htangent_basis notes"),
+    ({"task": "degree-map", "opts": {"grid": 3}}, "max_degree low_degree_fraction cells failures csv"),
+    ({"task": "spherical-factor", "opts": {"subspace": [[1, 0, 0], [0, 0, 1]], "samples": 2000}}, "beta"),
+    ({"task": "federer-density",
+      "opts": {"y0": [0.1, -0.2], "radii": [0.1, 0.05], "centers_per_radius": 2, "samples": 4000}},
+     "theta trace_csv"),
+    ({"task": "area-check", "opts": {"probes": [[0.1, -0.2]], "samples": 6000, "covering_delta": 0.4}},
+     "mu beta theta covering verdicts"),
+    ({"task": "coarea-check", "opts": {"domain": [[-1, 1], [-1, 1], [-1, 1]]}}, "lhs rhs tolerance passed"),
+    ({"task": "blowup-check", "opts": {"y0": [0.1, -0.2]}}, "case advisory tangent_rows rates passed"),
+    ({"task": "concavity-check", "opts": {"subspace": [[1, 0, 0], [0, 0, 1]], "segments": 5, "samples": 2000}},
+     "segments checks violations skipped worst_deficit reason passed advisory"),
+    ({"task": "concavity-check", "opts": {"subspace": [[1, 0, 0], [0, 0, 1]], "body": {"kind": "ellipsoid"},
+                                          "segments": 5, "samples": 2000}},
+     "segments checks violations skipped worst_deficit reason passed advisory"),
+    ({"task": "translation-check", "opts": {"subspace": [[1, 0, 0], [0, 0, 1]], "p": [0.1, 0.2, 0.3], "samples": 2000}},
+     "volume_before volume_after max_det_deviation passed reason"),
+    ({"task": "beta-constancy", "opts": {"family": [[[1, 0, 0], [0, 0, 1]], [[0, 1, 0], [0, 0, 1]]], "samples": 2000}},
+     "values stderrs spread max_pairwise_z passed advisory reason"),
+    ({"task": "verify-distance", "opts": {"samples": 2000}}, "triangle_violations worst_ratio samples seed passed"),
+    ({"task": "calibrate-box", "opts": {"samples": 2000}}, "epsilons verification"),
+    ({"task": "intrinsic-measure", "opts": {"resolution": 8}}, "mu"),
+    ({"task": "intrinsic-measure", "opts": {"quadrature": "mc", "samples": 2000}}, "mu"),
+    ({"task": "covering-estimate", "opts": {"exponent": 3, "delta": 1.2, "cloud_size": 500}}, "covering"),
+    ({"task": "prop-suite", "opts": {"groups": ["heisenberg(1)", "engel"], "samples": 200}},
+     "tolerance samples groups"),
+]
+
+
+def test_every_task_runs_and_passes(tmp_path, capsys):
+    # one run of every task pins the keys of each record and of the records
+    # inside it that are built from the result dataclasses
+    assert {task["task"] for task, _ in EVERY_TASK} == set(cli.TASKS)
+    path = write_config(tmp_path, {**BASE, "tasks": [task for task, _ in EVERY_TASK]})
+    out = tmp_path / "out"
+    assert run(path, out_dir=out, quiet=True) == 0
+    assert capsys.readouterr().err == ""
+    records = json.loads((out / "report.json").read_text())["tasks"]
+    for (task, keys), record in zip(EVERY_TASK, records, strict=True):
+        assert record["task"] == task["task"] and record["status"] == "pass"
+        assert set(record["result"]) == set(keys.split()), task["task"]
+    results = [record["result"] for record in records]
+    factor, federer, area, coarea, blowup = results[4:9]
+    translation, constancy, verify, calibration, tensor, sampled, covering = results[11:18]
+    for estimate in (factor["beta"], federer["theta"], area["mu"], area["beta"]["probe0"], area["theta"]["probe0"],
+                     area["covering"], tensor["mu"], sampled["mu"], covering["covering"]):
+        assert set(estimate) == ESTIMATE | {"meta"} and estimate["meta"]
+    assert set(translation["volume_before"]) == set(translation["volume_after"]) == ESTIMATE
+    assert all(set(rate) == {"index", "expected_exponent", "in_tangent_set", "identically_zero", "fitted_slope",
+                             "passed"} for rate in blowup["rates"])
+    assert len(constancy["values"]) == len(constancy["stderrs"]) == 2
+    assert set(calibration["verification"]) == set(verify)
+    assert coarea["lhs"] == coarea["rhs"] == 8.0
+    for name in ("federer_trace", "area_probe0_trace"):
+        assert (out / f"{name}.csv").read_text().splitlines()[0] == "radius,ratio,stderr,hits"
+    assert (out / "area_covering_trace.csv").read_text().splitlines()[0] == "delta,value"

@@ -18,6 +18,7 @@ from nilgeom.metrics import (
     verify_distance_axioms,
 )
 from nilgeom.mc import stream
+from nilgeom.optimize import bisect_largest_passing
 from oracles import metrics as oracle
 
 
@@ -158,16 +159,50 @@ def test_calibrate_box_reuses_the_last_layer_check(monkeypatch):
     assert cal.report == verify_distance_axioms(box_distance(g, cal.epsilons), samples=20_000, seed=1)
 
 
-def test_calibrate_box_checks_a_rounded_weight_again(monkeypatch):
-    # a large bracket constant bisects the last weight below 1.0, and its
-    # six-decimal rounding was never checked, so the final check runs
-    g = load_group({"name": "steep-heisenberg", "layers": [2, 1], "brackets": [[1, 2, 3, 10.0]]})
+def test_calibrate_box_returns_only_checked_weights(monkeypatch):
+    # a large bracket constant bisects the last weight below 1.0; each
+    # candidate is checked as floored to six decimals, so the returned weight
+    # is one the bisection checked, and no check runs after it.  Rounding to
+    # the nearest instead once returned an unchecked weight that failed.
+    g = load_group({"name": "steep-heisenberg", "layers": [2, 1], "brackets": [[1, 2, 3, 40.0]]})
     weights = _counted_checks(monkeypatch)
+    ends = []
+
+    def bisect(predicate, lo, hi):
+        best = bisect_largest_passing(predicate, lo, hi)
+        ends.append(len(weights))
+        return best
+
+    monkeypatch.setattr(metrics, "bisect_largest_passing", bisect)
     cal = calibrate_box(g, samples=5_000, seed=0)
-    assert cal.epsilons[1] < 1.0
-    assert len(weights) == 27  # 1.0, the floor, 24 halvings and the final check
-    assert weights.index(cal.epsilons) == 26
+    assert ends == [len(weights)] and len(set(weights)) == len(weights)
+    assert 0.0 < cal.epsilons[1] < 1.0 and cal.epsilons[1] * 1e6 == int(cal.epsilons[1] * 1e6)
+    assert cal.epsilons in weights and cal.report.passed
     assert cal.report == verify_distance_axioms(box_distance(g, cal.epsilons), samples=5_000, seed=0)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_calibrate_box_calibrates_a_steep_bracket(seed):
+    g = load_group({"layers": [2, 1], "brackets": [[1, 2, 3, 40]]})
+    assert 0.3 < calibrate_box(g, samples=5_000, seed=seed).epsilons[1] < 0.35
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda g: box_distance(g, [1.0, np.nan]),
+        lambda g: box_distance(g, [np.inf, 1.0]),
+        lambda g: euclidean_ball_distance(g, np.nan),
+        lambda g: euclidean_ball_distance(g, np.inf),
+        lambda g: euclidean_ball_distance(g, 0.0),
+    ],
+    ids=["box-nan", "box-inf", "ball-nan", "ball-inf", "ball-zero"],
+)
+def test_non_finite_or_non_positive_parameters_are_refused(make):
+    # a nan weight or radius once made every norm nan or 0, and every
+    # triangle check pass having tested nothing
+    with pytest.raises(BadDimensions):
+        make(heisenberg(1))
 
 
 def test_ball_bounding_radius_examples():

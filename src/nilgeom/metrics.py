@@ -296,7 +296,7 @@ def distance_from_spec(group: GradedGroup, spec: dict) -> HomogeneousDistance:
     if not isinstance(kind, str) or kind not in counts:
         raise BadDimensions(f"unknown distance kind {kind!r}")
     numbers = isinstance(params, list) and all(type(v) in (int, float) for v in params)
-    if params is not None and not (numbers and len(params) == counts[kind] > 0):
+    if params is not None and not (numbers and 0 < len(params) == counts[kind]):
         raise BadDimensions(f"{kind} distance takes {counts[kind]} params as a list of numbers, got {params!r}")
     if type(seed) is not int:
         raise BadDimensions(f"distance seed must be an integer, got {seed!r}")

@@ -176,7 +176,7 @@ def test_calibrate_box_returns_only_checked_weights(monkeypatch):
     monkeypatch.setattr(metrics, "bisect_largest_passing", bisect)
     cal = calibrate_box(g, samples=5_000, seed=0)
     assert ends == [len(weights)] and len(set(weights)) == len(weights)
-    assert 0.0 < cal.epsilons[1] < 1.0 and cal.epsilons[1] * 1e6 == int(cal.epsilons[1] * 1e6)
+    assert 0.0 < cal.epsilons[1] < 1.0 and round(cal.epsilons[1], 6) == cal.epsilons[1]
     assert cal.epsilons in weights and cal.report.passed
     assert cal.report == verify_distance_axioms(box_distance(g, cal.epsilons), samples=5_000, seed=0)
 

@@ -379,14 +379,14 @@ OPTS = {
 # its shape: n is the chart's dimension, q the group's, d the task
 # subspace's, and k any size from 1.
 KINDS = {
-    "y": "n-vector", "y0": "n-vector", "ray": "n-vector", "region": "n×2 box", "probes": "k×n array",
+    "y": "n-vector", "y0": "n-vector", "ray": "nonzero n-vector", "region": "n×2 box", "probes": "k×n array",
     "p": "q-vector", "domain": "q×2 box", "box": "d×2 box",
     **dict.fromkeys(["samples", "centers_per_radius", "cloud_size", "graph_coord", "resolution", "segments"],
                     "positive integer"),
     "tolerance": "positive number", "delta": "positive number", "covering_delta": "positive number",
-    "radii": "positive numbers", "scales": "positive numbers", "exponent": "finite number",
+    "radii": "positive numbers", "exponent": "finite number",
     "quadrature": "one of tensor, mc", "g": "expression in y1..yq-1", "u": "expression in x1..xq",
-    **{key: key for key in ("subspace", "family", "body", "grid", "groups")},
+    **{key: key for key in ("subspace", "family", "body", "grid", "groups", "scales")},
     "seed": "integer", "numeric_rtol": "number in (0, 1)", "name": "string", "out": "string",
 }
 
@@ -397,7 +397,9 @@ _SCALARS = {
     "finite number": lambda v: True,
     "number in (0, 1)": lambda v: 0 < v < 1,
 }
-_LISTS = {"positive numbers": "positive number", "family": "subspace", "groups": "group"}
+_LISTS = {
+    "positive numbers": "positive number", "scales": "positive number", "family": "subspace", "groups": "group",
+}
 _BODY_KEYS = {"ball": {"kind"}, "box": {"kind", "halfwidths"}, "ellipsoid": {"kind", "matrix"}}
 
 
@@ -419,7 +421,7 @@ def _value(kind: str, value, ctx, dim):
             raise _Malformed()
         return int(value) if kind.endswith("integer") else float(value)
     if kind.endswith(("vector", "array", "box")):
-        shape = kind.replace("-", " ").split()[0].split("×")
+        shape = kind.replace("-", " ").split()[-2].split("×")
         try:
             a = np.array(value, dtype=float) if _numbers(value) else np.array(np.nan)
         except (ValueError, OverflowError):  # ragged, or beyond a float
@@ -431,6 +433,8 @@ def _value(kind: str, value, ctx, dim):
             raise _Malformed()
         if kind.endswith("box") and not np.all(a[:, 0] < a[:, 1]):
             raise _Malformed("rows [lo, hi] with lo < hi")
+        if kind.startswith("nonzero") and not np.linalg.norm(a) > 0:
+            raise _Malformed("a norm above 0")
         return a
     if kind in _LISTS:
         if not isinstance(value, list) or not value:
@@ -438,6 +442,8 @@ def _value(kind: str, value, ctx, dim):
         items = [_value(_LISTS[kind], v, ctx, dim) for v in value]
         if kind == "family" and len({space.dim for space in items}) > 1:
             raise _Malformed("subspaces of one dimension")
+        if kind == "scales" and len(set(items)) < 2:
+            raise _Malformed("two distinct at least")
         return items
     if kind == "grid":
         if isinstance(value, list) and len(value) == dim("n"):

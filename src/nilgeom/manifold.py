@@ -6,12 +6,14 @@ left-invariant frame has, on X_I, the n x n minor of the frame-coefficient
 matrix on the rows I; the pointwise degree is read off its degree-graded
 projections, the homogeneous tangent space is the kernel of the wedge map
 with its top-degree part, and the point is classified (horizontal /
-transversal / low degree / irregular).  A batch of points (a degree map's
-grid, or one point) builds each h-tangent on its own and classifies them
-all in one ``classify_subspaces`` call.  ``degree_echelon``, the
-degree-ordered echelon reduction of the frame-coefficient matrix, is
+transversal / regular / low degree / irregular).  A batch of points (a
+degree map's grid, or one point) builds each h-tangent on its own and
+classifies them all in one ``classify_subspaces`` call.  ``degree_echelon``,
+the degree-ordered echelon reduction of the frame-coefficient matrix, is
 production code for the alpha profile, blow-up rates and Federer exponents;
-its degree identity against the minors route is a consistency check.
+its degree identity against the minors route is a consistency check.  A
+``PointAnalysis`` carries its frame coefficients and pivots for its
+consumers; ``blowup_case`` holds the blow-up hypotheses.
 """
 from __future__ import annotations
 
@@ -194,6 +196,8 @@ class PointAnalysis:
     alpha: tuple[int, ...]
     q_n: int
     characteristic: bool
+    coeffs: np.ndarray               # (q, n) frame coefficients of the Jacobian columns
+    pivots: tuple[int, ...]          # the echelon's pivot row per column
     notes: tuple[str, ...] = ()
 
 
@@ -516,13 +520,9 @@ def _analyse(chart, y, t: _Tangents, b: int, htangent: tuple | None, policy: Num
         cls = "horizontal"
     elif degree == qn:
         cls = "transversal"
-        if not kinds.vertical:
-            notes.append("degree equals Q_n but h-tangent space is not vertical")
-    elif kinds.vertical:
-        cls = "vertical_regular"
     else:
-        # regular point of maximum degree whose h-tangent space is neither
-        # horizontal nor vertical; possible from step 3 on
+        # regular point of maximum degree below Q_n whose h-tangent space is
+        # not horizontal
         cls = "regular"
 
     return PointAnalysis(
@@ -535,6 +535,8 @@ def _analyse(chart, y, t: _Tangents, b: int, htangent: tuple | None, policy: Num
         alpha=ech.alpha,
         q_n=qn,
         characteristic=characteristic,
+        coeffs=coeffs,
+        pivots=ech.pivots,
         notes=tuple(notes),
     )
 
@@ -566,7 +568,8 @@ class BlowupReport:
         return all(r.passed for r in self.rates)
 
 
-def _blowup_case(group: GradedGroup, analysis: PointAnalysis) -> str:
+def blowup_case(group: GradedGroup, analysis: PointAnalysis) -> str:
+    """The blow-up hypothesis that covers the point, or ``"not_covered"``."""
     if not analysis.regular:
         return "not_covered"
     if analysis.classification == "horizontal":
@@ -593,18 +596,25 @@ def blowup_rates(
     a per-layer rotated basis adapted to the h-tangent space.  Coordinates on
     the tangent index set must show log-log slope within 0.1 of their
     degree; the others must have |coord| / t^degree decreasing to zero.  A
-    ray of None is the diagonal, all ones.
+    ray of None is the diagonal, all ones.  A ray whose norm rounds to 0, or
+    fewer than two distinct positive scales, is a ``ValueError``.
     """
     group = chart.group
     y0 = np.asarray(y0, dtype=float)
     ray = np.asarray(ray if ray is not None else np.ones(chart.n), dtype=float)
-    ray = ray / np.linalg.norm(ray)
+    if scales is None:
+        scales = [2.0 ** (-k) for k in range(13)]
+    scales = sorted({float(s) for s in scales}, reverse=True)
+    norm = np.linalg.norm(ray)
+    if not 0.0 < norm < np.inf:
+        raise ValueError(f"ray must have a finite norm above 0, got {ray}")
+    if len(scales) < 2 or not all(0.0 < s < np.inf for s in scales):
+        raise ValueError(f"scales must be two or more distinct positive finite numbers, got {scales}")
+    ray = ray / norm
+    scales = np.asarray(scales)
     analysis = classify_point(chart, y0, policy)
-    case = _blowup_case(group, analysis)
+    case = blowup_case(group, analysis)
     advisory = case == "not_covered"
-
-    p = analysis.p
-    coeffs = group.frame_coefficients(p, chart.jacobian(y0))
 
     # per-layer rotation sending the h-tangent layer components to the leading
     # basis vectors of each layer
@@ -614,14 +624,10 @@ def blowup_rates(
         for sl in group.layer_slices:
             rot[sl, sl] = np.linalg.svd(a_basis[sl], full_matrices=True)[0]
 
-    ech = degree_echelon(group, rot.T @ coeffs, policy)
-    exponents = np.array([group.degrees[ech.pivots[j]] for j in range(chart.n)])
+    ech = degree_echelon(group, rot.T @ analysis.coeffs, policy)
+    exponents = group.degrees[list(ech.pivots)]
     tangent_rows = tuple(sorted(ech.pivots))
     axis_of_row = {row: j for j, row in enumerate(ech.pivots)}
-
-    if scales is None:
-        scales = [2.0 ** (-k) for k in range(13)]
-    scales = np.asarray(sorted(set(float(s) for s in scales), reverse=True), dtype=float)
 
     # shrink the leading scale so the whole warped ray fits in the chart domain
     t0 = scales[0]
@@ -635,7 +641,7 @@ def blowup_rates(
     else:
         raise DomainViolation("could not fit blow-up scales inside the chart domain")
 
-    gamma = group.product(-p, chart.value(ys)) @ rot  # components in the adapted basis
+    gamma = group.product(-analysis.p, chart.value(ys)) @ rot  # components in the adapted basis
 
     deg = group.degrees
     log_t = np.log(ts)

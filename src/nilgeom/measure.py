@@ -32,9 +32,9 @@ from .errors import (
 )
 from .exprparse import parse_expression
 from .manifold import (
+    blowup_case,
     cell_centers,
     classify_point,
-    degree_echelon,
     parse_parametrization,
     sampled_max_degree,
     tangent_minors,
@@ -377,10 +377,7 @@ def federer_density(
     n_deg = analysis.degree
     p = analysis.p
     group = chart.group
-
-    coeffs = group.frame_coefficients(p, chart.jacobian(y0))
-    ech = degree_echelon(group, coeffs, policy)
-    exponents = np.array([group.degrees[r] for r in ech.pivots], dtype=float)
+    exponents = group.degrees[list(analysis.pivots)].astype(float)
 
     windows = {}
     if radii is None:
@@ -891,15 +888,15 @@ def area_check(
 ) -> AreaReport:
     """Assemble mu, beta and theta and check the density identity
     theta = beta * (density factor); the factor is 1 for the intrinsic
-    measure itself and is recorded explicitly in each verdict.  Each beta
+    measure itself and is recorded explicitly in each verdict.  A probe that
+    ``blowup_case`` does not cover gets an advisory verdict.  Each beta
     takes ``spherical_factor``'s default samples and each theta ``samples``."""
     if covering_delta is not None and not covering_delta > 0:
         raise ValueError("covering_delta must be positive")
     require_counts(samples=samples)
     region = _box(chart.domain if region is None else region, chart.n, "region")
     analyses = [classify_point(chart, np.asarray(y, dtype=float), policy) for y in probes]
-    hypotheses = ("horizontal", "transversal", "vertical_regular")
-    covered = [a.regular and (a.classification in hypotheses or chart.group.step == 2 or chart.n == 1) for a in analyses]
+    covered = [blowup_case(chart.group, a) != "not_covered" for a in analyses]
     n_sigma = None
     if covering_delta is not None and any(covered):
         # the covering exponent is known before any work, so covers at delta
@@ -945,8 +942,7 @@ def area_check(
         # unit-tangent projection norm, recorded as a diagnostic; the blow-up
         # theorem gives theta = beta for the intrinsic measure (factor 1)
         jac = chart.jacobian(y)
-        coeffs = chart.group.frame_coefficients(analysis.p, jac)
-        raw = projected_wedge_norms(chart.group, coeffs, analysis.degree)
+        raw = projected_wedge_norms(chart.group, analysis.coeffs, analysis.degree)
         gram = float(np.sqrt(np.linalg.det(jac.T @ jac)))
         err = float(np.hypot(theta.stderr, beta.stderr))
         passed = abs(theta.value - beta.value) <= theta_tolerance * max(beta.value, 1e-12) + 3.0 * err

@@ -284,7 +284,8 @@ _DISTANCE_KEYS = {"kind", "params", "phi", "seed"}
 
 def distance_from_spec(group: GradedGroup, spec: dict) -> HomogeneousDistance:
     """Build a distance from a {kind, params?, seed?, phi?} block; a box
-    without params is calibrated at ``seed``.  A malformed block is
+    without params is calibrated at ``seed``, and only a multiradial kind
+    reads ``phi``.  A malformed block, or a key its kind does not read, is
     BadDimensions."""
     if not isinstance(spec, dict):
         raise BadDimensions(f"a distance must be an object, got {spec!r}")
@@ -295,6 +296,10 @@ def distance_from_spec(group: GradedGroup, spec: dict) -> HomogeneousDistance:
     counts = {"box": group.step, "euclidean_ball": 1, "cygan_koranyi": 0, "multiradial": 0}
     if not isinstance(kind, str) or kind not in counts:
         raise BadDimensions(f"unknown distance kind {kind!r}")
+    read = {"seed": kind == "box" and params is None, "phi": kind == "multiradial"}
+    unread = sorted(key for key in spec if key in read and not read[key])
+    if unread:
+        raise BadDimensions(f"{kind} distance does not read {unread}")
     numbers = isinstance(params, list) and all(type(v) in (int, float) for v in params)
     if params is not None and not (numbers and 0 < len(params) == counts[kind]):
         raise BadDimensions(f"{kind} distance takes {counts[kind]} params as a list of numbers, got {params!r}")

@@ -1,7 +1,8 @@
 """Brute-force oracle for the maximal degree Q_n, and the per-cell analysis
-that ``degree_map`` and ``classify_point`` batch: each cell's h-tangent from
-a wedge matrix built entry by entry, classified on its own (once for
-``regular`` and again for its kinds)."""
+that ``degree_map`` and ``classify_point`` batch: each cell's frame
+coefficients solved at that cell alone, and its h-tangent from a wedge
+matrix built entry by entry, classified on its own (once for ``regular`` and
+again for its kinds)."""
 from __future__ import annotations
 
 from itertools import combinations
@@ -60,10 +61,12 @@ def htangent_per_cell(group: GradedGroup, top, n: int, policy: NumericPolicy) ->
 
 
 def analyse_per_cell(chart, y, t, b: int, policy: NumericPolicy) -> PointAnalysis:
-    """Row ``b`` of a tangent batch, analysed and classified on its own."""
+    """Row ``b`` of a tangent batch, analysed and classified on its own; the
+    frame coefficients are solved again at ``y`` alone."""
     group = chart.group
     _require_full(t, b)
-    p, coeffs, degree = t.p[b], t.coeffs[b], int(t.degree[b])
+    p, degree = t.p[b], int(t.degree[b])
+    coeffs = group.frame_coefficients(chart.value(y), chart.jacobian(y))
     qn = q_n_max_degree(group, chart.n)
     notes: list[str] = []
     try:
@@ -91,15 +94,12 @@ def analyse_per_cell(chart, y, t, b: int, policy: NumericPolicy) -> PointAnalysi
             cls = "horizontal"
         elif degree == qn:
             cls = "transversal"
-            if not kinds.vertical:
-                notes.append("degree equals Q_n but h-tangent space is not vertical")
-        elif kinds.vertical:
-            cls = "vertical_regular"
         else:
             cls = "regular"
     return PointAnalysis(
         y=y, p=p, degree=degree, htangent=space, regular=regular, classification=cls,
-        alpha=ech.alpha, q_n=qn, characteristic=characteristic, notes=tuple(notes),
+        alpha=ech.alpha, q_n=qn, characteristic=characteristic, coeffs=coeffs, pivots=ech.pivots,
+        notes=tuple(notes),
     )
 
 

@@ -322,8 +322,9 @@ def _window_per_face(chart, y0, p, dist, radius, exponents):
 def federer_full_window(chart, dist, y0, radii=None, centers_per_radius=8, samples=40_000, seed=0,
                         policy=DEFAULT_POLICY, flat_window=5):
     """``federer_density`` with the intrinsic density and every centre's
-    distances taken on the whole window, and the leading window searched
-    anew for the first radius."""
+    distances taken on the whole window, the leading window searched anew
+    for the first radius, and the exponents from a frame solve and echelon
+    of its own, not the pivots that ``classify_point`` carries."""
     y0 = np.asarray(y0, dtype=float)
     analysis = classify_point(chart, y0, policy)
     n_deg = analysis.degree

@@ -179,6 +179,9 @@ def test_unexpected_task_error_is_recorded(tmp_path, bad_task):
         {"task": "area-check", "opts": {"probes": [[0.1, -0.2]], "region": [[-1, 1], [0.5, 0.5]]}},
         {"task": "covering-estimate", "opts": {"exponent": 3, "delta": 0.2, "region": [[-1, 1], [1, -1]]}},
         {"task": "coarea-check", "opts": {"domain": [[1, -1], [-1, 1], [-1, 1]]}},
+        {"task": "blowup-check", "opts": {"y0": [0.3, -0.2], "ray": [0, 0]}},
+        {"task": "blowup-check", "opts": {"y0": [0.3, -0.2], "scales": [0.5]}},
+        {"task": "blowup-check", "opts": {"y0": [0.3, -0.2], "scales": [0.5, 0.5]}},
     ],
     ids=[
         "coarea-no-domain", "covering-no-exponent", "covering-no-delta", "covering-delta-zero",
@@ -190,7 +193,8 @@ def test_unexpected_task_error_is_recorded(tmp_path, bad_task):
         "constancy-family-empty", "props-samples-zero", "concavity-segments-zero", "concavity-samples-negative",
         "verify-samples-zero", "calibrate-samples-zero", "factor-samples-typo", "federer-centers-zero",
         "area-no-probes", "analyze-y-numeric-text", "measure-region-reversed", "area-region-zero-width",
-        "covering-region-reversed", "coarea-domain-reversed",
+        "covering-region-reversed", "coarea-domain-reversed", "blowup-ray-zero", "blowup-scales-one",
+        "blowup-scales-repeated",
     ],
 )
 def test_bad_opts_are_config_errors_before_any_work(tmp_path, capsys, monkeypatch, bad_task):
@@ -329,7 +333,7 @@ TAKEN_BY = {
     "-1": {"finite number"},
     "2.5": {"finite number", "positive number"},
     "short": {"subspace", "family", "positive numbers", "groups"},
-    "long": {"k×n array", "family", "positive numbers", "groups"},
+    "long": {"k×n array", "family", "positive numbers", "groups", "scales"},
 }
 
 
@@ -536,15 +540,20 @@ def test_a_subnormal_covering_delta_is_a_typed_record(tmp_path, capsys):
         {"kind": "box", "params": [1.0, float("nan")]},
         {"kind": "euclidean_ball", "params": [float("nan")]},
         {"kind": "euclidean_ball", "params": [float("inf")]},
+        {"kind": "cygan_koranyi", "phi": "t1", "seed": 3},
+        {"kind": "box", "params": [1.0, 1.0], "seed": 5},
+        {"kind": "euclidean_ball", "phi": "t1"},
     ],
     ids=[
         "ball-params-empty", "ball-params-number", "ball-params-text", "box-params-text", "box-seed-text",
         "multiradial-phi-number", "distance-number", "box-nan-weight", "ball-nan-radius", "ball-inf-radius",
+        "koranyi-phi-seed", "box-params-seed", "ball-phi",
     ],
 )
 def test_malformed_distance_blocks_are_typed_records(tmp_path, capsys, distance):
     # each of these once ended verify-distance in an untyped error with a
-    # traceback, or passed it having tested nothing (every norm nan or 0)
+    # traceback, or passed it having tested nothing (every norm nan or 0, or
+    # a key the kind never reads)
     path = write_config(tmp_path, {**BASE, "distance": distance, "tasks": [{"task": "verify-distance"}]})
     assert run(path, out_dir=tmp_path / "out", quiet=True) == 1
     record = json.loads((tmp_path / "out" / "report.json").read_text())["tasks"][0]

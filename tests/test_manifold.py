@@ -4,7 +4,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from nilgeom import manifold
+from nilgeom import manifold, measure
 from nilgeom.algebra import Subspace, abelian, catalog_group, engel, heisenberg, load_group
 from nilgeom.errors import (
     DegenerateTangent,
@@ -17,6 +17,7 @@ from nilgeom.manifold import (
     TransformedChart,
     _htangent_from_top,
     alpha_profile,
+    blowup_case,
     blowup_rates,
     classify_point,
     degree_map,
@@ -26,7 +27,8 @@ from nilgeom.manifold import (
     pointwise_degree,
     q_n_max_degree,
 )
-from nilgeom.mc import stream
+from nilgeom.mc import Estimate, stream
+from nilgeom.metrics import box_distance
 from nilgeom.policy import DEFAULT_POLICY, NumericPolicy
 from oracles.manifold import classify_point_per_cell, degree_map_per_cell, q_n_bruteforce
 
@@ -302,6 +304,15 @@ def test_blowup_engel_curve():
     assert top.expected_exponent == 3
 
 
+@pytest.mark.parametrize("ray,scales", [([0.0, 0.0], None), (None, [0.5]), (None, [0.5, 0.5]), (None, [0.5, -0.25])])
+def test_blowup_refuses_a_zero_ray_and_one_scale_before_any_work(plane, monkeypatch, ray, scales):
+    # a zero ray once ended in a domain error after a division warning, and
+    # one scale in a slope fitted through one point
+    monkeypatch.setattr(manifold, "classify_point", None)
+    with pytest.raises(ValueError):
+        blowup_rates(plane, [0.3, -0.2], ray, scales)
+
+
 # ---------------------------------------------------------------------------
 # degree maps
 # ---------------------------------------------------------------------------
@@ -354,7 +365,7 @@ FILIFORM6 = load_group(
 )
 SQUARE = [[-1, 1], [-1, 1]]
 IDENTITY_CHARTS = {
-    # the highstep benchmark chart: transversal, regular and low-degree cells
+    # the highstep benchmark chart: transversal cells and one irregular cell
     "filiform6": (FILIFORM6, "y1; y2; y1*y2; y1^2*y2/2; 0; y2^3; y1^4", 2, SQUARE),
     "readme-plane": (H1, "y1; 0; y2", 2, SQUARE),
     "paraboloid": (H1, "y1; y2; y1^2 + y2^2", 2, SQUARE),
@@ -363,6 +374,10 @@ IDENTITY_CHARTS = {
     "horizontal-line": (H1, "y1; 0; 0", 1, [[-1, 1]]),
     # neither horizontal nor vertical, below Q_1 = 3
     "engel-line": (engel(), "0; 0; y1; 0", 1, [[-1, 1]]),
+    # span{X2, X3} everywhere: a regular surface of degree 3 < Q_2 = 5
+    "engel-plane": (engel(), "0; y1; y2; 0", 2, SQUARE),
+    # transversal off y2 = 0, of degree 4 < 5 on it: low-degree cells at step 3
+    "engel-tilt": (engel(), "y1; 0; y2; 0", 2, SQUARE),
     # n = q: no (n+1)-tuples, so every top-degree projection is zero
     "non-simple": (H1, "y1; y2; y3", 3, [[-1, 1]] * 3),
     # rank deficient on the middle column of cells
@@ -380,7 +395,7 @@ def _bits(a) -> tuple:
 def assert_same_analysis(got: PointAnalysis, want: PointAnalysis) -> None:
     for field in dataclasses.fields(PointAnalysis):
         a, b = getattr(got, field.name), getattr(want, field.name)
-        if field.name in ("y", "p"):
+        if field.name in ("y", "p", "coeffs"):
             assert _bits(a) == _bits(b), field.name
         elif field.name == "htangent":
             assert (a is None) == (b is None)
@@ -419,6 +434,31 @@ def test_identity_charts_reach_every_path():
     assert {kind for _, kind in maps["non-finite"].failures} == {"NonFinite"}
     classes = {a.classification for m in maps.values() for a in m.points}
     assert classes == {"irregular", "low_degree", "transversal", "horizontal", "regular"}
+
+
+def test_area_check_judges_exactly_the_probes_blowup_case_covers(monkeypatch):
+    # one probe of each class on each chart; the estimators are stubs, so
+    # only the choice of the judged probes runs
+    stub = Estimate(1.0, 0.0, 1, 0, "stub")
+    monkeypatch.setattr(measure, "intrinsic_measure", lambda *args, **kwargs: stub)
+    monkeypatch.setattr(measure, "spherical_factor", lambda *args, **kwargs: stub)
+    monkeypatch.setattr(measure, "federer_density", lambda *args, **kwargs: (stub, []))
+    seen = set()
+    for name, (group, exprs, n, domain) in IDENTITY_CHARTS.items():
+        chart = parse_parametrization(exprs, n, domain, group)
+        probes = list({a.classification: a.y for a in degree_map(chart, 3 if n == 3 else 9).points}.values())
+        report = measure.area_check(chart, box_distance(group, [1.0] * group.step), probes=probes)
+        analyses = [classify_point(chart, y) for y in probes]
+        cases = [blowup_case(group, a) for a in analyses]
+        assert [v.advisory for v in report.verdicts] == [case == "not_covered" for case in cases], name
+        seen |= {(name, a.classification, case) for a, case in zip(analyses, cases)}
+    # a step-3 surface is judged only where it is transversal
+    assert {
+        ("engel-plane", "regular", "not_covered"), ("engel-tilt", "low_degree", "not_covered"),
+        ("engel-tilt", "transversal", "transversal"), ("engel-line", "regular", "curve"),
+        ("cubic-curve", "low_degree", "step2"), ("horizontal-line", "horizontal", "horizontal"),
+        ("non-simple", "irregular", "not_covered"),
+    } <= seen
 
 
 def test_degree_map_classifies_in_one_call(monkeypatch):

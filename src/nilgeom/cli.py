@@ -444,6 +444,8 @@ def _value(kind: str, value, ctx, dim):
             raise _Malformed("subspaces of one dimension")
         if kind == "scales" and len(set(items)) < 2:
             raise _Malformed("two distinct at least")
+        if kind == "scales" and not min(min(items), min(items) / max(items)) ** ctx.group.step >= sys.float_info.min:
+            raise _Malformed("the smallest, and its ratio to the largest, normal at the group's step-th power")
         return items
     if kind == "grid":
         if isinstance(value, list) and len(value) == dim("n"):

@@ -594,10 +594,13 @@ def blowup_rates(
 
     The translated curve t -> Psi(y0)^-1 . Psi(y0 + V eta(t * ray)) is read in
     a per-layer rotated basis adapted to the h-tangent space.  Coordinates on
-    the tangent index set must show log-log slope within 0.1 of their
-    degree; the others must have |coord| / t^degree decreasing to zero.  A
-    ray of None is the diagonal, all ones.  A ray whose norm rounds to 0, or
-    fewer than two distinct positive scales, is a ``ValueError``.
+    the tangent index set must show log-log slope within 0.1 of their degree
+    (fitted on the values above the rounding floor; with fewer than two, no
+    slope and a fail); the others must have |coord| / t^degree decreasing to
+    zero.  A ray of None is the diagonal, all ones.  A ray whose norm rounds
+    to 0, fewer than two distinct positive scales, or a smallest scale or
+    ratio to the largest whose step-th power is no normal float is a
+    ``ValueError``.
     """
     group = chart.group
     y0 = np.asarray(y0, dtype=float)
@@ -610,8 +613,10 @@ def blowup_rates(
         raise ValueError(f"ray must have a finite norm above 0, got {ray}")
     if len(scales) < 2 or not all(0.0 < s < np.inf for s in scales):
         raise ValueError(f"scales must be two or more distinct positive finite numbers, got {scales}")
+    relative = np.asarray(scales) / scales[0]
+    if not min(scales[-1], relative[-1]) ** group.step >= np.finfo(float).tiny:
+        raise ValueError(f"the smallest scale and smallest / largest must be normal at power {group.step}")
     ray = ray / norm
-    scales = np.asarray(scales)
     analysis = classify_point(chart, y0, policy)
     case = blowup_case(group, analysis)
     advisory = case == "not_covered"
@@ -629,11 +634,12 @@ def blowup_rates(
     tangent_rows = tuple(sorted(ech.pivots))
     axis_of_row = {row: j for j, row in enumerate(ech.pivots)}
 
-    # shrink the leading scale so the whole warped ray fits in the chart domain
+    # shrink the leading scale until the warped ray (inf or nan past a float) fits the domain
     t0 = scales[0]
     for _ in range(60):
-        ts = t0 * scales / scales[0]
-        u = ech.column_transform @ _eta(ts, ray, exponents)
+        ts = t0 * relative
+        with np.errstate(over="ignore", invalid="ignore"):
+            u = ech.column_transform @ _eta(ts, ray, exponents)
         ys = y0[None, :] + u.T
         if chart.contains(ys):
             break
@@ -649,7 +655,8 @@ def blowup_rates(
     scale_ref = float(np.max(np.abs(gamma), initial=0.0)) or 1.0
     for s in range(group.q):
         vals = np.abs(gamma[:, s])
-        zero = bool(np.all(vals <= 1e-13 * scale_ref))
+        resolved = vals > 1e-13 * scale_ref
+        zero = not resolved.any()
         in_set = s in tangent_rows
         ratios = vals / ts ** float(deg[s])
         if in_set:
@@ -657,11 +664,10 @@ def blowup_rates(
                 # this tangent direction is not excited by the chosen ray
                 rates.append(CoordinateRate(s, int(deg[s]), True, zero, None, tuple(ratios), True))
                 continue
-            if zero:
+            if np.count_nonzero(resolved) < 2:
                 slope, ok = None, False
             else:
-                good = vals > 0
-                slope = float(np.polyfit(log_t[good], np.log(vals[good]), 1)[0])
+                slope = float(np.polyfit(log_t[resolved], np.log(vals[resolved]), 1)[0])
                 ok = abs(slope - float(deg[s])) <= 0.1
             rates.append(CoordinateRate(s, int(deg[s]), True, zero, slope, tuple(ratios), ok))
         else:

@@ -172,10 +172,11 @@ def spherical_factor(
     The search draws its ``FACTOR_SEARCH_SAMPLES`` points once ("beta-search",
     common random numbers) in the section of B(0, 2), which holds every
     section with ||u|| <= 1, so its objective, the hit count of B(u, 1), is
-    deterministic.  A winner other than the origin meets u = 0 on one shared
-    draw ("beta-select"); the larger count is picked, a tie going to the
-    origin, and reported on its own stream ("beta-final", or the shortcut's
-    "beta0"), never as the larger of two noisy estimates.
+    deterministic; each count takes the distance only in the coordinate box
+    of B(u, 1) (``_within``).  A winner other than the origin meets u = 0 on
+    one shared draw ("beta-select"); the larger count is picked, a tie going
+    to the origin, and reported on its own stream ("beta-final", or the
+    shortcut's "beta0"), never as the larger of two noisy estimates.
     """
     require_counts(samples=samples)
     reason = None if force_search else _factor_shortcut(dist, space, policy)
@@ -196,13 +197,18 @@ def spherical_factor(
     def project(u: np.ndarray) -> np.ndarray:
         return dist.unit_normalize(u) if dist.norm(u) > 1.0 else u
 
-    search_points = list(_section_points(basis, search_radius, FACTOR_SEARCH_SAMPLES, seed, "beta-search"))
+    draw = _section_points(basis, search_radius, FACTOR_SEARCH_SAMPLES, seed, "beta-search")
+    columns = np.ascontiguousarray(np.vstack(list(draw)).T)
+    # a projected centre has ||u|| <= 1 up to rounding, so |u_j| <= rho_j
+    # (layer_radii); the 1.01 covers the rounding of ||u|| and of rho
+    centre_bound = 1.01 * float(np.sqrt(np.sum(dist.layer_radii**2)))
+    reach = _coordinate_reach(dist, max(float(np.max(np.linalg.norm(columns, axis=0))), centre_bound))
     evaluations = 0
 
     def objective(u: np.ndarray) -> float:
         nonlocal evaluations
         evaluations += 1
-        return -float(count_hits(search_points, partial(dist.ball_contains, project(u)))[0])
+        return -float(len(_within(dist, reach, columns, project(u), 1.0 + 1e-14)))
 
     candidates = [origin]
     for _ in range(FACTOR_STARTS - 1):
@@ -359,10 +365,10 @@ def federer_density(
     A window sample within r of a centre z lies in the coordinate box
     ``_coordinate_reach(dist, scale)(r, z)`` (``scale`` bounds the norm of
     every sample and every centre), so each centre evaluates the distance
-    only on the samples of its box, and the intrinsic density is evaluated
-    only on the samples some ball holds; it is zero in every other sample's
-    weight.  The weights, their means and so every ratio, stderr and hit
-    count are bit for bit those of the full window
+    only on the samples of its box (``_within``), and the intrinsic density
+    is evaluated only on the samples some ball holds; it is zero in every
+    other sample's weight.  The weights, their means and so every ratio,
+    stderr and hit count are bit for bit those of the full window
     (``tests/oracles/measure.py::federer_full_window``).  The chart's
     values and Jacobians are evaluated, and checked finite, on every
     sample, once; the density takes those of the held samples.
@@ -414,18 +420,11 @@ def federer_density(
 
         scale = max(np.max(np.linalg.norm(columns, axis=0)), np.max(np.linalg.norm(centers, axis=1)))
         reach = _coordinate_reach(dist, float(scale))
-        held = np.zeros(samples, dtype=bool)
         balls = []
         for z in centers:
-            half = reach(r, z)
-            box = np.abs(columns[0] - z[0]) <= half[0]
-            for c in range(1, group.q):
-                box &= np.abs(columns[c] - z[c]) <= half[c]
-            rows = np.flatnonzero(box)
-            inside = np.zeros(samples, dtype=bool)
-            inside[rows[np.asarray(dist.distance(z, columns[:, rows].T)) <= r]] = True
-            held |= inside
-            balls.append(inside)
+            balls.append(np.zeros(samples, dtype=bool))
+            balls[-1][_within(dist, reach, columns, z, r)] = True
+        held = np.any(balls, axis=0)
         # values and Jacobians are checked finite on the whole window, and
         # the density takes those of the held samples; a block at a time,
         # so that the whole window's Jacobians are never held at once
@@ -687,8 +686,8 @@ def _coordinate_reach(dist: HomogeneousDistance, scale: float):
     ``|x_k - c_k| <= reach[k]`` in floating point, for every coordinate k.
     ``scale`` bounds the Euclidean norm of every cloud point and of every
     centre: the rounding bound below holds x and c to it, and a centre need
-    not be a cloud point (``federer_density``'s are not).  A D whose powers
-    overflow a float gives infinite half-widths.
+    not be a cloud point (``federer_density``'s and the factor search's are
+    not).  A D whose powers overflow a float gives infinite half-widths.
 
     With ``z = c^-1 . x`` and ``||z|| < D``, layer i of z has magnitude at
     most ``rho_i D^i`` (``dist.layer_radii``).  ``x = c . z``, so layer j of
@@ -757,6 +756,16 @@ def _coordinate_reach(dist: HomogeneousDistance, scale: float):
         return (np.array(z) * (1.0 + _REACH_SLACK) + err)[coordinate_layer]
 
     return reach
+
+
+def _within(dist: HomogeneousDistance, reach, columns: np.ndarray, center: np.ndarray, radius: float):
+    """Positions of the points ``columns`` ``(q, m)`` at computed distance at
+    most ``radius`` from ``center``, the distance taken only in the box
+    ``reach(radius, center)`` (``_coordinate_reach``): bit for bit a full
+    scan's (``tests/oracles/measure.py::within_full_scan``)."""
+    half = reach(radius, center)
+    rows = np.flatnonzero(_every_column(columns.T, lambda x, k: np.abs(x - center[k]) <= half[k]))
+    return rows[np.asarray(dist.distance(center, columns[:, rows].T)) <= radius]
 
 
 class _CoverIndex:

@@ -59,8 +59,9 @@ class HomogeneousDistance:
         under the dilations (box, Cygan-Koranyi and euclidean-ball by
         construction, multiradial by its monotone-safe grammar and the
         homogeneity check), so ``||z|| >= phi(|z_j| e_j) = |z_j|^(1/j)
-        phi(e_j)``.  ``covering_estimate`` bounds its candidate points with
-        these radii.
+        phi(e_j)``.  ``measure._coordinate_reach`` builds on them the boxes of
+        the cover, the Federer density and the factor search, which also
+        bounds its centres with them.
         """
         iota = self.group.step
         return np.asarray(self.phi(np.eye(iota)), dtype=float) ** -np.arange(1.0, iota + 1)

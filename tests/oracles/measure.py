@@ -10,7 +10,11 @@ same estimate or the same error, and ``measure._farthest_point_net`` the
 same centres and distances.  The full-window Federer density takes the
 intrinsic density and every centre's distances on every window sample;
 ``federer_density`` takes them only where a ball can reach, and must give
-the same estimate and trace or the same error.  The draw-per-call section
+the same estimate and trace or the same error.  The full-scan ball query
+(``within_full_scan``) takes the distance on every point; ``measure._within``
+takes it only on the points of the centre's coordinate box, and must return
+the same positions, so that a spherical-factor search patched onto the full
+scan makes the same steps.  The draw-per-call section
 area and concavity loops redraw every block for every volume and take the
 group product at every centre; the production estimators share each block
 and skip the identity product, and must agree with them bit for bit.  The
@@ -317,6 +321,13 @@ def _window_per_face(chart, y0, p, dist, radius, exponents):
             return rho
         rho = rho * 1.5
     raise BoundaryTooClose("parameter window would not close around the metric ball")
+
+
+def within_full_scan(dist, reach, columns, center, radius) -> np.ndarray:
+    """``measure._within`` with the distance taken on every column: the
+    positions of the coordinate-first ``columns`` at most ``radius`` from
+    ``center``; ``reach`` is not read."""
+    return np.flatnonzero(np.asarray(dist.distance(center, columns.T)) <= radius)
 
 
 def federer_full_window(chart, dist, y0, radii=None, centers_per_radius=8, samples=40_000, seed=0,

@@ -182,6 +182,8 @@ def test_unexpected_task_error_is_recorded(tmp_path, bad_task):
         {"task": "blowup-check", "opts": {"y0": [0.3, -0.2], "ray": [0, 0]}},
         {"task": "blowup-check", "opts": {"y0": [0.3, -0.2], "scales": [0.5]}},
         {"task": "blowup-check", "opts": {"y0": [0.3, -0.2], "scales": [0.5, 0.5]}},
+        {"task": "blowup-check", "opts": {"y0": [0.3, -0.2], "scales": [1e300, 1e-300]}},
+        {"task": "blowup-check", "opts": {"y0": [0.3, -0.2], "scales": [1e-160, 1e-170]}},
     ],
     ids=[
         "coarea-no-domain", "covering-no-exponent", "covering-no-delta", "covering-delta-zero",
@@ -194,7 +196,7 @@ def test_unexpected_task_error_is_recorded(tmp_path, bad_task):
         "verify-samples-zero", "calibrate-samples-zero", "factor-samples-typo", "federer-centers-zero",
         "area-no-probes", "analyze-y-numeric-text", "measure-region-reversed", "area-region-zero-width",
         "covering-region-reversed", "coarea-domain-reversed", "blowup-ray-zero", "blowup-scales-one",
-        "blowup-scales-repeated",
+        "blowup-scales-repeated", "blowup-scales-ratio-underflows", "blowup-scales-square-underflows",
     ],
 )
 def test_bad_opts_are_config_errors_before_any_work(tmp_path, capsys, monkeypatch, bad_task):
@@ -211,6 +213,18 @@ def test_bad_opts_are_config_errors_before_any_work(tmp_path, capsys, monkeypatc
     assert bad["result"]["error"] == "ConfigError"
     assert first["status"] == last["status"] == "pass"
     assert called == [] and status == 1
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("scales", [[1e10, 0.5], [1.0, 1e-12]])
+def test_blowup_scales_below_the_rounding_floor_fail_quietly(tmp_path, capsys, scales):
+    # the vertical rate has one value above the rounding floor: no slope is
+    # fitted (a fit through one point once warned on stderr) and it fails
+    task = {"task": "blowup-check", "opts": {"y0": [0.3, -0.2], "scales": scales}}
+    status = run(write_config(tmp_path, {**BASE, "tasks": [task]}), out_dir=tmp_path / "out", quiet=True)
+    (record,) = json.loads((tmp_path / "out" / "report.json").read_text())["tasks"]
+    assert record["status"] == "fail" and status == 1
+    assert [rate["fitted_slope"] for rate in record["result"]["rates"]][2] is None
     assert capsys.readouterr().err == ""
 
 

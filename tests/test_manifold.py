@@ -304,13 +304,29 @@ def test_blowup_engel_curve():
     assert top.expected_exponent == 3
 
 
-@pytest.mark.parametrize("ray,scales", [([0.0, 0.0], None), (None, [0.5]), (None, [0.5, 0.5]), (None, [0.5, -0.25])])
+@pytest.mark.parametrize("ray,scales", [
+    ([0.0, 0.0], None), (None, [0.5]), (None, [0.5, 0.5]), (None, [0.5, -0.25]),
+    (None, [1e300, 1e-300]), (None, [1.0, 1e-300]), (None, [1e-160, 1e-170]),
+])
 def test_blowup_refuses_a_zero_ray_and_one_scale_before_any_work(plane, monkeypatch, ray, scales):
-    # a zero ray once ended in a domain error after a division warning, and
-    # one scale in a slope fitted through one point
+    # a zero ray once ended in a domain error after a division warning, one
+    # scale in a slope fitted through one point, and scales whose t^2 falls
+    # below a normal float in overflow and division warnings
     monkeypatch.setattr(manifold, "classify_point", None)
     with pytest.raises(ValueError):
         blowup_rates(plane, [0.3, -0.2], ray, scales)
+
+
+@pytest.mark.parametrize("scales", [[1e10, 0.5], [1.0, 1e-12]])
+def test_blowup_fits_no_slope_below_the_rounding_floor(plane, scales):
+    # at the smallest scale the vertical coordinate, t^2, falls below 1e-13
+    # of the largest value: one value is left, so no slope and a fail, where
+    # a fit through it once warned (RankWarning) and judged
+    report = blowup_rates(plane, [0.3, -0.2], None, scales)
+    first, _, vertical = report.rates
+    assert first.fitted_slope == pytest.approx(1.0, abs=1e-5) and first.passed
+    assert vertical.in_tangent_set and not vertical.identically_zero
+    assert vertical.fitted_slope is None and not report.passed
 
 
 # ---------------------------------------------------------------------------

@@ -60,6 +60,7 @@ from oracles.measure import (
     shift_rows,
     translation_jacobian_per_call,
     translation_per_call,
+    within_full_scan,
 )
 
 H1 = heisenberg(1)
@@ -192,6 +193,52 @@ def test_forced_search_agrees_with_the_shortcut(data):
     searched = spherical_factor(d, VERTICAL, samples=20_000, seed=seed, force_search=True)
     assert short.method == "theorem-shortcut" and searched.method == "optimized"
     assert abs(searched.value - short.value) <= 3.0 * np.hypot(short.stderr, searched.stderr)
+
+
+def _h_type_tilt():
+    g = h_type()
+    basis = np.zeros((g.q, 2))
+    basis[[0, 4], 0] = 1.0
+    basis[1, 1] = 1.0
+    return box_distance(g, [1.0, 1.0]), Subspace(g, basis)
+
+
+def _engel_plane():
+    g = engel()
+    basis = np.zeros((g.q, 2))
+    basis[0, 0] = basis[2, 1] = 1.0
+    return box_distance(g, [1.0, 1.0, 1.0]), Subspace(g, basis)
+
+
+SEARCHES = [(d, VERTICAL, seed) for d in ROTATION_KINDS for seed in (1, 2, 5)] + [
+    (*_h_type_tilt(), 0), (*_engel_plane(), 0),
+]
+
+
+@pytest.mark.parametrize("dist,space,seed", SEARCHES)
+def test_factor_search_is_bitwise_the_full_scan(monkeypatch, dist, space, seed):
+    # every objective count evaluates the distance inside the box of B(u, 1)
+    # only; patched onto the full scan, the search makes the same steps
+    got = spherical_factor(dist, space, samples=5_000, seed=seed, force_search=True)
+    monkeypatch.setattr(measure, "_within", within_full_scan)
+    want = spherical_factor(dist, space, samples=5_000, seed=seed, force_search=True)
+    assert got == want and got.meta == want.meta
+
+
+def test_factor_search_measures_distances_inside_the_box_only(monkeypatch):
+    # the full scan took 572,000 rows off the identity here, the boxed
+    # search takes under 45,000
+    rows = []
+    distance = metrics.HomogeneousDistance.distance
+
+    def counting(self, x, y):
+        if np.any(x):
+            rows.append(np.asarray(y).size // self.group.q)
+        return distance(self, x, y)
+
+    monkeypatch.setattr(metrics.HomogeneousDistance, "distance", counting)
+    spherical_factor(BOX, VERTICAL, samples=20_000, seed=1, force_search=True)
+    assert 0 < sum(rows) <= 100_000
 
 
 # ---------------------------------------------------------------------------
@@ -688,6 +735,31 @@ def test_federer_density_is_bitwise_the_full_window(data):
     }
     want = _outcome(federer_full_window, chart, d, y0, **kwargs)
     assert _outcome(federer_density, chart, d, y0, **kwargs) == want
+
+
+WITHIN_DISTANCES = _distances([heisenberg(1), h_type(), engel(), load_group(FILIFORM6)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_within_is_the_full_scan(data):
+    # points on the sphere of the radius about the centre, and the same
+    # points one ulp out and one ulp in, are the first that a box too tight
+    # would lose; uniform points about the centre fill the rest
+    d = data.draw(st.sampled_from(WITHIN_DISTANCES), label="distance")
+    g = d.group
+    rng = stream(data.draw(st.integers(0, 2**16), label="seed"), "within")
+    size = data.draw(st.sampled_from([0.0, 0.3, 1.0, 3.0]), label="centre norm")
+    center = g.dilate(size, d.unit_normalize(rng.standard_normal(g.q))) if size else np.zeros(g.q)
+    radius = data.draw(st.floats(1e-3, 2.0) | st.just(1.0 + 1e-14), label="radius")
+    sphere = g.product(center, g.dilate(radius, d.unit_normalize(rng.standard_normal((200, g.q)))))
+    around = center + rng.uniform(-2.0, 2.0, (300, g.q)) * radius ** g.degrees
+    points = np.vstack([sphere, np.nextafter(sphere, np.inf), np.nextafter(sphere, -np.inf), around])
+    scale = max(np.max(np.linalg.norm(points, axis=1)), np.linalg.norm(center))
+    reach = measure._coordinate_reach(d, float(scale))
+    columns = np.ascontiguousarray(points.T)
+    want = within_full_scan(d, reach, columns, center, radius)
+    assert np.array_equal(measure._within(d, reach, columns, center, radius), want)
 
 
 @pytest.mark.parametrize("samples", [4000, 20000])

@@ -597,10 +597,9 @@ def blowup_rates(
     the tangent index set must show log-log slope within 0.1 of their degree
     (fitted on the values above the rounding floor; with fewer than two, no
     slope and a fail); the others must have |coord| / t^degree decreasing to
-    zero.  A ray of None is the diagonal, all ones.  A ray whose norm rounds
-    to 0, fewer than two distinct positive scales, or a smallest scale or
-    ratio to the largest whose step-th power is no normal float is a
-    ``ValueError``.
+    zero.  A ray of None is the diagonal, all ones.  A ``ValueError`` is a
+    ray whose norm rounds to 0, fewer than two distinct positive scales, or
+    a smallest scale or ratio to the largest not normal at the step's power.
     """
     group = chart.group
     y0 = np.asarray(y0, dtype=float)

@@ -257,10 +257,6 @@ class GradedGroup:
         """Homogeneous (Hausdorff) dimension Q = sum of coordinate degrees."""
         return int(self.degrees.sum())
 
-    def layer_slice(self, j: int) -> slice:
-        """Coordinate slice of layer j (1-based)."""
-        return self.layer_slices[j - 1]
-
     @cached_property
     def layer_slices(self) -> tuple[slice, ...]:
         """Coordinate slices of the layers, in order."""
@@ -419,10 +415,6 @@ class GradedGroup:
             c[..., l, :] -= np.einsum("...i,...in->...n", a[..., l, :l], c[..., :l, :])
         return c[..., 0] if vector else c
 
-    def commutator(self, x, y) -> np.ndarray:
-        """Group commutator x y x^-1 y^-1."""
-        return self.product(self.product(x, y), self.product(-np.asarray(x, float), -np.asarray(y, float)))
-
     # -- helpers ----------------------------------------------------------------
 
     def _check_dim(self, x: np.ndarray) -> None:
@@ -579,17 +571,6 @@ class Subspace:
 
     def orthonormal_basis(self) -> np.ndarray:
         return _orthonormal(self.basis)
-
-    def project(self, v) -> np.ndarray:
-        u = self.orthonormal_basis()
-        return (np.asarray(v, float) @ u) @ u.T
-
-    def contains(self, v, rtol: float = DEFAULT_POLICY.rtol) -> bool:
-        v = np.asarray(v, dtype=float)
-        scale = float(np.max(np.abs(v), initial=0.0))
-        if scale == 0.0:
-            return True
-        return bool(np.max(np.abs(v - self.project(v))) <= rtol * scale)
 
 
 @dataclass(frozen=True)

@@ -50,7 +50,7 @@ from .measure import (
     vertical_translation_check,
 )
 from .metrics import calibrate_box, distance_from_spec, verify_distance_axioms
-from .policy import NumericPolicy
+from .policy import DEFAULT_RTOL, NumericPolicy
 
 SCHEMA_VERSION = 1
 
@@ -71,7 +71,7 @@ class RunContext:
         self.seed = seed
         self.samples = samples
         self.quiet = quiet
-        self.policy = NumericPolicy(rtol=float(config.get("numeric_rtol", 1e-9)))
+        self.policy = NumericPolicy(rtol=float(config.get("numeric_rtol", DEFAULT_RTOL)))
         self._group = None
         self._distance = None
         self._chart = None

@@ -287,7 +287,7 @@ def homogeneous_tangent(
     """Lie h-tangent space A = {X : X ^ pi_N(xi) = 0} and its regularity flag."""
     t = _tangent_at(chart, y, policy)
     space = _htangent_from_top(chart.group, t.top[0], chart.n, policy)
-    return space, classify_subspace(chart.group, space, max(policy.rtol, 1e-8)).subalgebra
+    return space, classify_subspace(chart.group, space, policy.rtol).subalgebra
 
 
 def _htangent_from_top(group: GradedGroup, top, n: int, policy: NumericPolicy) -> Subspace:
@@ -419,15 +419,11 @@ def alpha_profile(chart, y, policy: NumericPolicy = DEFAULT_POLICY) -> tuple[int
 # ---------------------------------------------------------------------------
 
 def sampled_max_degree(
-    chart,
-    region=None,
-    per_axis: int | None = None,
-    policy: NumericPolicy = DEFAULT_POLICY,
-    strict: bool = False,
+    chart, region=None, policy: NumericPolicy = DEFAULT_POLICY, strict: bool = False
 ) -> int:
     """Largest pointwise degree over the cell centers of a grid on ``region``
-    (the chart domain by default) with ``per_axis`` cells per axis (default 7
-    up to n = 3, else 5).  Cached on the chart.
+    (the chart domain by default) with 7 cells per axis up to n = 3, else 5.
+    Cached on the chart.
 
     Cells with a degenerate tangent are skipped.  A lenient sample also skips
     cells outside the chart domain or with non-finite values and returns 0
@@ -435,11 +431,10 @@ def sampled_max_degree(
     raises ``DegenerateTangent`` instead of returning 0.
     """
     region = np.asarray(chart.domain if region is None else region, dtype=float)
-    counts = per_axis or (7 if chart.n <= 3 else 5)
-    key = ("max_degree", region.tobytes(), counts, policy.rtol, strict)
+    key = ("max_degree", region.tobytes(), policy.rtol, strict)
     if key in chart._cache:
         return chart._cache[key]
-    ys = cell_centers(region, [counts] * chart.n)
+    ys = cell_centers(region, [7 if chart.n <= 3 else 5] * chart.n)
     degrees = None
     if chart.contains(ys):
         try:
@@ -483,7 +478,7 @@ def _htangents(chart, t: _Tangents, policy: NumericPolicy) -> list:
             out[b] = (None, None, [f"non_simple_projection: {err}"])
     if spaces:
         bases = np.stack([space.basis for space in spaces.values()])
-        for (b, space), kinds in zip(spaces.items(), classify_subspaces(chart.group, bases, max(policy.rtol, 1e-8))):
+        for (b, space), kinds in zip(spaces.items(), classify_subspaces(chart.group, bases, policy.rtol)):
             out[b] = (space, kinds, [])
     return out
 
@@ -599,7 +594,9 @@ def blowup_rates(
     slope and a fail); the others must have |coord| / t^degree decreasing to
     zero.  A ray of None is the diagonal, all ones.  A ``ValueError`` is a
     ray whose norm rounds to 0, fewer than two distinct positive scales, or
-    a smallest scale or ratio to the largest not normal at the step's power.
+    a smallest scale or ratio to the largest not normal at the step's power;
+    a ``DomainViolation`` is a warped ray that fits the domain at no leading
+    scale that keeps the smallest one normal.
     """
     group = chart.group
     y0 = np.asarray(y0, dtype=float)
@@ -633,9 +630,10 @@ def blowup_rates(
     tangent_rows = tuple(sorted(ech.pivots))
     axis_of_row = {row: j for j, row in enumerate(ech.pivots)}
 
-    # shrink the leading scale until the warped ray (inf or nan past a float) fits the domain
-    t0 = scales[0]
-    for _ in range(60):
+    # halve the leading scale until the warped ray (inf or nan past a float) fits the
+    # domain, for as long as the smallest scale stays normal at the step's power
+    t0, floor = scales[0], np.finfo(float).tiny ** (1.0 / group.step)
+    while True:
         ts = t0 * relative
         with np.errstate(over="ignore", invalid="ignore"):
             u = ech.column_transform @ _eta(ts, ray, exponents)
@@ -643,8 +641,8 @@ def blowup_rates(
         if chart.contains(ys):
             break
         t0 *= 0.5
-    else:
-        raise DomainViolation("could not fit blow-up scales inside the chart domain")
+        if not t0 * relative[-1] >= floor:
+            raise DomainViolation("could not fit blow-up scales inside the chart domain")
 
     gamma = group.product(-analysis.p, chart.value(ys)) @ rot  # components in the adapted basis
 

@@ -51,7 +51,7 @@ from .mc import (
     uniform_ball,
     uniform_box,
 )
-from .metrics import HomogeneousDistance, ball_bounding_radius
+from .metrics import BALL_SLACK, HomogeneousDistance, ball_bounding_radius
 from .optimize import nelder_mead
 from .policy import DEFAULT_POLICY, NumericPolicy
 
@@ -208,7 +208,7 @@ def spherical_factor(
     def objective(u: np.ndarray) -> float:
         nonlocal evaluations
         evaluations += 1
-        return -float(len(_within(dist, reach, columns, project(u), 1.0 + 1e-14)))
+        return -float(len(_within(dist, reach, columns, project(u), 1.0 + BALL_SLACK)))
 
     candidates = [origin]
     for _ in range(FACTOR_STARTS - 1):
@@ -266,7 +266,7 @@ def intrinsic_measure(
         raise ValueError(f"unknown quadrature kind {quadrature!r}")
     region = _box(chart.domain if region is None else region, chart.n, "region")
     n = chart.n
-    target = sampled_max_degree(chart, region, 5, policy, strict=True)
+    target = sampled_max_degree(chart, region, policy, strict=True)
     widths = region[:, 1] - region[:, 0]
     volume = float(np.prod(widths))
     density = partial(intrinsic_density, chart, target_degree=target)
@@ -910,7 +910,7 @@ def area_check(
     if covering_delta is not None and any(covered):
         # the covering exponent is known before any work, so covers at delta
         # and delta/2 that cannot be measured in floats are refused now
-        n_sigma = float(sampled_max_degree(chart, region, 5, policy, strict=True))
+        n_sigma = float(sampled_max_degree(chart, region, policy, strict=True))
         for delta in (covering_delta, covering_delta / 2.0):
             _cover_unit(delta, n_sigma)
     mu = intrinsic_measure(chart, region, seed=seed, policy=policy)
@@ -975,21 +975,24 @@ def area_check(
     covering = None
     if n_sigma is not None:
 
-        def cover(delta: float, base_cloud: int) -> Estimate:
-            # the consistency band tolerates auto-growing the sample cloud;
-            # the standalone estimator stays strict about CloudTooSparse
-            for attempt in range(7):
+        def cover(delta: float, cloud: int, last: int) -> Estimate:
+            # the consistency band tolerates doubling the sample cloud up to
+            # ``last``; the standalone estimator stays strict about CloudTooSparse
+            while True:
                 try:
                     return covering_estimate(
-                        chart, dist, region, exponent=n_sigma, delta=delta,
-                        cloud_size=base_cloud << attempt, seed=seed,
+                        chart, dist, region, exponent=n_sigma, delta=delta, cloud_size=cloud, seed=seed,
                     )
                 except CloudTooSparse:
-                    if attempt == 6:
+                    if cloud >= last:
                         raise
+                    cloud *= 2
 
-        covering = cover(covering_delta, 4000)
-        half = cover(covering_delta / 2.0, 8000)
+        covering = cover(covering_delta, 4000, 4000 << 6)
+        # a cloud and its spacing depend on (seed, size) alone, so a size too
+        # sparse at delta is too sparse at delta/2: the delta/2 leg starts at
+        # the size the delta leg accepted
+        half = cover(covering_delta / 2.0, max(8000, covering.samples), 8000 << 6)
         beta_ref = next(iter(betas.values())).value
         stable = abs(covering.value - half.value) <= 0.15 * max(half.value, 1e-12)
         traces["covering"] = [(covering_delta, covering.value), (covering_delta / 2.0, half.value)]

@@ -31,6 +31,7 @@ from .mc import require_counts, stream, sum_of_squares
 from .optimize import bisect_largest_passing, nelder_mead
 
 TRIANGLE_SLACK = 1e-12
+BALL_SLACK = 1e-14  # the closed unit ball B(u, 1) holds distances up to 1 + BALL_SLACK
 BOX_WEIGHT_FLOOR = 1e-3  # the smallest box weight that calibrate_box tries
 
 
@@ -111,7 +112,7 @@ class HomogeneousDistance:
         return _blocked(kernel, (g.inverse(x), y), reduce=True)
 
     def ball_contains(self, center, x) -> np.ndarray:
-        return self.distance(center, x) <= 1.0 + 1e-14
+        return self.distance(center, x) <= 1.0 + BALL_SLACK
 
     def unit_normalize(self, x) -> np.ndarray:
         """Dilate x onto the unit sphere of the norm."""

@@ -39,7 +39,7 @@ def classify_one(
     eye = np.eye(group.q)
     inter_dims = []
     for j in range(1, group.step + 1):
-        hbasis = eye[:, group.layer_slice(j)]
+        hbasis = eye[:, group.layer_slices[j - 1]]
         inter = n + hbasis.shape[1] - policy.rank(np.hstack([b, hbasis]))
         inter_dims.append(int(inter))
     homogeneous = sum(inter_dims) == n
@@ -51,7 +51,7 @@ def classify_one(
     residual = np.abs(w - (w @ b) @ b.T).max(axis=-1, initial=0.0)
     subalgebra = bool((residual <= tol * np.abs(w).max(axis=-1, initial=0.0)).all())
 
-    horizontal = bool(np.max(np.abs(b[group.layer_slice(1).stop :, :]), initial=0.0) <= tol)
+    horizontal = bool(np.max(np.abs(b[group.layers[0] :, :]), initial=0.0) <= tol)
 
     vertical = False
     if homogeneous:
@@ -73,12 +73,14 @@ def classify_one(
 
 def subalgebra_pairwise(group: GradedGroup, space: Subspace, tol: float) -> bool:
     """Whether the bracket of every pair of orthonormal basis vectors lies in
-    ``space``, one public ``bracket`` call and one ``Subspace.contains`` per
-    pair, stopping at the first pair outside."""
+    ``space``, one public ``bracket`` call and one projection per pair: the
+    residual off the span is at most ``tol`` times the bracket's largest
+    entry.  Stops at the first pair outside."""
     b = space.orthonormal_basis()
     n = space.dim
     for i in range(n):
         for j in range(i + 1, n):
-            if not space.contains(group.bracket(b[:, i], b[:, j]), rtol=tol):
+            w = group.bracket(b[:, i], b[:, j])
+            if not np.max(np.abs(w - (w @ b) @ b.T)) <= tol * np.max(np.abs(w)):
                 return False
     return True

@@ -57,7 +57,7 @@ def htangent_per_cell(group: GradedGroup, top, n: int, policy: NumericPolicy) ->
             "top-degree projection is not simple"
         )
     space = Subspace(group, vt[q - kernel_dim :].T)
-    return space, classify_one(group, space, tol=max(policy.rtol, 1e-8)).subalgebra
+    return space, classify_one(group, space, tol=policy.rtol).subalgebra
 
 
 def analyse_per_cell(chart, y, t, b: int, policy: NumericPolicy) -> PointAnalysis:
@@ -89,7 +89,7 @@ def analyse_per_cell(chart, y, t, b: int, policy: NumericPolicy) -> PointAnalysi
     elif degree < sampled_max_degree(chart, policy=policy):
         cls = "low_degree"
     else:
-        kinds = classify_one(group, space, tol=max(policy.rtol, 1e-8))
+        kinds = classify_one(group, space, tol=policy.rtol)
         if kinds.horizontal:
             cls = "horizontal"
         elif degree == qn:

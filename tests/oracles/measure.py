@@ -48,6 +48,7 @@ from nilgeom.measure import (
     TranslationReport,
     box_body,
     concavity_reason,
+    covering_estimate,
     ellipsoid_body,
     intrinsic_density,
     projected_wedge_norms,
@@ -298,6 +299,19 @@ def covering_full_scan(chart, dist, region, exponent, delta, cloud_size=4000, se
         count * radius**exponent, 0.0, cloud_size, seed, "greedy-cover",
         {"delta": delta, "balls": count, "upper_proxy": True},
     )
+
+
+def cover_leg_from(chart, dist, region, exponent, delta, first, seed=0) -> tuple[Estimate, int]:
+    """A covering leg of ``area_check`` by plain doubling from ``first``:
+    ``covering_estimate`` at ``first``, twice that, ... up to ``first << 6``,
+    the first cloud dense enough; the estimate and the number of calls."""
+    for attempt in range(7):
+        size = first << attempt
+        try:
+            return covering_estimate(chart, dist, region, exponent, delta, size, seed), attempt + 1
+        except CloudTooSparse:
+            if attempt == 6:
+                raise
 
 
 def _window_per_face(chart, y0, p, dist, radius, exponents):

@@ -26,7 +26,7 @@ def layer_magnitudes(dist, x) -> np.ndarray:
     """Per-layer Euclidean magnitudes of points ``(..., q)``, as ``(..., iota)``."""
     g = dist.group
     return np.stack(
-        [np.linalg.norm(x[..., g.layer_slice(j)], axis=-1) for j in range(1, g.step + 1)], axis=-1
+        [np.linalg.norm(x[..., layer], axis=-1) for layer in g.layer_slices], axis=-1
     )
 
 

@@ -164,7 +164,9 @@ def test_step2_group_commutator_is_exponential_bracket():
         g = catalog_group(name)
         rng = stream(3, f"comm:{name}")
         x, y = rng.uniform(-1, 1, (2, g.q))
-        assert np.allclose(g.commutator(x, y), g.bracket(x, y), atol=1e-12)
+        # the group commutator x y x^-1 y^-1
+        commutator = g.product(g.product(x, y), g.product(-x, -y))
+        assert np.allclose(commutator, g.bracket(x, y), atol=1e-12)
 
 
 @pytest.mark.parametrize("step", [4, 5, 6])
@@ -343,7 +345,7 @@ def test_classify_subspace_batched_subalgebra_matches_pairwise_oracle():
 def _layer_columns(g, j: int, d: int, rng) -> np.ndarray:
     """d columns inside layer j: coordinate vectors half the time (zeroed
     coordinates), random ones otherwise."""
-    sl = g.layer_slice(j)
+    sl = g.layer_slices[j - 1]
     cols = np.zeros((g.q, d))
     if rng.random() < 0.5:
         cols[sl.start + rng.choice(sl.stop - sl.start, d, replace=False), range(d)] = 1.0

@@ -54,6 +54,20 @@ def test_config_rejects_bad_group(tmp_path):
     assert report["tasks"][0]["result"]["error"] == "GradingViolation"
 
 
+def test_calibration_failure_is_a_typed_record(tmp_path, capsys):
+    cfg = {
+        **BASE,
+        "group": {"layers": [2, 1], "brackets": [[1, 2, 3, 1e8]]},
+        "tasks": [{"task": "calibrate-box", "opts": {"samples": 2000}}],
+    }
+    path = write_config(tmp_path, cfg)
+    assert run(path, out_dir=tmp_path / "out", quiet=True) == 1
+    assert capsys.readouterr().err == ""
+    record = json.loads((tmp_path / "out" / "report.json").read_text())["tasks"][0]
+    assert record["status"] == "error"
+    assert record["result"]["error"] == "CalibrationFailed"
+
+
 def test_validate_group_task(tmp_path):
     cfg = {**BASE, "tasks": [{"task": "validate-group"}]}
     path = write_config(tmp_path, cfg)

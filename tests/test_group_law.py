@@ -154,7 +154,7 @@ def graded_groups(draw):
     q = base.q
     p = np.eye(q)
     for j in range(1, base.step + 1):
-        sl = base.layer_slice(j)
+        sl = base.layer_slices[j - 1]
         for a in range(sl.start, sl.stop):
             for b in range(sl.start, a):
                 p[a, b] = draw(st.integers(-2, 2))

@@ -120,7 +120,9 @@ def test_homogeneous_tangent_paraboloid_origin(paraboloid):
 def test_homogeneous_tangent_plane(plane):
     space, regular = homogeneous_tangent(plane, [0.2, 0.4])
     assert regular
-    assert space.contains([1.0, 0.0, 0.0]) and space.contains([0.0, 0.0, 1.0])
+    # the span of {e1, e3}: adding either leaves the rank at 2
+    expect = np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]])
+    assert np.linalg.matrix_rank(np.hstack([space.orthonormal_basis(), expect]), tol=1e-9) == 2
 
 
 def test_non_simple_projection_reported():
@@ -193,6 +195,27 @@ def test_classify_rank_check_follows_policy():
     assert a.classification == "transversal"
     with pytest.raises(DegenerateTangent):
         classify_point(chart, [0.1, 0.2])
+
+
+@pytest.mark.parametrize("rtol", [1e-12, 1e-3])
+def test_htangent_class_reads_the_policy_tolerance(paraboloid, plane, monkeypatch, rtol):
+    # the h-tangent was once classified at max(rtol, 1e-8), so a policy
+    # below 1e-8 did not reach it
+    tols = []
+
+    def recorded(real):
+        def call(group, spaces, tol):
+            tols.append(tol)
+            return real(group, spaces, tol)
+        return call
+
+    for name in ("classify_subspace", "classify_subspaces"):
+        monkeypatch.setattr(manifold, name, recorded(getattr(manifold, name)))
+    policy = NumericPolicy(rtol)
+    classify_point(plane, [0.3, -0.2], policy)
+    degree_map(paraboloid, [3, 3], policy)
+    homogeneous_tangent(plane, [0.3, -0.2], policy)
+    assert tols == [rtol] * 3
 
 
 def test_alpha_profile_examples(paraboloid, plane, helix):
@@ -327,6 +350,26 @@ def test_blowup_fits_no_slope_below_the_rounding_floor(plane, scales):
     assert first.fitted_slope == pytest.approx(1.0, abs=1e-5) and first.passed
     assert vertical.in_tangent_set and not vertical.identically_zero
     assert vertical.fitted_slope is None and not report.passed
+
+
+@pytest.mark.parametrize("scales", [[1e18, 1e17], [1e20, 1e19]])
+def test_blowup_fits_a_leading_scale_far_outside_the_chart(plane, scales):
+    # the leading scale is halved until the warped ray fits, as often as
+    # that takes; a cap of 60 halvings once ended these in DomainViolation
+    want = blowup_rates(plane, [0.3, -0.2], None, [1.0, 0.1])
+    report = blowup_rates(plane, [0.3, -0.2], None, scales)
+    assert (report.case, report.tangent_rows, report.passed) == ("step2", want.tangent_rows, True)
+    for got, ref in zip(report.rates, want.rates):
+        assert (got.in_tangent_set, got.identically_zero, got.passed) == (ref.in_tangent_set, ref.identically_zero, True)
+        assert got.fitted_slope == pytest.approx(ref.fitted_slope, abs=1e-9)
+        assert got.ratios == pytest.approx(ref.ratios, rel=1e-9)
+
+
+def test_blowup_ray_that_fits_at_no_normal_scale_is_a_domain_violation(plane):
+    chart = TransformedChart(plane)
+    chart.contains = lambda u: False  # no warped ray lies in the domain
+    with pytest.raises(DomainViolation, match="could not fit"):
+        blowup_rates(chart, [0.3, -0.2], None, [1e300, 1e299])
 
 
 # ---------------------------------------------------------------------------

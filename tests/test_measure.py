@@ -49,6 +49,7 @@ from oracles.measure import (
     box_body_rows,
     box_midpoint_chunked,
     concavity_per_call,
+    cover_leg_from,
     covering_full_scan,
     ellipsoid_body_rows,
     farthest_point_loop,
@@ -486,6 +487,33 @@ def test_covering_plane_patch_stability_band():
     verdict = [v for v in report.verdicts if v.name == "covering-stability"][0]
     assert verdict.passed
     assert 1.0 <= verdict.detail["ratio_to_mu_over_beta"] <= 4.0
+
+
+def test_area_check_starts_the_half_cover_at_the_accepted_cloud(monkeypatch):
+    # a cloud depends on (seed, size) alone, so the delta/2 leg skips the
+    # sizes too sparse at delta and lands where doubling from 8,000 did
+    plane = parse_parametrization("y1; 0; y2", 2, [[-0.15, 0.15], [-0.15, 0.15]], H1)
+    calls = []
+    real = measure.covering_estimate
+
+    def counted(*args, **kwargs):
+        calls.append((kwargs["delta"], kwargs["cloud_size"]))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(measure, "covering_estimate", counted)
+    report = area_check(plane, BOX, probes=[[0.0, 0.0]], samples=10_000, seed=7, covering_delta=0.1)
+    monkeypatch.undo()
+    full, full_calls = cover_leg_from(plane, BOX, plane.domain, 3.0, 0.1, 4000, seed=7)
+    half, half_calls = cover_leg_from(plane, BOX, plane.domain, 3.0, 0.05, 8000, seed=7)
+    assert full.samples == 16_000  # the delta leg doubles twice
+    assert report.covering.as_dict() == full.as_dict()
+    assert report.traces["covering"] == [(0.1, full.value), (0.05, half.value)]
+    verdict = report.verdicts[-1]
+    assert (verdict.name, verdict.lhs, verdict.rhs) == ("covering-stability", full.value, half.value)
+    assert [size for delta, size in calls if delta == 0.1] == [4000 << k for k in range(full_calls)]
+    halves = [size for delta, size in calls if delta == 0.05]
+    assert halves == [full.samples << k for k in range(len(halves))] and halves[-1] == half.samples
+    assert len(calls) < full_calls + half_calls
 
 
 @pytest.mark.parametrize(

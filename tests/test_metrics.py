@@ -6,7 +6,7 @@ from hypothesis.extra.numpy import arrays
 
 from nilgeom.algebra import BLOCK_ROWS, Subspace, abelian, catalog_group, engel, h_type, heisenberg, load_group
 from nilgeom import metrics
-from nilgeom.errors import BadDimensions, EmptySection
+from nilgeom.errors import BadDimensions, CalibrationFailed, EmptySection
 from nilgeom.metrics import (
     ball_bounding_radius,
     box_distance,
@@ -179,6 +179,14 @@ def test_calibrate_box_returns_only_checked_weights(monkeypatch):
     assert 0.0 < cal.epsilons[1] < 1.0 and round(cal.epsilons[1], 6) == cal.epsilons[1]
     assert cal.epsilons in weights and cal.report.passed
     assert cal.report == verify_distance_axioms(box_distance(g, cal.epsilons), samples=5_000, seed=0)
+
+
+def test_calibrate_box_fails_where_no_weight_passes():
+    # the smallest weight tried, BOX_WEIGHT_FLOOR, still violates the
+    # triangle inequality under a bracket this steep
+    g = load_group({"layers": [2, 1], "brackets": [[1, 2, 3, 1e8]]})
+    with pytest.raises(CalibrationFailed, match="no box weight above 0.001 passes"):
+        calibrate_box(g, samples=2000)
 
 
 @pytest.mark.parametrize("seed", range(8))

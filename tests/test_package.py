@@ -1,4 +1,5 @@
 import ast
+import re
 import sys
 from pathlib import Path
 
@@ -63,5 +64,34 @@ def test_every_defaulted_parameter_is_read():
         f"{source.name}:{fn}({arg})"
         for source in sources
         for fn, arg in _unread_defaults(ast.parse(source.read_text(), filename=str(source)))
+    ]
+    assert unread == []
+
+
+def test_every_function_has_a_production_reader():
+    # a function or method that no library code reads, that the benchmark
+    # does not call and that the package does not export is dead code kept
+    # alive by its tests.  The check goes by name, so it cannot see a dead
+    # method that shares its name with a live one (any read of a
+    # ``contains`` counts for every method of that name); dunder methods
+    # are called by Python itself
+    package = Path(nilgeom.__file__).parent
+    defined, read = {}, set()
+    for source in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(source.read_text(), filename=str(source))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                defined.setdefault(node.name, source.name)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    bench = "\n".join(path.read_text() for path in sorted((Path(__file__).parents[1] / "perfbench").rglob("*.py")))
+    unread = [
+        f"{source}:{name}"
+        for name, source in sorted(defined.items())
+        if not (name.startswith("__") and name.endswith("__"))
+        and name not in read
+        and name not in nilgeom.__all__
+        and not re.search(rf"\b{name}\b", bench)
     ]
     assert unread == []

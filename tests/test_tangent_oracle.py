@@ -63,7 +63,7 @@ def oracle_htangent(group, top, n, rtol):
     if kernel_dim != n:
         raise NonSimpleProjection(f"wedge kernel has dimension {kernel_dim}")
     space = Subspace(group, vt[group.q - kernel_dim :].T)
-    return space, classify_subspace(group, space, tol=max(rtol, 1e-8)).subalgebra
+    return space, classify_subspace(group, space, tol=rtol).subalgebra
 
 
 def _htangent_or_none(compute):

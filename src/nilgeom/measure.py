@@ -380,6 +380,12 @@ def federer_density(
             raise ValueError(f"radii must be a non-empty list of positive finite numbers, got {radii}")
     y0 = np.asarray(y0, dtype=float)
     analysis = classify_point(chart, y0, policy)
+    return _federer_density(chart, dist, y0, analysis, radii, centers_per_radius, samples, seed)
+
+
+def _federer_density(chart, dist, y0, analysis, radii, centers_per_radius, samples, seed):
+    """``federer_density`` given checked ``radii`` and the analysis of ``y0``,
+    which ``area_check`` shares with its blow-up test."""
     n_deg = analysis.degree
     p = analysis.p
     group = chart.group
@@ -941,9 +947,7 @@ def area_check(
             continue
 
         beta = spherical_factor(dist, analysis.htangent, seed=seed, policy=policy)
-        theta, trace = federer_density(
-            chart, dist, y, samples=samples, seed=seed, policy=policy
-        )
+        theta, trace = _federer_density(chart, dist, y, analysis, None, 8, samples, seed)
         betas[key] = beta
         thetas[key] = theta
         traces[key] = trace
@@ -1031,9 +1035,11 @@ class ConvexBody:
     """Membership-testable convex body with a Euclidean bounding radius.
 
     ``member(pts)`` takes points ``(..., ambient_dim)`` and returns a boolean
-    array of their leading shape.  The bodies built here test their points
-    column by column (see ``mc``), with the results of the row-wise formulas
-    bit for bit.
+    array of their leading shape.  It gets one sample block at a time (at
+    most ``mc.BLOCK`` rows), possibly as a column-major view, and must be
+    row-independent: no answer may depend on the layout or on other rows.
+    The bodies built here test their points column by column (see ``mc``),
+    with the results of the row-wise formulas bit for bit.
     """
 
     def __init__(self, ambient_dim: int, radius: float, member, label: str):
@@ -1047,7 +1053,11 @@ def ball_body(dist: HomogeneousDistance) -> ConvexBody:
     group = dist.group
     full = Subspace(group, np.eye(group.q))
     radius = ball_bounding_radius(dist, full, np.zeros(group.q), safety=1.1)
-    return ConvexBody(group.q, radius, lambda pts: np.asarray(dist.norm(pts)) <= 1.0, f"ball[{dist.kind}]")
+
+    def member(pts):  # the norm kernel coordinate-first; a rows axis makes one point one row
+        return dist._norm_rows(np.moveaxis(np.asarray(pts, dtype=float), -1, 0)[:, None])[0] <= 1.0
+
+    return ConvexBody(group.q, radius, member, f"ball[{dist.kind}]")
 
 
 def _every_column(pts, test) -> np.ndarray:
@@ -1058,14 +1068,6 @@ def _every_column(pts, test) -> np.ndarray:
     for k in range(1, pts.shape[-1]):
         inside &= test(pts[..., k], k)
     return inside
-
-
-def _shifted(v: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """``v + pts`` for points ``(count, q)``, one column at a time."""
-    out = np.empty_like(pts)
-    for k in range(len(v)):
-        np.add(pts[:, k], v[k], out=out[:, k])
-    return out
 
 
 def box_body(halfwidths) -> ConvexBody:
@@ -1141,7 +1143,9 @@ def section_concavity_check(
     counts have the same joint distribution; the independent standard errors
     then overestimate the error of the concavity deficit.  What the shared
     set gives up is independence between segments, which no count of the
-    report relies on: each check is judged within its own segment."""
+    report relies on: each check is judged within its own segment.  The
+    blocks are made coordinate-first once, so a section v + S is one
+    broadcast add ``cols + v[:, None]``, handed to the member as ``.T``."""
     require_counts(segments=segments, samples=samples)
     basis = space.orthonormal_basis()
     n = space.dim
@@ -1160,14 +1164,15 @@ def section_concavity_check(
         return val, err
 
     def shifted(v: np.ndarray):
-        return lambda pts: body.member(_shifted(v, pts))
+        return lambda cols: body.member((cols + v[:, None]).T)
 
     rng = stream(seed, "concavity-segments")
     checks = violations = skipped = 0
     worst = 0.0
     done = 0
     attempts = 0
-    shared = list(_section_points(basis, body.radius, samples, seed, "concavity-points") if perp.shape[1] else ())
+    points = _section_points(basis, body.radius, samples, seed, "concavity-points") if perp.shape[1] else ()
+    shared = [np.ascontiguousarray(pts.T) for pts in points]
     while perp.shape[1] and done < segments and attempts < 20 * segments:
         attempts += 1
         v = (rng.standard_normal(perp.shape[1]) * body.radius * 0.5) @ perp.T

@@ -29,8 +29,9 @@ intrinsic Monte-Carlo loop and the chunked midpoint sums
 with them bit for bit.  Every oracle here draws with the row-wise samplers of
 ``oracles.mc``, shifts points by broadcasting (``shift_rows``), and is
 given bodies whose members are the row-wise box and ellipsoid formulas
-(``box_body_rows``, ``ellipsoid_body_rows``), so a bit that the library's
-column-wise kernels moved would show.
+and the blocked norm (``box_body_rows``, ``ellipsoid_body_rows``,
+``ball_body_rows``), so a bit that the library's column-wise kernels or
+coordinate-first sections moved would show.
 """
 from __future__ import annotations
 
@@ -46,6 +47,7 @@ from nilgeom.measure import (
     ConvexBody,
     RadiusTracePoint,
     TranslationReport,
+    ball_body,
     box_body,
     concavity_reason,
     covering_estimate,
@@ -70,6 +72,13 @@ def box_body_rows(halfwidths) -> ConvexBody:
     h = np.asarray(halfwidths, dtype=float)
     body = box_body(h)
     return ConvexBody(body.ambient_dim, body.radius, lambda pts: np.all(np.abs(pts) <= h, axis=-1), body.label)
+
+
+def ball_body_rows(dist) -> ConvexBody:
+    """``ball_body`` whose member takes ``dist.norm`` of the points, in the
+    norm's blocks of rows."""
+    body = ball_body(dist)
+    return ConvexBody(body.ambient_dim, body.radius, lambda pts: dist.norm(pts) <= 1.0, body.label)
 
 
 def ellipsoid_body_rows(matrix) -> ConvexBody:

@@ -501,7 +501,7 @@ def test_area_check_judges_exactly_the_probes_blowup_case_covers(monkeypatch):
     stub = Estimate(1.0, 0.0, 1, 0, "stub")
     monkeypatch.setattr(measure, "intrinsic_measure", lambda *args, **kwargs: stub)
     monkeypatch.setattr(measure, "spherical_factor", lambda *args, **kwargs: stub)
-    monkeypatch.setattr(measure, "federer_density", lambda *args, **kwargs: (stub, []))
+    monkeypatch.setattr(measure, "_federer_density", lambda *args, **kwargs: (stub, []))
     seen = set()
     for name, (group, exprs, n, domain) in IDENTITY_CHARTS.items():
         chart = parse_parametrization(exprs, n, domain, group)

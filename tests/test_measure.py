@@ -46,6 +46,7 @@ from nilgeom.mc import box_points, stream, sum_of_squares, uniform_ball
 from nilgeom.policy import NumericPolicy
 from oracles.mc import box_points_rows, uniform_ball_rows, uniform_box_rows
 from oracles.measure import (
+    ball_body_rows,
     box_body_rows,
     box_midpoint_chunked,
     concavity_per_call,
@@ -391,6 +392,26 @@ def test_federer_density_radius_too_small():
     plane = parse_parametrization("y1; 0; y2", 2, [[-1, 1], [-1, 1]], H1)
     with pytest.raises(RadiusTooSmall):
         federer_density(plane, BOX, [0.0, 0.0], samples=300, seed=6)
+
+
+def test_area_check_classifies_each_judged_probe_once(monkeypatch):
+    # the Federer density shares the probe's analysis, and gives the
+    # public federer_density's estimate and trace
+    calls = []
+    real = measure.classify_point
+
+    def counted(chart, y, policy):
+        calls.append(tuple(y))
+        return real(chart, y, policy)
+
+    monkeypatch.setattr(measure, "classify_point", counted)
+    probes = [[0.1, 0.3], [-0.2, 0.1]]
+    report = area_check(PLANE, BOX, probes=probes, samples=20_000, seed=8)
+    assert calls == [tuple(y) for y in probes]
+    monkeypatch.undo()
+    for key, y in zip(["probe0", "probe1"], probes):
+        theta, trace = federer_density(PLANE, BOX, y, samples=20_000, seed=8)
+        assert report.theta[key] == theta and report.traces[key] == trace
 
 
 @pytest.mark.parametrize(
@@ -1084,6 +1105,14 @@ PLANE12 = Subspace(H1, np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]))
 X_LINE = Subspace(H1, np.array([[1.0], [0.0], [0.0]]))
 # 20,000 and 40,000 samples span two and three blocks of mc.BLOCK
 MULTI_BLOCK = [20_000, 40_000]
+# a ball body under each distance kind; the euclidean-ball norm is a Newton
+# solve whose rows must not depend on their batch
+BALL_DISTANCES = [
+    BOX,
+    cygan_koranyi_distance(H1),
+    multiradial_distance(H1, "max(t1, 1.2*t2^0.5)"),
+    euclidean_ball_distance(H1, 0.5),
+]
 
 
 def _shell(pts):
@@ -1102,6 +1131,21 @@ def test_section_area_same_at_plus_and_minus_zero(space):
     plus = section_area(BOX, space, np.zeros(3), samples=20_000, seed=1)
     minus = section_area(BOX, space, -np.zeros(3), samples=20_000, seed=1)
     assert plus == minus
+
+
+@pytest.mark.parametrize(
+    "dist, exact", [(BOX, 4.0), (multiradial_distance(H1, "max(t1, 1.2*t2^0.5)"), 25.0 / 9.0)],
+    ids=["box", "multiradial"],
+)
+def test_section_area_stderr_is_honest_over_seeds(dist, exact):
+    # the section span(e1, e3) at u = 0 is the rectangle |x1| <= 1,
+    # |x3| <= r^2 with r = 1 (box) or 1/1.2 (multiradial), of area 4 r^2
+    z = np.array([
+        (est.value - exact) / est.stderr
+        for est in (section_area(dist, VERTICAL, np.zeros(3), samples=20_000, seed=s) for s in range(25))
+    ])
+    assert abs(z.mean()) <= 0.6
+    assert np.count_nonzero(np.abs(z) > 2.0) <= 4
 
 
 @pytest.mark.parametrize("samples", MULTI_BLOCK)
@@ -1130,15 +1174,18 @@ def test_section_area_bit_identical_to_per_call_product(dist, space, u, samples)
     "body, oracle_body, space",
     [
         (box_body([1, 1, 1]), box_body_rows([1, 1, 1]), PLANE12),
-        (ball_body(BOX), ball_body(BOX), VERTICAL),
+        (ball_body(BOX), ball_body_rows(BOX), VERTICAL),
         (ellipsoid_body(np.diag([1.0, 2.0, 1.5])), ellipsoid_body_rows(np.diag([1.0, 2.0, 1.5])), X_LINE),
         (ConvexBody(3, 1.05, _shell, "shell"), ConvexBody(3, 1.05, _shell, "shell"), X_LINE),
         (ConvexBody(3, 1.3, _dumbbell, "dumbbell"), ConvexBody(3, 1.3, _dumbbell, "dumbbell"), PLANE12),
+        *((ball_body(d), ball_body_rows(d), VERTICAL) for d in BALL_DISTANCES[1:]),
     ],
-    ids=["cube", "box-ball", "ellipsoid-line", "shell-line", "dumbbell"],
+    ids=["cube", "box-ball", "ellipsoid-line", "shell-line", "dumbbell", "ck-ball", "multiradial-ball",
+         "euclidean-ball"],
 )
 def test_concavity_bit_identical_to_per_call_draws(body, oracle_body, space, samples):
-    # the library's box and ellipsoid against the row-wise member formulas
+    # the library's box and ellipsoid against the row-wise member formulas,
+    # and its balls against the blocked norm
     got = section_concavity_check(body, space, segments=8, samples=samples, seed=3)
     assert got == concavity_per_call(oracle_body, space, segments=8, samples=samples, seed=3)
     if body.label == "dumbbell":
@@ -1392,6 +1439,41 @@ def test_ellipsoid_member_is_bitwise_the_row_wise_oracle(q, leading, seed):
         assert np.array_equal(got, want)
 
 
+BALL_BODIES = [ball_body(d) for d in BALL_DISTANCES]
+
+
+@settings(max_examples=120)
+@given(body=st.integers(0, len(BALL_BODIES) + 1), count=st.integers(1, 300), seed=st.integers(0, 2**16),
+       data=st.data())
+def test_members_are_row_independent(body, count, seed, data):
+    # section_concavity_check hands a member one block as a column-major
+    # view; on points within a few ulps of the boundary, where the last bit
+    # decides, the answer must not depend on the layout or on the block
+    rng = stream(seed, "member-layouts")
+    if body == 0:
+        h = rng.uniform(0.1, 2.0, 3)
+        member = box_body(h).member
+        boundary = rng.uniform(-1.0, 1.0, (count, 3)) * h
+        face = rng.integers(0, 3, count)
+        boundary[np.arange(count), face] = np.where(rng.random(count) < 0.5, -1.0, 1.0) * h[face]
+    elif body == 1:
+        m = np.eye(3) + 0.3 * rng.standard_normal((3, 3))
+        member = ellipsoid_body(m).member
+        boundary = rng.standard_normal((count, 3))
+        boundary /= np.linalg.norm(boundary @ m.T, axis=-1, keepdims=True)
+    else:
+        member = BALL_BODIES[body - 2].member
+        boundary = BALL_DISTANCES[body - 2].unit_normalize(rng.standard_normal((count, 3)))
+    pts = boundary + rng.integers(-3, 4, boundary.shape) * np.spacing(boundary)
+    cuts = sorted(data.draw(st.lists(st.integers(0, count), max_size=4), label="cuts"))
+    want = member(np.ascontiguousarray(pts))
+    assert want.shape == (count,)
+    assert member(pts[0]) == want[0]
+    for layout in (pts, np.ascontiguousarray(pts.T).T):
+        assert np.array_equal(member(layout), want)
+        assert np.array_equal(np.concatenate([member(b) for b in np.split(layout, cuts)]), want)
+
+
 @settings(max_examples=100)
 @given(k=st.integers(1, 10), leading=_LEADING, seed=st.integers(0, 2**16))
 def test_sum_of_squares_is_the_square_of_np_linalg_norm(k, leading, seed):
@@ -1405,7 +1487,8 @@ def test_shift_and_box_points_are_bitwise_the_row_wise_oracles(q, count, seed):
     rng = stream(seed, "shift-oracle")
     v = rng.standard_normal(q) * 10.0 ** rng.integers(-3, 4, q)
     pts = rng.standard_normal((count, q)) @ rng.standard_normal((q, q))
-    assert np.array_equal(measure._shifted(v, pts), shift_rows(v, pts))
+    # the concavity check's section: one broadcast add on coordinate-first points
+    assert np.array_equal((np.ascontiguousarray(pts.T) + v[:, None]).T, shift_rows(v, pts))
     lo = rng.uniform(-2.0, 1.0, q)
     bounds = np.stack([lo, lo + rng.uniform(1e-9, 3.0, q)], axis=1)
     unit = rng.random((count, q))

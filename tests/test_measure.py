@@ -1133,21 +1133,6 @@ def test_section_area_same_at_plus_and_minus_zero(space):
     assert plus == minus
 
 
-@pytest.mark.parametrize(
-    "dist, exact", [(BOX, 4.0), (multiradial_distance(H1, "max(t1, 1.2*t2^0.5)"), 25.0 / 9.0)],
-    ids=["box", "multiradial"],
-)
-def test_section_area_stderr_is_honest_over_seeds(dist, exact):
-    # the section span(e1, e3) at u = 0 is the rectangle |x1| <= 1,
-    # |x3| <= r^2 with r = 1 (box) or 1/1.2 (multiradial), of area 4 r^2
-    z = np.array([
-        (est.value - exact) / est.stderr
-        for est in (section_area(dist, VERTICAL, np.zeros(3), samples=20_000, seed=s) for s in range(25))
-    ])
-    assert abs(z.mean()) <= 0.6
-    assert np.count_nonzero(np.abs(z) > 2.0) <= 4
-
-
 @pytest.mark.parametrize("samples", MULTI_BLOCK)
 @pytest.mark.parametrize(
     "dist, space, u",

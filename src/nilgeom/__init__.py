@@ -27,14 +27,10 @@ from .manifold import (
     ParamMap,
     PointAnalysis,
     TransformedChart,
-    alpha_profile,
     blowup_rates,
     classify_point,
     degree_map,
-    homogeneous_tangent,
-    horizontal_tangency,
     parse_parametrization,
-    pointwise_degree,
     q_n_max_degree,
 )
 from .mc import Estimate
@@ -45,7 +41,6 @@ from .measure import (
     coarea_check,
     covering_estimate,
     federer_density,
-    hypersurface_density,
     intrinsic_measure,
     section_area,
     section_concavity_check,
@@ -78,7 +73,6 @@ __all__ = [
     "NumericPolicy",
     "DEFAULT_POLICY",
     "abelian",
-    "alpha_profile",
     "area_check",
     "ball_bounding_radius",
     "beta_constancy_check",
@@ -99,14 +93,10 @@ __all__ = [
     "free2",
     "h_type",
     "heisenberg",
-    "homogeneous_tangent",
-    "horizontal_tangency",
-    "hypersurface_density",
     "intrinsic_measure",
     "load_group",
     "multiradial_distance",
     "parse_parametrization",
-    "pointwise_degree",
     "q_n_max_degree",
     "section_area",
     "section_concavity_check",

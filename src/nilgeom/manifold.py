@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .algebra import GradedGroup, Subspace, classify_subspace, classify_subspaces
+from .algebra import GradedGroup, Subspace, classify_subspaces
 from .errors import (
     DegenerateTangent,
     DomainViolation,
@@ -161,16 +161,6 @@ class TransformedChart:
         return jac
 
 
-def horizontal_tangency(chart, y, policy: NumericPolicy = DEFAULT_POLICY) -> bool:
-    """Frame tangency test: the tangent space lies in the horizontal fiber iff
-    every frame coefficient of the Jacobian columns above layer 1 vanishes."""
-    group = chart.group
-    coeffs = group.frame_coefficients(chart.value(y), chart.jacobian(y))
-    m = group.layers[0]
-    scale = float(np.max(np.abs(coeffs), initial=0.0)) or 1.0
-    return bool(np.max(np.abs(coeffs[m:, :]), initial=0.0) <= policy.rtol * scale)
-
-
 def cell_centers(box, counts) -> np.ndarray:
     """Centers of the cells of a counts[0] x ... grid on an (n, 2) box, (N, n)."""
     box = np.asarray(box, dtype=float)
@@ -274,20 +264,6 @@ def _tangent_at(chart, y, policy: NumericPolicy) -> _Tangents:
     t = _tangents(chart, y[None, :], policy)
     _require_full(t, 0)
     return t
-
-
-def pointwise_degree(chart, y, policy: NumericPolicy = DEFAULT_POLICY) -> int:
-    """Largest M with a nonzero degree-M projection of the lifted tangent."""
-    return int(_tangent_at(chart, y, policy).degree[0])
-
-
-def homogeneous_tangent(
-    chart, y, policy: NumericPolicy = DEFAULT_POLICY
-) -> tuple[Subspace, bool]:
-    """Lie h-tangent space A = {X : X ^ pi_N(xi) = 0} and its regularity flag."""
-    t = _tangent_at(chart, y, policy)
-    space = _htangent_from_top(chart.group, t.top[0], chart.n, policy)
-    return space, classify_subspace(chart.group, space, policy.rtol).subalgebra
 
 
 def _htangent_from_top(group: GradedGroup, top, n: int, policy: NumericPolicy) -> Subspace:
@@ -396,22 +372,14 @@ def degree_echelon(group: GradedGroup, coeffs: np.ndarray, policy: NumericPolicy
     return Echelon(alpha=tuple(alpha), pivots=pivots, column_transform=v)
 
 
-def _checked_echelon(group: GradedGroup, coeffs, degree: int, policy: NumericPolicy, y, where: str) -> Echelon:
-    """``degree_echelon`` of ``coeffs`` at y, checked to imply ``degree``; the error ends in
-    ``where.format(y)``, formatted only on failure: an array's text costs more than the echelon."""
+def _checked_echelon(group: GradedGroup, coeffs, degree: int, policy: NumericPolicy, y) -> Echelon:
+    """``degree_echelon`` of ``coeffs`` at y, checked to imply ``degree``; y is formatted
+    only on failure: an array's text costs more than the echelon."""
     ech = degree_echelon(group, coeffs, policy)
     implied = sum((j + 1) * a for j, a in enumerate(ech.alpha))
     if implied != degree:
-        raise InconsistentDegree(f"echelon degree {implied} != multivector degree {degree}" + where.format(y))
+        raise InconsistentDegree(f"echelon degree {implied} != multivector degree {degree} at y={y}")
     return ech
-
-
-def alpha_profile(chart, y, policy: NumericPolicy = DEFAULT_POLICY) -> tuple[int, ...]:
-    """Layer profile alpha_1..alpha_iota with sum alpha_j = n and
-    sum j*alpha_j = pointwise degree (cross-checked)."""
-    t = _tangent_at(chart, y, policy)
-    where = "; the point is too ill-conditioned for this tolerance"
-    return _checked_echelon(chart.group, t.coeffs[0], int(t.degree[0]), policy, y, where).alpha
 
 
 # ---------------------------------------------------------------------------
@@ -447,7 +415,7 @@ def sampled_max_degree(
         degrees = []
         for y in ys:
             try:
-                degrees.append(pointwise_degree(chart, y, policy))
+                degrees.append(int(_tangent_at(chart, y, policy).degree[0]))
             except skip:
                 continue
     best = int(max(degrees, default=0))
@@ -459,8 +427,7 @@ def sampled_max_degree(
 
 def classify_point(chart, y, policy: NumericPolicy = DEFAULT_POLICY) -> PointAnalysis:
     y = np.asarray(y, dtype=float)
-    chart.check_domain(y)
-    t = _tangents(chart, y[None, :], policy)
+    t = _tangent_at(chart, y, policy)
     return _analyse(chart, y, t, 0, _htangents(chart, t, policy)[0], policy)
 
 
@@ -494,7 +461,7 @@ def _analyse(chart, y, t: _Tangents, b: int, htangent: tuple | None, policy: Num
     space, kinds, notes = htangent
     regular = kinds is not None and kinds.subalgebra
 
-    ech = _checked_echelon(group, coeffs, degree, policy, y, " at y={}")
+    ech = _checked_echelon(group, coeffs, degree, policy, y)
 
     m = group.layers[0]
     # characteristic: the horizontal fiber is contained in the tangent space

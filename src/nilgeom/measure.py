@@ -23,7 +23,6 @@ from .algebra import X, Y, GradedGroup, Subspace, bch_plan, classify_subspace
 from .errors import (
     BoundaryTooClose,
     CloudTooSparse,
-    DegenerateTangent,
     EmptySection,
     LevelSetNotGraph,
     NonFinite,
@@ -95,13 +94,13 @@ def _section_points(basis: np.ndarray, radius: float, samples: int, seed: int, t
     )
 
 
-def _section_estimate(hits: int, samples: int, n: int, radius: float, seed: int, meta) -> Estimate:
+def _section_measure(hits: int, samples: int, n: int, radius: float) -> tuple[float, float]:
     """The H^n measure of a section from the ``hits`` among ``samples``
     points of ``_section_points`` in its n-dimensional ball of ``radius``:
-    the ball's volume times the hit fraction, with binomial standard error."""
+    the ball's volume times the hit fraction, and its binomial standard
+    error."""
     volume, p = unit_ball_volume(n, radius), hits / samples
-    stderr = volume * float(np.sqrt(max(p * (1.0 - p), 0.0) / samples))
-    return Estimate(volume * p, stderr, samples, seed, "mc-section", meta or {})
+    return volume * p, volume * float(np.sqrt(max(p * (1.0 - p), 0.0) / samples))
 
 
 def section_area(
@@ -128,7 +127,7 @@ def section_area(
     (hits,) = count_hits(
         _section_points(space.orthonormal_basis(), radius, samples, seed, tag), partial(dist.ball_contains, u)
     )
-    return _section_estimate(hits, samples, n, radius, seed, {"radius": radius})
+    return Estimate(*_section_measure(hits, samples, n, radius), samples, seed, "mc-section", {"radius": radius})
 
 
 # the factor search: multi-start count, simplex iterations per start, and
@@ -1158,10 +1157,8 @@ def section_concavity_check(
     def psi(hits: int) -> tuple[float, float] | None:
         if hits < min_hits:
             return None
-        area = _section_estimate(hits, samples, n, body.radius, seed, None)
-        val = area.value ** (1.0 / n)
-        err = area.stderr / (n * area.value ** ((n - 1.0) / n))
-        return val, err
+        area, stderr = _section_measure(hits, samples, n, body.radius)
+        return area ** (1.0 / n), stderr / (n * area ** ((n - 1.0) / n))
 
     def shifted(v: np.ndarray):
         return lambda cols: body.member((cols + v[:, None]).T)
@@ -1336,29 +1333,6 @@ def beta_constancy_check(
         spread=float(max(values) - min(values)),
         max_pairwise_z=max_z,
     )
-
-
-# ---------------------------------------------------------------------------
-# Hypersurface density
-# ---------------------------------------------------------------------------
-
-def hypersurface_density(chart, y, policy: NumericPolicy = DEFAULT_POLICY) -> float:
-    """Spherical-measure density of a hypersurface from its Euclidean unit
-    normal: sqrt(sum over first-layer j of <n, X_j(p)>^2).  The tangent map
-    is rank deficient when its smallest singular value is at or below
-    ``policy.rtol`` of the largest."""
-    group = chart.group
-    if chart.n != group.q - 1:
-        raise DegenerateTangent("hypersurface density requires codimension 1")
-    jac = chart.jacobian(y)
-    u, s, _ = np.linalg.svd(jac, full_matrices=True)
-    if s[-1] <= policy.rtol * s[0]:
-        raise DegenerateTangent("tangent map is rank deficient")
-    normal = u[:, -1]
-    frame = group.frame(chart.value(y))
-    m = group.layers[0]
-    comps = normal @ frame[:, :m]
-    return float(np.sqrt(np.sum(comps * comps)))
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,11 @@
-"""Brute-force oracle for the maximal degree Q_n, and the per-cell analysis
-that ``degree_map`` and ``classify_point`` batch: each cell's frame
-coefficients solved at that cell alone, and its h-tangent from a wedge
-matrix built entry by entry, classified on its own (once for ``regular`` and
-again for its kinds)."""
+"""Brute-force oracle for the maximal degree Q_n, the frame horizontality
+test, and the per-cell analysis that ``degree_map`` and ``classify_point``
+batch: each cell's frame coefficients solved at that cell alone, and its
+h-tangent from a wedge matrix built entry by entry, classified on its own
+(once for ``regular`` and again for its kinds).  ``horizontal_tangency``
+reads the Jacobian's frame coefficients above layer 1 and never builds an
+h-tangent, so it checks the class ``horizontal`` that ``classify_point``
+reads from the h-tangent's kinds."""
 from __future__ import annotations
 
 from itertools import combinations
@@ -29,6 +32,16 @@ def q_n_bruteforce(group: GradedGroup, n: int) -> int:
     """Max degree over all n-element index tuples."""
     deg = group.degrees
     return max(int(sum(deg[list(c)])) for c in combinations(range(group.q), n))
+
+
+def horizontal_tangency(chart, y, policy: NumericPolicy = DEFAULT_POLICY) -> bool:
+    """Frame tangency test: the tangent space lies in the horizontal fiber iff
+    every frame coefficient of the Jacobian columns above layer 1 vanishes."""
+    group = chart.group
+    coeffs = group.frame_coefficients(chart.value(y), chart.jacobian(y))
+    m = group.layers[0]
+    scale = float(np.max(np.abs(coeffs), initial=0.0)) or 1.0
+    return bool(np.max(np.abs(coeffs[m:, :]), initial=0.0) <= policy.rtol * scale)
 
 
 def htangent_per_cell(group: GradedGroup, top, n: int, policy: NumericPolicy) -> tuple[Subspace, bool]:

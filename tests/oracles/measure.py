@@ -1,7 +1,11 @@
 """Test oracles for ``nilgeom.measure``.
 
-The projected-wedge route to the hypersurface density cross-checks
-``hypersurface_density`` (the unit-normal route).  The full-scan cover
+The spherical density of a hypersurface has two routes here, and each
+checks the other: ``hypersurface_density`` takes the first-layer frame
+components of the Euclidean unit normal, and
+``hypersurface_density_multivector`` the minors of degree Q - 1 from
+``projected_wedge_norms``, the production route that ``coarea_check``
+integrates, over the Gram determinant.  The full-scan cover
 measures every probe's spacing and every new centre's distances over the
 whole cloud, one centre at a time (``farthest_point_loop``);
 ``covering_estimate`` evaluates only the points of each probe's and
@@ -57,7 +61,7 @@ from nilgeom.measure import (
     unit_ball_volume,
 )
 from nilgeom.metrics import ball_bounding_radius
-from nilgeom.policy import DEFAULT_POLICY
+from nilgeom.policy import DEFAULT_POLICY, NumericPolicy
 
 from .mc import uniform_ball_rows, uniform_box_rows
 
@@ -88,6 +92,25 @@ def ellipsoid_body_rows(matrix) -> ConvexBody:
     return ConvexBody(
         body.ambient_dim, body.radius, lambda pts: np.linalg.norm(pts @ m.T, axis=-1) <= 1.0, body.label
     )
+
+
+def hypersurface_density(chart, y, policy: NumericPolicy = DEFAULT_POLICY) -> float:
+    """Spherical-measure density of a hypersurface from its Euclidean unit
+    normal: sqrt(sum over first-layer j of <n, X_j(p)>^2).  The tangent map
+    is rank deficient when its smallest singular value is at or below
+    ``policy.rtol`` of the largest."""
+    group = chart.group
+    if chart.n != group.q - 1:
+        raise DegenerateTangent("hypersurface density requires codimension 1")
+    jac = chart.jacobian(y)
+    u, s, _ = np.linalg.svd(jac, full_matrices=True)
+    if s[-1] <= policy.rtol * s[0]:
+        raise DegenerateTangent("tangent map is rank deficient")
+    normal = u[:, -1]
+    frame = group.frame(chart.value(y))
+    m = group.layers[0]
+    comps = normal @ frame[:, :m]
+    return float(np.sqrt(np.sum(comps * comps)))
 
 
 def hypersurface_density_multivector(chart, y) -> float:

@@ -11,12 +11,7 @@ import pytest
 
 from nilgeom.algebra import Subspace, catalog_group, classify_subspace, h_type, heisenberg
 from nilgeom.cli import group_property_residuals, run as cli_run
-from nilgeom.manifold import (
-    classify_point,
-    horizontal_tangency,
-    parse_parametrization,
-    q_n_max_degree,
-)
+from nilgeom.manifold import classify_point, parse_parametrization, q_n_max_degree
 from nilgeom.measure import (
     ball_body,
     beta_constancy_check,
@@ -24,7 +19,6 @@ from nilgeom.measure import (
     coarea_check,
     ellipsoid_body,
     federer_density,
-    hypersurface_density,
     section_area,
     section_concavity_check,
     spherical_factor,
@@ -32,8 +26,8 @@ from nilgeom.measure import (
 )
 from nilgeom.metrics import box_distance, cygan_koranyi_distance, multiradial_distance
 from nilgeom.mc import stream
-from oracles.manifold import q_n_bruteforce
-from oracles.measure import hypersurface_density_multivector
+from oracles.manifold import horizontal_tangency, q_n_bruteforce
+from oracles.measure import hypersurface_density, hypersurface_density_multivector
 
 H1 = heisenberg(1)
 BOX = box_distance(H1, [1.0, 1.0])

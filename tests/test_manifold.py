@@ -9,6 +9,7 @@ from nilgeom.algebra import Subspace, abelian, catalog_group, engel, heisenberg,
 from nilgeom.errors import (
     DegenerateTangent,
     DomainViolation,
+    NonFinite,
     NonSimpleProjection,
     ParseError,
 )
@@ -16,21 +17,18 @@ from nilgeom.manifold import (
     PointAnalysis,
     TransformedChart,
     _htangent_from_top,
-    alpha_profile,
     blowup_case,
     blowup_rates,
     classify_point,
     degree_map,
-    homogeneous_tangent,
-    horizontal_tangency,
     parse_parametrization,
-    pointwise_degree,
     q_n_max_degree,
+    sampled_max_degree,
 )
 from nilgeom.mc import Estimate, stream
 from nilgeom.metrics import box_distance
 from nilgeom.policy import DEFAULT_POLICY, NumericPolicy
-from oracles.manifold import classify_point_per_cell, degree_map_per_cell, q_n_bruteforce
+from oracles.manifold import classify_point_per_cell, degree_map_per_cell, horizontal_tangency, q_n_bruteforce
 
 H1 = heisenberg(1)
 
@@ -87,7 +85,7 @@ def test_jacobian_examples_and_finite_differences(paraboloid, helix):
 
 def test_domain_violation(paraboloid):
     with pytest.raises(DomainViolation):
-        pointwise_degree(paraboloid, [2.0, 0.0])
+        classify_point(paraboloid, [2.0, 0.0])
 
 
 def test_non_finite_value_raises():
@@ -103,26 +101,26 @@ def test_non_finite_value_raises():
 # ---------------------------------------------------------------------------
 
 def test_pointwise_degree_examples(paraboloid, plane, helix):
-    assert pointwise_degree(paraboloid, [0.0, 0.0]) == 2
-    assert pointwise_degree(plane, [0.3, -0.7]) == 3
-    assert pointwise_degree(helix, [1.1]) == 1
+    assert classify_point(paraboloid, [0.0, 0.0]).degree == 2
+    assert classify_point(plane, [0.3, -0.7]).degree == 3
+    assert classify_point(helix, [1.1]).degree == 1
 
 
 def test_homogeneous_tangent_paraboloid_origin(paraboloid):
-    space, regular = homogeneous_tangent(paraboloid, [0.0, 0.0])
-    assert not regular
+    a = classify_point(paraboloid, [0.0, 0.0])
+    assert not a.regular
     expect = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
-    got = space.orthonormal_basis()
+    got = a.htangent.orthonormal_basis()
     # same span as {e1, e2}
     assert np.linalg.matrix_rank(np.hstack([got, expect]), tol=1e-9) == 2
 
 
 def test_homogeneous_tangent_plane(plane):
-    space, regular = homogeneous_tangent(plane, [0.2, 0.4])
-    assert regular
+    a = classify_point(plane, [0.2, 0.4])
+    assert a.regular
     # the span of {e1, e3}: adding either leaves the rank at 2
     expect = np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]])
-    assert np.linalg.matrix_rank(np.hstack([space.orthonormal_basis(), expect]), tol=1e-9) == 2
+    assert np.linalg.matrix_rank(np.hstack([a.htangent.orthonormal_basis(), expect]), tol=1e-9) == 2
 
 
 def test_non_simple_projection_reported():
@@ -197,6 +195,18 @@ def test_classify_rank_check_follows_policy():
         classify_point(chart, [0.1, 0.2])
 
 
+def test_strict_max_degree_lets_domain_and_finiteness_errors_through(plane):
+    # the batch leaves the domain (or is non-finite) as a whole, so every
+    # cell is judged on its own: a strict sample stops at the first such
+    # cell, a lenient one skips it
+    with pytest.raises(DomainViolation):
+        sampled_max_degree(plane, [[-2, 2], [-1, 1]], strict=True)
+    pole = parse_parametrization("1/y1; 0; y2", 2, [[-1, 1], [-1, 1]], H1)
+    with pytest.raises(NonFinite):
+        sampled_max_degree(pole, strict=True)
+    assert sampled_max_degree(pole) == 3
+
+
 @pytest.mark.parametrize("rtol", [1e-12, 1e-3])
 def test_htangent_class_reads_the_policy_tolerance(paraboloid, plane, monkeypatch, rtol):
     # the h-tangent was once classified at max(rtol, 1e-8), so a policy
@@ -209,26 +219,24 @@ def test_htangent_class_reads_the_policy_tolerance(paraboloid, plane, monkeypatc
             return real(group, spaces, tol)
         return call
 
-    for name in ("classify_subspace", "classify_subspaces"):
-        monkeypatch.setattr(manifold, name, recorded(getattr(manifold, name)))
+    monkeypatch.setattr(manifold, "classify_subspaces", recorded(manifold.classify_subspaces))
     policy = NumericPolicy(rtol)
     classify_point(plane, [0.3, -0.2], policy)
     degree_map(paraboloid, [3, 3], policy)
-    homogeneous_tangent(plane, [0.3, -0.2], policy)
-    assert tols == [rtol] * 3
+    assert tols == [rtol] * 2
 
 
 def test_alpha_profile_examples(paraboloid, plane, helix):
-    assert alpha_profile(paraboloid, [0.0, 0.0]) == (2, 0)
-    assert alpha_profile(plane, [0.1, 0.9]) == (1, 1)
-    assert alpha_profile(helix, [0.7]) == (1, 0)
+    assert classify_point(paraboloid, [0.0, 0.0]).alpha == (2, 0)
+    assert classify_point(plane, [0.1, 0.9]).alpha == (1, 1)
+    assert classify_point(helix, [0.7]).alpha == (1, 0)
     # degree identity at random points
     rng = stream(2, "alpha")
     for chart in (paraboloid, plane):
         for y in rng.uniform(-0.9, 0.9, (10, 2)):
-            alpha = alpha_profile(chart, y)
-            assert sum(alpha) == 2
-            assert sum((j + 1) * a for j, a in enumerate(alpha)) == pointwise_degree(chart, y)
+            a = classify_point(chart, y)
+            assert sum(a.alpha) == 2
+            assert sum((j + 1) * k for j, k in enumerate(a.alpha)) == a.degree
 
 
 def test_legendrian_chart_in_h2():
@@ -529,7 +537,7 @@ def test_degree_map_classifies_in_one_call(monkeypatch):
 
     real = manifold.classify_subspaces
     monkeypatch.setattr(manifold, "classify_subspaces", counted)
-    monkeypatch.setattr(manifold, "classify_subspace", None)  # no one-subspace call either
+    assert not hasattr(manifold, "classify_subspace")  # no one-subspace call either
     chart = parse_parametrization(*IDENTITY_CHARTS["filiform6"][1:3], SQUARE, FILIFORM6)
     result = degree_map(chart, 9)
     assert calls == [81] and len(result.points) == 81

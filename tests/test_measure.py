@@ -29,7 +29,6 @@ from nilgeom.measure import (
     covering_estimate,
     ellipsoid_body,
     federer_density,
-    hypersurface_density,
     intrinsic_measure,
     section_area,
     section_concavity_check,
@@ -55,6 +54,7 @@ from oracles.measure import (
     ellipsoid_body_rows,
     farthest_point_loop,
     federer_full_window,
+    hypersurface_density,
     hypersurface_density_multivector,
     intrinsic_mc_per_block,
     intrinsic_tensor_chunked,

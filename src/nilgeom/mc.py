@@ -8,11 +8,12 @@ so results do not depend on how work is partitioned across workers.
 Common random numbers are drawn once per block by ``draw_blocks`` and shared
 by every member that ``count_hits`` tests on that block.
 
-Sample points are ``(count, n)`` rows.  The per-point work runs column by
-column: numpy reduces over, or broadcasts against, a short trailing axis in
-a slow inner loop, while a whole column is one fast loop.  Each column-wise
-kernel gives, bit for bit, what its row-wise form did; ``sum_of_squares``
-holds the one summation order that makes the Euclidean norms agree.
+Box samples are ``(count, n)`` rows, ball samples coordinate-first
+``(n, count)``.  The per-point work runs one coordinate at a time: numpy
+reduces over, or broadcasts against, a short trailing axis in a slow inner
+loop, while a whole coordinate is one fast loop.  Each such kernel gives,
+bit for bit, what its row-wise form did; ``sum_of_squares`` holds the one
+summation order that makes the Euclidean norms agree.
 """
 from __future__ import annotations
 
@@ -97,21 +98,18 @@ def sum_of_squares(columns: np.ndarray) -> np.ndarray:
 
 
 def uniform_ball(rng: np.random.Generator, n: int, count: int, radius: float = 1.0) -> np.ndarray:
-    """Uniform samples ``(count, n)`` in the n-dimensional Euclidean ball.
+    """Uniform samples ``(n, count)``, coordinate-first, in the n-ball.
 
-    Each row is a standard normal direction divided by its norm and then
-    multiplied by ``radius * U^(1/n)``, one column at a time; the rows are
-    those of ``g / norm(g, axis=1) * r``, bit for bit.  A zero row stays zero.
+    The ``(count, n)`` normals ``g`` are normalised on their contiguous
+    transpose, so the columns are the rows of ``g / norm(g, axis=1) * r``
+    with ``r = radius * U^(1/n)``, bit for bit.  A zero normal stays zero.
     """
-    g = rng.standard_normal((count, n))
-    norms = np.sqrt(sum_of_squares(g.T))
+    g = np.ascontiguousarray(rng.standard_normal((count, n)).T)
+    norms = np.sqrt(sum_of_squares(g))
     norms[norms == 0] = 1.0
-    r = radius * rng.random(count) ** (1.0 / n)
-    out = np.empty_like(g)
-    for k in range(n):
-        np.divide(g[:, k], norms, out=out[:, k])
-        out[:, k] *= r
-    return out
+    g /= norms
+    g *= radius * rng.random(count) ** (1.0 / n)
+    return g
 
 
 def box_points(bounds: np.ndarray, unit: np.ndarray) -> np.ndarray:

@@ -88,10 +88,16 @@ def unit_ball_volume(n: int, radius: float = 1.0) -> float:
 def _section_points(basis: np.ndarray, radius: float, samples: int, seed: int, tag: str):
     """The ``samples`` points of a section drawn lazily, block by block, on
     stream ``tag``: uniform in the ball of ``radius`` of the span of the
-    orthonormal ``basis`` columns."""
+    orthonormal ``basis`` columns, each block a C-contiguous coordinate-first
+    ``(q, count)`` array ``basis @ uniform_ball(...)``."""
     return draw_blocks(
-        lambda rng, count: uniform_ball(rng, basis.shape[1], count, radius) @ basis.T, samples, seed, tag
+        lambda rng, count: basis @ uniform_ball(rng, basis.shape[1], count, radius), samples, seed, tag
     )
+
+
+def _in_ball(dist: HomogeneousDistance, center: np.ndarray):
+    """Membership in B(center, 1) of coordinate-first points ``(q, m)``."""
+    return lambda cols: dist.distance_columns(center, cols) <= 1.0 + BALL_SLACK
 
 
 def _section_measure(hits: int, samples: int, n: int, radius: float) -> tuple[float, float]:
@@ -114,7 +120,8 @@ def section_area(
     """Monte-Carlo H^n measure of {v in S : d(v, u) <= 1}.
 
     The sample stream is keyed on u rounded to 12 digits, with -0 read as
-    +0, so equal centres draw equal samples.
+    +0, so equal centres draw equal samples.  Points stay coordinate-first
+    from the draw (``_section_points``) to the norm (``distance_columns``).
     """
     require_counts(samples=samples)
     u = np.asarray(u, dtype=float)
@@ -125,7 +132,7 @@ def section_area(
         return Estimate(0.0, 0.0, 0, seed, "empty-section")
     tag = f"{tag}:{(np.round(u, 12) + 0.0).tobytes().hex()}"
     (hits,) = count_hits(
-        _section_points(space.orthonormal_basis(), radius, samples, seed, tag), partial(dist.ball_contains, u)
+        _section_points(space.orthonormal_basis(), radius, samples, seed, tag), _in_ball(dist, u)
     )
     return Estimate(*_section_measure(hits, samples, n, radius), samples, seed, "mc-section", {"radius": radius})
 
@@ -171,11 +178,11 @@ def spherical_factor(
     The search draws its ``FACTOR_SEARCH_SAMPLES`` points once ("beta-search",
     common random numbers) in the section of B(0, 2), which holds every
     section with ||u|| <= 1, so its objective, the hit count of B(u, 1), is
-    deterministic; each count takes the distance only in the coordinate box
-    of B(u, 1) (``_within``).  A winner other than the origin meets u = 0 on
-    one shared draw ("beta-select"); the larger count is picked, a tie going
-    to the origin, and reported on its own stream ("beta-final", or the
-    shortcut's "beta0"), never as the larger of two noisy estimates.
+    deterministic; each count takes the distance only on the coordinate-first
+    points in the box of B(u, 1) (``_within``).  A winner other than the origin
+    meets u = 0 on one shared draw ("beta-select"); the larger count is picked,
+    a tie going to the origin, and reported on its own stream ("beta-final", or
+    the shortcut's "beta0"), never as the larger of two noisy estimates.
     """
     require_counts(samples=samples)
     reason = None if force_search else _factor_shortcut(dist, space, policy)
@@ -197,7 +204,7 @@ def spherical_factor(
         return dist.unit_normalize(u) if dist.norm(u) > 1.0 else u
 
     draw = _section_points(basis, search_radius, FACTOR_SEARCH_SAMPLES, seed, "beta-search")
-    columns = np.ascontiguousarray(np.vstack(list(draw)).T)
+    columns = np.hstack(list(draw))
     # a projected centre has ||u|| <= 1 up to rounding, so |u_j| <= rho_j
     # (layer_radii); the 1.01 covers the rounding of ||u|| and of rho
     centre_bound = 1.01 * float(np.sqrt(np.sum(dist.layer_radii**2)))
@@ -222,7 +229,7 @@ def spherical_factor(
 
     won = False
     if np.any(best_u):
-        members = (partial(dist.ball_contains, c) for c in (best_u, origin))
+        members = (_in_ball(dist, c) for c in (best_u, origin))
         select = _section_points(basis, search_radius, samples, seed, "beta-select")
         at_best, at_origin = count_hits(select, *members)
         won = at_best > at_origin
@@ -770,7 +777,7 @@ def _within(dist: HomogeneousDistance, reach, columns: np.ndarray, center: np.nd
     scan's (``tests/oracles/measure.py::within_full_scan``)."""
     half = reach(radius, center)
     rows = np.flatnonzero(_every_column(columns.T, lambda x, k: np.abs(x - center[k]) <= half[k]))
-    return rows[np.asarray(dist.distance(center, columns[:, rows].T)) <= radius]
+    return rows[dist.distance_columns(center, columns[:, rows]) <= radius]
 
 
 class _CoverIndex:
@@ -1143,8 +1150,8 @@ def section_concavity_check(
     then overestimate the error of the concavity deficit.  What the shared
     set gives up is independence between segments, which no count of the
     report relies on: each check is judged within its own segment.  The
-    blocks are made coordinate-first once, so a section v + S is one
-    broadcast add ``cols + v[:, None]``, handed to the member as ``.T``."""
+    blocks are drawn coordinate-first, so a section v + S is one broadcast
+    add ``cols + v[:, None]``, handed to the member as ``.T``."""
     require_counts(segments=segments, samples=samples)
     basis = space.orthonormal_basis()
     n = space.dim
@@ -1169,7 +1176,7 @@ def section_concavity_check(
     done = 0
     attempts = 0
     points = _section_points(basis, body.radius, samples, seed, "concavity-points") if perp.shape[1] else ()
-    shared = [np.ascontiguousarray(pts.T) for pts in points]
+    shared = list(points)
     while perp.shape[1] and done < segments and attempts < 20 * segments:
         attempts += 1
         v = (rng.standard_normal(perp.shape[1]) * body.radius * 0.5) @ perp.T

@@ -12,6 +12,8 @@ norm is a chain of ``np.maximum`` across layers.  ``norm`` and ``distance``
 run on the block loop of the group law: each block of at most
 ``BLOCK_ROWS`` rows, coordinate-first, takes its product (for a distance)
 and then its norm, layer by layer, and only the ``(...)`` norms are written.
+``distance_columns`` takes points that are already coordinate-first, as
+the sampled counts hold them, in blocks of ``mc.BLOCK`` columns.
 Results are bit-identical to ``phi`` of the stacked ``np.linalg.norm``
 magnitudes of the whole product, the oracle in ``tests/oracles/metrics.py``.
 """
@@ -27,7 +29,7 @@ import numpy as np
 from .algebra import GradedGroup, Subspace, _blocked, load_group
 from .errors import BadDimensions, CalibrationFailed, EmptySection
 from .exprparse import is_monotone_safe, parse_expression
-from .mc import require_counts, stream, sum_of_squares
+from .mc import BLOCK, require_counts, stream, sum_of_squares
 from .optimize import bisect_largest_passing, nelder_mead
 
 TRIANGLE_SLACK = 1e-12
@@ -111,8 +113,22 @@ class HomogeneousDistance:
 
         return _blocked(kernel, (g.inverse(x), y), reduce=True)
 
-    def ball_contains(self, center, x) -> np.ndarray:
-        return self.distance(center, x) <= 1.0 + BALL_SLACK
+    def distance_columns(self, center, cols: np.ndarray) -> np.ndarray:
+        """``distance(center, cols.T)`` bit for bit, for one centre ``(q,)``
+        and coordinate-first points ``cols`` ``(q, m)``: one norm call per
+        ``mc.BLOCK`` columns, after a product call unless the centre is all
+        zero and the block finite (``distance``'s identity rule)."""
+        g = self.group
+        center = np.asarray(center, dtype=float)
+        g._check_dim(center)
+        g._check_dim(cols.T)
+        out = np.empty(cols.shape[1])
+        for lo in range(0, cols.shape[1], BLOCK):
+            block = cols[:, lo : lo + BLOCK]
+            if np.any(center) or not np.isfinite(block).all():
+                block = g._product_rows(np.broadcast_to(g.inverse(center)[:, None], block.shape), block)
+            out[lo : lo + BLOCK] = self._norm_rows(block)
+        return out
 
     def unit_normalize(self, x) -> np.ndarray:
         """Dilate x onto the unit sphere of the norm."""
@@ -486,8 +502,8 @@ def ball_bounding_radius(
     dirs = np.vstack([dirs, np.eye(n), -np.eye(n)])
 
     def distances(scales: np.ndarray) -> np.ndarray:  # (k, dirs, 1) -> (k, dirs)
-        pts = ((dirs * scales) @ basis.T).reshape(-1, basis.shape[0])
-        return np.asarray(dist.distance(u, pts)).reshape(len(scales), len(dirs))
+        cols = basis @ (dirs * scales).reshape(-1, n).T
+        return dist.distance_columns(u, cols).reshape(len(scales), len(dirs))
 
     # geometric radius grid, extended until every direction is well outside
     base = 0.125 * ball_radius

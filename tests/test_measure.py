@@ -231,16 +231,46 @@ def test_factor_search_measures_distances_inside_the_box_only(monkeypatch):
     # the full scan took 572,000 rows off the identity here, the boxed
     # search takes under 45,000
     rows = []
-    distance = metrics.HomogeneousDistance.distance
+    distance_columns = metrics.HomogeneousDistance.distance_columns
 
-    def counting(self, x, y):
-        if np.any(x):
-            rows.append(np.asarray(y).size // self.group.q)
-        return distance(self, x, y)
+    def counting(self, center, cols):
+        if np.any(center):
+            rows.append(cols.shape[1])
+        return distance_columns(self, center, cols)
 
-    monkeypatch.setattr(metrics.HomogeneousDistance, "distance", counting)
+    monkeypatch.setattr(metrics.HomogeneousDistance, "distance_columns", counting)
     spherical_factor(BOX, VERTICAL, samples=20_000, seed=1, force_search=True)
     assert 0 < sum(rows) <= 100_000
+
+
+def test_section_counts_take_coordinate_first_blocks(monkeypatch):
+    # every block a member counts on is a C-contiguous float (q, rows)
+    # array, so no row-major round trip sits between the draw and the norm
+    blocks_seen = []
+    count_hits = measure.count_hits
+
+    def checked(sample_blocks, *members):
+        def recorded():
+            for pts in sample_blocks:
+                blocks_seen.append(pts)
+                yield pts
+
+        return count_hits(recorded(), *members)
+
+    monkeypatch.setattr(measure, "count_hits", checked)
+    u = np.array([0.2, -0.1, 0.3])
+    calls = [
+        lambda: section_area(BOX, VERTICAL, u, samples=mc.BLOCK + 7, seed=1),
+        lambda: spherical_factor(BOX, VERTICAL, samples=20_000, seed=1, force_search=True),
+        lambda: section_concavity_check(ball_body(BOX), VERTICAL, segments=3, samples=mc.BLOCK + 7, seed=1),
+    ]
+    for call in calls:
+        blocks_seen.clear()
+        call()
+        assert blocks_seen
+        for pts in blocks_seen:
+            assert pts.dtype == np.float64 and pts.flags.c_contiguous
+            assert pts.ndim == 2 and pts.shape[0] == H1.q
 
 
 # ---------------------------------------------------------------------------
@@ -1375,9 +1405,28 @@ _COORD = st.floats(-4.0, 4.0, allow_subnormal=True) | st.sampled_from([0.0, -0.0
 )
 def test_uniform_ball_is_bitwise_the_row_wise_oracle(n, count, radius, seed):
     got = uniform_ball(stream(seed, "ball-oracle"), n, count, radius)
-    want = uniform_ball_rows(stream(seed, "ball-oracle"), n, count, radius)
+    want = uniform_ball_rows(stream(seed, "ball-oracle"), n, count, radius).T
     assert got.flags.c_contiguous and got.shape == want.shape
     assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("group", [heisenberg(1), engel(), h_type(), free2(4), heisenberg(4)], ids=lambda g: g.name)
+def test_section_points_are_the_row_wise_draw_transposed(group):
+    # basis @ X has the bits of (X.T @ basis.T).T for every subspace
+    # dimension: the BLAS product does not promise it
+    rng = stream(4, f"section-points:{group.name}")
+    samples = mc.BLOCK + 5
+    for n in range(1, group.q + 1):
+        basis = Subspace(group, rng.standard_normal((group.q, n))).orthonormal_basis()
+        got = list(measure._section_points(basis, 1.7, samples, 2, "layout"))
+        want = [
+            (uniform_ball_rows(stream(2, "layout", b), n, count, 1.7) @ basis.T).T
+            for b, count in mc.blocks(samples)
+        ]
+        assert len(got) == len(want)
+        for block, rows in zip(got, want):
+            assert block.flags.c_contiguous and block.shape == rows.shape
+            assert block.tobytes() == np.ascontiguousarray(rows).tobytes()
 
 
 @settings(max_examples=100)
@@ -1388,9 +1437,9 @@ def test_uniform_ball_zero_row_is_bitwise_the_row_wise_oracle(data, n, count):
     normals[data.draw(st.integers(0, count - 1), label="zero row")] = 0.0
     uniforms = np.array(data.draw(st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=count, max_size=count)))
     got = uniform_ball(_StubRng(normals, uniforms), n, count, 1.5)
-    want = uniform_ball_rows(_StubRng(normals, uniforms), n, count, 1.5)
+    want = uniform_ball_rows(_StubRng(normals, uniforms), n, count, 1.5).T
     assert np.array_equal(got, want)
-    assert not np.any(got[~np.any(normals, axis=1)])
+    assert not np.any(got[:, ~np.any(normals, axis=1)])
 
 
 _LEADING = st.sampled_from([(), (7,), (3, 5), (2, 1, 4)])

@@ -303,7 +303,7 @@ def test_identity_centre_is_bitwise_the_product(data):
     want = d.norm(g.product(g.inverse(centre), y))
     got = d.distance(centre, y)
     assert got.shape == want.shape and got.tobytes() == want.tobytes()
-    assert np.array_equal(d.ball_contains(centre, y), want <= 1.0 + 1e-14)
+    assert np.array_equal(oracle.ball_contains(d, centre, y), want <= 1.0 + 1e-14)
 
     if y.size:
         # rows holding inf or nan take the product
@@ -315,7 +315,7 @@ def test_identity_centre_is_bitwise_the_product(data):
         with np.errstate(invalid="ignore"):
             want = d.norm(g.product(g.inverse(centre), bad))
             assert np.array_equal(d.distance(centre, bad), want, equal_nan=True)
-            assert np.array_equal(d.ball_contains(centre, bad), want <= 1.0 + 1e-14)
+            assert np.array_equal(oracle.ball_contains(d, centre, bad), want <= 1.0 + 1e-14)
 
     with pytest.raises(BadDimensions):
         d.distance(centre, np.zeros(q + 1))
@@ -417,10 +417,51 @@ def test_fused_kernel_is_bitwise_the_product_then_norm_oracle(data):
     x, y = _points(data, rng, d.group.q)
     with np.errstate(all="ignore"):
         assert _same(d.distance(x, y), oracle.distance(d, x, y))
-        assert _same(d.ball_contains(x, y), oracle.ball_contains(d, x, y))
+        # the column kernel at up to three of the centres, on every point
+        ys = y.reshape(-1, d.group.q)
+        for centre in x.reshape(-1, d.group.q)[:3]:
+            got = d.distance_columns(centre, ys.T) <= 1.0 + metrics.BALL_SLACK
+            assert _same(got, oracle.ball_contains(d, centre, ys))
         for pts in (x, y):
             assert _same(d.norm(pts), oracle.norm(d, pts))
             assert _same(d.unit_normalize(pts), oracle.unit_normalize(d, pts))
+
+
+COLUMN_CASES = [d for d in KERNEL_CASES if d.group.name in ("heisenberg(1)", "engel", "h_type", "filiform6")]
+SMALL_BLOCK = 8
+
+
+def _ulps(x: np.ndarray, steps: np.ndarray) -> np.ndarray:
+    """``x`` moved by ``steps`` ulps, entry by entry (at most 3 either way)."""
+    for _ in range(3):
+        x = np.where(steps > 0, np.nextafter(x, np.inf), np.where(steps < 0, np.nextafter(x, -np.inf), x))
+        steps = steps - np.sign(steps)
+    return x
+
+
+@settings(max_examples=200)
+@given(data=st.data())
+def test_column_kernel_is_bitwise_the_row_distance(data):
+    d = data.draw(st.sampled_from(COLUMN_CASES), label="distance")
+    g = d.group
+    q = g.q
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    centre = data.draw(st.sampled_from(["zero", "-zero", "point"]), label="centre")
+    center = {"zero": np.zeros(q), "-zero": -np.zeros(q), "point": rng.uniform(-1.0, 1.0, q)}[centre]
+    m = data.draw(st.sampled_from([1, SMALL_BLOCK - 1, SMALL_BLOCK, SMALL_BLOCK + 1, 3 * SMALL_BLOCK + 2]), label="m")
+    # points within 3 ulps of the unit sphere about the centre, and some anywhere
+    sphere = g.product(center, d.unit_normalize(rng.standard_normal((m, q))))
+    pts = _ulps(sphere, rng.integers(-3, 4, (m, q)))
+    anywhere = rng.random(m) < 0.3
+    pts[anywhere] = rng.uniform(-2.0, 2.0, (np.sum(anywhere), q))
+    specials = st.tuples(st.integers(0, m - 1), st.integers(0, q - 1), st.sampled_from([np.inf, -np.inf, np.nan]))
+    for row, col, value in data.draw(st.lists(specials, max_size=3), label="specials"):
+        pts[row, col] = value  # a block holding these takes the product
+    cols = np.ascontiguousarray(pts.T)
+    with pytest.MonkeyPatch.context() as patch, np.errstate(all="ignore"):
+        patch.setattr(metrics, "BLOCK", SMALL_BLOCK)
+        got = d.distance_columns(center, cols)
+        assert _same(got, d.distance(center, cols.T))
 
 
 def _chain(iota: int):
@@ -478,7 +519,7 @@ def test_euclidean_ball_norm_where_the_bisection_failed():
             got = d.phi(dilated)
             assert np.all(np.abs(got - want) <= 8 * np.spacing(want))
         nan_point = np.full(d.group.q, np.nan)
-        assert np.isnan(d.norm(nan_point)) and not d.ball_contains(np.zeros(d.group.q), nan_point)
+        assert np.isnan(d.norm(nan_point)) and not oracle.ball_contains(d, np.zeros(d.group.q), nan_point)
 
 
 @pytest.mark.parametrize("d", KERNEL_CASES, ids=lambda d: f"{d.group.name}-{d.kind}")
